@@ -220,16 +220,13 @@ def cmd_delta(args) -> int:
     candidate = Document(
         id=args.candidate, text=zwcodec.read_text_file(args.candidate)
     )
-    reports = {
-        "candidate": styloscope.burrows_delta(corpus, candidate, args.k, strip=args.strip)
-    }
+    fitted = styloscope.fit_delta_reference(corpus, args.k, strip=args.strip)
+    reports = {"candidate": styloscope.score_delta(fitted, candidate)}
     if args.reference:
         reference_doc = Document(
             id=args.reference, text=zwcodec.read_text_file(args.reference)
         )
-        reports["reference"] = styloscope.burrows_delta(
-            corpus, reference_doc, args.k, strip=args.strip
-        )
+        reports["reference"] = styloscope.score_delta(fitted, reference_doc)
     if args.format == "json":
         if len(reports) == 1:
             print(reports["candidate"].to_json())

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from . import transforms, weaver
-from .styloscope import Corpus, Document, burrows_delta, load_corpus
+from .styloscope import Corpus, Document, fit_delta_reference, load_corpus, score_delta
 from .transforms import BackendSpec, StyleModel
+from .zwcodec import read_text_file
 
 CANONICAL_ORDER = ("translation", "imitation", "obfuscation", "steganography")
 
@@ -109,15 +110,17 @@ def apply_config(
     text: str,
     config: PipelineConfig,
     imitation_source: str | None = None,
-    style_model: StyleModel | None = None,
+    style_models: dict[tuple[str, int], StyleModel] | None = None,
 ) -> str:
     """Run the configured stages over the text in canonical order.
 
     The imitation stage trains on ``imitation_source`` (the input text
-    itself when not given) unless a pre-trained ``style_model`` is supplied.
-    An empty stage set is the identity.
+    itself when not given).  Passing the same ``style_models`` dict to
+    several calls trains each (source, order) model once across them; a
+    failed training is not stored.  An empty stage set is the identity.
     """
     opts = config.options
+    models = {} if style_models is None else style_models
     for stage in config.stages:
         seed = stage_seed(config.seed, config.id, stage)
         try:
@@ -126,14 +129,14 @@ def apply_config(
                     text, opts.chain, config.backends.get(stage), seed
                 )
             elif stage == "imitation":
-                model = style_model
-                if model is None:
-                    model = transforms.train_style_model(
-                        imitation_source if imitation_source is not None else text,
-                        opts.model_order,
-                    )
+                key = (
+                    imitation_source if imitation_source is not None else text,
+                    opts.model_order,
+                )
+                if key not in models:
+                    models[key] = transforms.train_style_model(*key)
                 generated = transforms.imitate(
-                    model, round(len(text) * opts.imitation_ratio), seed
+                    models[key], round(len(text) * opts.imitation_ratio), seed
                 )
                 if generated:
                     text = f"{text} {generated}" if text else generated
@@ -183,12 +186,15 @@ def run_matrix(
     """Transform the candidate under every config and score both versions.
 
     The reference columns come from the untransformed candidate, so they are
-    constant across configs for each author.  A config whose stage fails is
-    recorded under ``errors`` (status "aborted") and the rest of the grid
-    still runs; a failed external backend is never silently replaced by the
-    builtin fallback.
+    constant across configs for each author.  The reference is fitted once
+    and every style model is trained at most once per call.  A config whose
+    stage fails is recorded under ``errors`` (status "aborted") and the rest
+    of the grid still runs; a failed external backend is never silently
+    replaced by the builtin fallback.
     """
-    base_report = burrows_delta(reference, candidate, k, function_words, strip)
+    fitted = fit_delta_reference(reference, k, function_words, strip)
+    base_report = score_delta(fitted, candidate)
+    style_models: dict[tuple[str, int], StyleModel] = {}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
     for config in configs:
@@ -197,9 +203,10 @@ def run_matrix(
                 candidate.text,
                 config,
                 imitation_source=imitation_source or candidate.text,
+                style_models=style_models,
             )
             adv_doc = Document(id=f"{candidate.id}#config{config.id}", text=transformed)
-            adv_report = burrows_delta(reference, adv_doc, k, function_words, strip)
+            adv_report = score_delta(fitted, adv_doc)
         except StageError as exc:
             errors.append(
                 {
@@ -327,7 +334,7 @@ def load_matrix_spec(path) -> MatrixSpec:
     spec), options (StageOptions fields), imitation_source (file).
     """
     path = Path(path)
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw = json.loads(read_text_file(path))
     base = path.parent
 
     def resolve(p) -> Path:
@@ -338,7 +345,7 @@ def load_matrix_spec(path) -> MatrixSpec:
     candidate_path = resolve(raw["candidate"])
     candidate = Document(
         id=candidate_path.name,
-        text=candidate_path.read_text(encoding="utf-8"),
+        text=read_text_file(candidate_path),
     )
     backends = {
         stage: _parse_backend(spec) for stage, spec in raw.get("backends", {}).items()
@@ -360,7 +367,7 @@ def load_matrix_spec(path) -> MatrixSpec:
     )
     imitation_source = None
     if raw.get("imitation_source"):
-        imitation_source = resolve(raw["imitation_source"]).read_text(encoding="utf-8")
+        imitation_source = read_text_file(resolve(raw["imitation_source"]))
     ngrams = raw.get("ngrams", [2, 4])
     return MatrixSpec(
         candidate=candidate,

@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .zwcodec import strip_zero_width
+from .zwcodec import read_text_file, strip_zero_width
 
 _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 
@@ -113,7 +111,7 @@ def load_corpus(root) -> Corpus:
             documents.append(
                 Document(
                     id=f"{author_dir.name}/{doc_path.name}",
-                    text=doc_path.read_text(encoding="utf-8"),
+                    text=read_text_file(doc_path),
                     author=author_dir.name,
                 )
             )
@@ -291,22 +289,43 @@ def _per_1000(counts: Counter, total: int, word: str) -> float:
     return counts.get(word, 0) * 1000.0 / total
 
 
-def burrows_delta(
+@dataclass(frozen=True)
+class DeltaReference:
+    """A reference corpus fitted for Delta: the axis and each author's place on it.
+
+    ``words`` are the axis words with non-zero variance, ``means`` and
+    ``stds`` their population statistics over the reference documents, and
+    ``author_z`` one z-profile per author, in sorted author order.
+    """
+
+    words: tuple[str, ...]
+    means: tuple[float, ...]
+    stds: tuple[float, ...]
+    author_z: dict[str, tuple[float, ...]]
+    strip: bool
+
+
+def _z_profile(tokens: list[str], words, means, stds) -> tuple[float, ...]:
+    counts = Counter(tokens)
+    return tuple(
+        (_per_1000(counts, len(tokens), w) - mean) / std
+        for w, mean, std in zip(words, means, stds)
+    )
+
+
+def fit_delta_reference(
     reference: Corpus,
-    candidate: Document,
     k: int = 50,
     function_words: list[str] | None = None,
     strip: bool = False,
-) -> DeltaReport:
-    """Burrows' Delta of the candidate against each reference author.
+) -> DeltaReference:
+    """Fit the reference side of Burrows' Delta once, for any number of scores.
 
     The k most frequent function words across the whole reference corpus
     form the word axis.  Each word's per-1000 frequency is measured in every
     reference document to obtain a corpus-wide mean and population standard
-    deviation; author profiles (concatenated subcorpora) and the candidate
-    are then z-scored against those statistics.  Delta(author) is the mean
-    absolute z-score difference over the axis, skipping words with zero
-    variance.
+    deviation; words with zero variance are dropped.  Author profiles
+    (concatenated subcorpora) are z-scored against those statistics.
     """
     words = function_words if function_words is not None else default_function_words()
     if k < 1:
@@ -326,43 +345,69 @@ def burrows_delta(
         total_counts.update(counts)
 
     ranked = sorted(words, key=lambda w: (-total_counts.get(w, 0), w))
-    axis = ranked[:k]
-
-    freq_matrix = np.array(
-        [
-            [_per_1000(counts, len(tokens), w) for w in axis]
+    n_docs = len(doc_tokens)
+    kept, means, stds = [], [], []
+    for w in ranked[:k]:
+        freqs = [
+            _per_1000(counts, len(tokens), w)
             for counts, tokens in zip(doc_counts, doc_tokens)
         ]
-    )
-    means = freq_matrix.mean(axis=0)
-    stds = freq_matrix.std(axis=0)  # population std: duplicating docs is a no-op
-    usable = stds > 0.0
-    if not usable.any():
+        mean = sum(freqs) / n_docs
+        # population std: duplicating docs is a no-op
+        std = math.sqrt(sum((f - mean) * (f - mean) for f in freqs) / n_docs)
+        if std > 0.0:
+            kept.append(w)
+            means.append(mean)
+            stds.append(std)
+    if not kept:
         raise InsufficientCorpus("no function-word variation across documents")
 
-    kept = [w for w, u in zip(axis, usable) if u]
-    means = means[usable]
-    stds = stds[usable]
+    author_z = {
+        author: _z_profile(
+            [t for doc in docs for t in doc.tokens(strip)], kept, means, stds
+        )
+        for author, docs in sorted(grouped.items())
+    }
+    return DeltaReference(tuple(kept), tuple(means), tuple(stds), author_z, strip)
 
-    def profile_z(tokens: list[str]) -> np.ndarray:
-        counts = Counter(tokens)
-        freqs = np.array([_per_1000(counts, len(tokens), w) for w in kept])
-        return (freqs - means) / stds
 
-    cand_z = profile_z(candidate.tokens(strip))
+def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
+    """Burrows' Delta of one candidate against a fitted reference.
+
+    Delta(author) is the mean absolute difference between the author's and
+    the candidate's z-scores over the fitted words.
+    """
+    cand_z = _z_profile(
+        candidate.tokens(fitted.strip), fitted.words, fitted.means, fitted.stds
+    )
+    n_words = len(fitted.words)
     deltas = {}
-    z_scores = {"candidate": dict(zip(kept, cand_z.tolist()))}
-    for author, docs in sorted(grouped.items()):
-        author_tokens = [t for doc in docs for t in doc.tokens(strip)]
-        author_z = profile_z(author_tokens)
-        deltas[author] = float(np.mean(np.abs(author_z - cand_z)))
-        z_scores[author] = dict(zip(kept, author_z.tolist()))
-
+    z_scores = {"candidate": dict(zip(fitted.words, cand_z))}
+    for author, author_z in fitted.author_z.items():
+        deltas[author] = sum(abs(a - c) for a, c in zip(author_z, cand_z)) / n_words
+        z_scores[author] = dict(zip(fitted.words, author_z))
     return DeltaReport(
         deltas=deltas,
         probabilities=author_probabilities(deltas),
-        function_words_used=kept,
+        function_words_used=list(fitted.words),
         z_scores=z_scores,
+    )
+
+
+def burrows_delta(
+    reference: Corpus,
+    candidate: Document,
+    k: int = 50,
+    function_words: list[str] | None = None,
+    strip: bool = False,
+) -> DeltaReport:
+    """Burrows' Delta of the candidate against each reference author.
+
+    One :func:`fit_delta_reference` followed by one :func:`score_delta`;
+    fit once and score many when several candidates share a reference.
+    """
+    return score_delta(
+        fit_delta_reference(reference, k, function_words, strip), candidate
     )
 
 

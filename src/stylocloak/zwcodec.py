@@ -124,7 +124,6 @@ def encode_message(
     in lenient mode such characters are dropped under a
     :class:`DroppedCharacters` warning.
     """
-    bit_chars = {"0": alphabet.bit0, "1": alphabet.bit1}
     groups = []
     dropped = 0
     for position, char in enumerate(plaintext):
@@ -135,10 +134,11 @@ def encode_message(
                 raise UnsupportedCharacter(position, char)
             dropped += 1
             continue
-        groups.append("".join(bit_chars[b] for b in bits))
+        groups.append(bits)
     if dropped:
         warnings.warn(DroppedCharacters(dropped), stacklevel=2)
-    return alphabet.sep.join(groups) + alphabet.end
+    bit_text = alphabet.sep.join(groups)
+    return bit_text.replace("0", alphabet.bit0).replace("1", alphabet.bit1) + alphabet.end
 
 
 def decode_stream(
@@ -153,9 +153,9 @@ def decode_stream(
     codebook.  Raises :class:`MalformedStream` for a foreign code point,
     a missing end marker, or an unknown bit-group.
     """
-    foreign = set(stream) - alphabet.points
-    if foreign:
-        sample = sorted(foreign)[0]
+    points = alphabet.points
+    if sum(stream.count(p) for p in points) != len(stream):
+        sample = sorted(set(stream) - points)[0]
         raise MalformedStream(
             f"foreign code point U+{ord(sample):04X} in stream"
         )
@@ -164,10 +164,9 @@ def decode_stream(
         raise MalformedStream("stream does not contain an end marker")
     if not body:
         return ""
-    bit_names = {alphabet.bit0: "0", alphabet.bit1: "1"}
+    bit_text = body.replace(alphabet.bit0, "0").replace(alphabet.bit1, "1")
     letters = []
-    for group in body.split(alphabet.sep):
-        bits = "".join(bit_names.get(c, "?") for c in group)
+    for bits in bit_text.split(alphabet.sep):
         letter = codebook.reverse.get(bits)
         if letter is None:
             raise MalformedStream(f"unknown bit-group {bits!r}")

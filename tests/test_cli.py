@@ -1,9 +1,10 @@
+import hashlib
 import json
 import sys
 
 import pytest
 
-from stylocloak import zwcodec
+from stylocloak import styloscope, zwcodec
 from stylocloak.cli import build_parser, dispatch
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.zwcodec import BIT0, END
@@ -39,6 +40,8 @@ OPERATION_SURFACE = {
     "styloscope.token_length_stats": "features",
     "styloscope.vocabulary_richness": "features",
     "styloscope.burrows_delta": "delta",
+    "styloscope.fit_delta_reference": "delta",
+    "styloscope.score_delta": "delta",
     "styloscope.author_probabilities": "delta",
     "pipeline.apply_config": "transform",
     "pipeline.run_matrix": "matrix",
@@ -267,6 +270,39 @@ def test_delta_with_reference_column(capsys, tmp_path):
     }
 
 
+def test_delta_with_reference_fits_the_corpus_once(capsys, tmp_path, monkeypatch):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    reference_text = tmp_path / "original.txt"
+    reference_text.write_text(
+        candidate_for(STYLE_A, seed=6, n_chars=800).text, encoding="utf-8"
+    )
+    fits = []
+    real_fit = styloscope.fit_delta_reference
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(styloscope, "fit_delta_reference", counted)
+    code, out, _ = run(capsys, "delta", "--corpus", str(corpus_dir),
+                       "--candidate", str(candidate),
+                       "--reference", str(reference_text), "--k", "30")
+    assert code == 0
+    assert len(fits) == 1
+    corpus = styloscope.load_corpus(corpus_dir)
+    expected = {
+        name: json.loads(
+            styloscope.burrows_delta(
+                corpus,
+                styloscope.Document(id=str(path), text=zwcodec.read_text_file(path)),
+                k=30,
+            ).to_json()
+        )
+        for name, path in (("candidate", candidate), ("reference", reference_text))
+    }
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
 def test_delta_markdown_output(capsys, tmp_path):
     corpus_dir, candidate = write_corpus(tmp_path)
     code, out, _ = run(capsys, "delta", "--corpus", str(corpus_dir),
@@ -302,6 +338,21 @@ def test_matrix_subcommand(capsys, tmp_path):
                        "--format", "markdown")
     assert code == 0
     assert "Burrows' Delta" in out
+
+
+def test_matrix_hashes_crlf_candidate_as_its_bytes(capsys, tmp_path):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    text = candidate.read_text(encoding="utf-8")
+    candidate.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt",
+        "configs": [3], "seed": 1, "k": 30,
+    }), encoding="utf-8")
+    code, out, _ = run(capsys, "matrix", "--config", str(run_file))
+    assert code == 0
+    expected = hashlib.sha256(candidate.read_bytes()).hexdigest()
+    assert json.loads(out)["metadata"]["candidate_hash"] == expected
 
 
 def test_matrix_stdout_json_purity(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from stylocloak.pipeline import (
     run_matrix,
     stage_seed,
 )
+from stylocloak.styloscope import Document, burrows_delta
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.transforms import BackendSpec
 from stylocloak.zwcodec import strip_zero_width
@@ -201,6 +203,90 @@ def test_matrix_reproducibility_byte_identical():
     assert one == two
 
 
+# --- shared work within one run_matrix call ------------------------------------
+
+IMITATION_CONFIGS = {1, 4, 5, 7, 9, 12, 13, 15}
+
+
+def grid_configs():
+    return [PipelineConfig(id=i, seed=4, payload="KEY") for i in sorted(CONFIG_STAGES)]
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_matrix_trains_style_model_and_fits_reference_once(monkeypatch):
+    trained = count_calls(monkeypatch, transforms, "train_style_model")
+    fitted = count_calls(monkeypatch, pipeline, "fit_delta_reference")
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(candidate, small_reference(), grid_configs(), k=30)
+    assert not report.errors
+    assert len(report.rows) == 15 * 2
+    assert len(trained) == 1
+    assert len(fitted) == 1
+
+
+def test_matrix_style_model_memo_lasts_one_call(monkeypatch):
+    trained = count_calls(monkeypatch, transforms, "train_style_model")
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    reference = small_reference()
+    run_matrix(candidate, reference, grid_configs(), k=30)
+    run_matrix(candidate, reference, grid_configs(), k=30)
+    assert len(trained) == 2
+
+
+def test_matrix_rows_equal_fresh_burrows_delta_per_config():
+    reference = small_reference()
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    configs = grid_configs()
+    report = run_matrix(candidate, reference, configs, k=30)
+    base = burrows_delta(reference, candidate, k=30)
+    rows = {(row.config, row.author): row for row in report.rows}
+    for config in configs:
+        transformed = apply_config(candidate.text, config, imitation_source=candidate.text)
+        fresh = burrows_delta(reference, Document(id="fresh", text=transformed), k=30)
+        for author in reference.authors:
+            row = rows[config.id, author]
+            assert row.delta_adversarial == fresh.deltas[author]
+            assert row.probability_adversarial == fresh.probabilities[author]
+            assert row.delta_reference == base.deltas[author]
+            assert row.probability_reference == base.probabilities[author]
+
+
+def test_matrix_too_small_imitation_source_aborts_each_imitation_config():
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(
+        candidate, small_reference(), grid_configs(), k=30, imitation_source="abc"
+    )
+    assert {e["config"] for e in report.errors} == IMITATION_CONFIGS
+    for error in report.errors:
+        assert error["stage"] == "imitation"
+        assert error["status"] == "aborted"
+    assert {r.config for r in report.rows} == set(CONFIG_STAGES) - IMITATION_CONFIGS
+
+
+def test_matrix_translation_failure_reported_before_imitation(monkeypatch):
+    trained = count_calls(monkeypatch, transforms, "train_style_model")
+    backend = BackendSpec(kind="external-command", target="false")
+    config = PipelineConfig(
+        id=4, seed=1, backends={"translation": backend},
+        options=StageOptions(chain=("de",)),
+    )
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(candidate, small_reference(), [config], k=30)
+    assert [e["stage"] for e in report.errors] == ["translation"]
+    assert trained == []
+
+
 # --- emit_report -------------------------------------------------------------
 
 def empty_report():
@@ -288,3 +374,19 @@ def test_load_matrix_spec_parses_backends(tmp_path):
     backend = spec.configs[0].backends["translation"]
     assert backend.kind == "external-command"
     assert backend.target == "my-translator --fast"
+
+
+def test_load_matrix_spec_keeps_crlf(tmp_path):
+    run_file = write_run_dir(tmp_path, configs=(3,))
+    crlf = "The first line.\r\nThe second line.\r\n" * 20
+    (tmp_path / "candidate.txt").write_bytes(crlf.encode("utf-8"))
+    (tmp_path / "style.txt").write_bytes(crlf.encode("utf-8"))
+    raw = json.loads(run_file.read_text())
+    raw["imitation_source"] = "style.txt"
+    run_file.write_text(json.dumps(raw), encoding="utf-8")
+    spec = load_matrix_spec(run_file)
+    assert spec.candidate.text == crlf
+    assert spec.imitation_source == crlf
+    report = run_matrix(spec.candidate, spec.reference, list(spec.configs), k=spec.k)
+    expected = hashlib.sha256((tmp_path / "candidate.txt").read_bytes()).hexdigest()
+    assert report.metadata["candidate_hash"] == expected

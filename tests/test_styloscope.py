@@ -328,6 +328,14 @@ def test_load_corpus_directory_layout(tmp_path):
     ]
 
 
+def test_load_corpus_keeps_crlf(tmp_path):
+    (tmp_path / "amy").mkdir()
+    (tmp_path / "amy" / "one.txt").write_bytes(b"the cat\r\nsat down\r\n")
+    (tmp_path / "amy" / "two.txt").write_bytes(b"a dog\n")
+    loaded = load_corpus(tmp_path)
+    assert loaded.documents[0].text == "the cat\r\nsat down\r\n"
+
+
 def test_load_corpus_empty_directory(tmp_path):
     with pytest.raises(InsufficientCorpus):
         load_corpus(tmp_path)
