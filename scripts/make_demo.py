@@ -46,7 +46,6 @@ def main():
         "seed": args.seed,
         "payload": "MEETATDAWN",
         "k": 50,
-        "ngrams": [2, 4],
         "strip": False,
     }
     (dest / "run.json").write_text(json.dumps(run, indent=2), encoding="utf-8")

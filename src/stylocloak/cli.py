@@ -14,27 +14,19 @@ import json
 import sys
 import warnings
 
-from . import pipeline, styloscope, transforms, weaver, zwcodec
-from .pipeline import PipelineConfig, StageError, StageOptions, UnsupportedFormat
-from .styloscope import Document, InsufficientCorpus, InvalidRange
+from . import pipeline, styloscope, weaver, zwcodec
+from .pipeline import CONFIG_STAGES, PipelineConfig, StageError, StageOptions
+from .styloscope import Document
 from .transforms import BackendSpec, BackendUnavailable, Timeout
-from .weaver import ContaminatedWord, EmptyWord, SecretOverflow
-from .zwcodec import MalformedStream, UnsupportedCharacter
+from .weaver import SecretOverflow
 
-_DATA_ERRORS = (
-    MalformedStream,
-    UnsupportedCharacter,
-    EmptyWord,
-    ContaminatedWord,
-    InvalidRange,
-    InsufficientCorpus,
-    UnsupportedFormat,
-    transforms.CorpusTooSmall,
-    json.JSONDecodeError,
-    OSError,
-    KeyError,
-    ValueError,
-)
+# Every domain error (malformed stream, bad corpus, bad config) is a ValueError.
+_DATA_ERRORS = (ValueError, KeyError, OSError)
+
+# --stage S runs the grid's single-stage config for S.
+_STAGE_CONFIG_IDS = {
+    stages[0]: cid for cid, stages in CONFIG_STAGES.items() if len(stages) == 1
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,16 +68,6 @@ def _message_from(args) -> str:
 def _parse_ngrams(value: str) -> tuple[int, int]:
     low, _, high = value.partition("..")
     return int(low), int(high or low)
-
-
-def _parse_backend_arg(spec: str) -> BackendSpec:
-    if spec == "builtin":
-        return BackendSpec()
-    if spec.startswith("cmd:"):
-        return BackendSpec(kind="external-command", target=spec[4:])
-    if spec.startswith(("http://", "https://")):
-        return BackendSpec(kind="http", target=spec)
-    raise ValueError(f"cannot parse backend spec {spec!r}")
 
 
 def cmd_encode(args) -> int:
@@ -146,45 +128,32 @@ def cmd_extract_lines(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    text = _read_input(args.input)
-    backend = _parse_backend_arg(args.backend) if args.backend else None
-    chain = tuple(args.chain.split(",")) if args.chain else ()
     if args.config_id is not None:
-        options = StageOptions(
-            substitution_rate=args.rate,
-            punctuation_jitter=args.jitter,
-            imitation_ratio=args.imitation_ratio,
-            model_order=args.order,
-            chain=chain,
-        )
-        backends = {"translation": backend} if backend is not None else {}
-        config = PipelineConfig(
-            id=args.config_id,
-            seed=args.seed,
-            payload=args.payload or "",
-            backends=backends,
-            options=options,
-        )
-        source = None
-        if args.style_source:
-            source = zwcodec.read_text_file(args.style_source)
-        result = pipeline.apply_config(text, config, imitation_source=source)
-    elif args.stage == "translation":
-        result = transforms.round_trip_translate(text, chain, backend, args.seed)
-    elif args.stage == "imitation":
-        source = (
-            zwcodec.read_text_file(args.style_source) if args.style_source else text
-        )
-        model = transforms.train_style_model(source, args.order)
-        generated = transforms.imitate(
-            model, round(len(text) * args.imitation_ratio), args.seed
-        )
-        result = f"{text} {generated}" if text and generated else text + generated
-    elif args.stage == "obfuscation":
-        result = transforms.obfuscate(text, args.seed, args.rate, args.jitter)
+        config_id = args.config_id
+    elif args.stage is not None:
+        config_id = _STAGE_CONFIG_IDS[args.stage]
     else:
         raise ValueError("provide --stage or --config-id")
-    _write_output(args, result)
+    text = _read_input(args.input)
+    options = StageOptions(
+        substitution_rate=args.rate,
+        punctuation_jitter=args.jitter,
+        imitation_ratio=args.imitation_ratio,
+        model_order=args.order,
+        chain=tuple(args.chain.split(",")) if args.chain else (),
+    )
+    backends = {"translation": BackendSpec.parse(args.backend)} if args.backend else {}
+    config = PipelineConfig(
+        id=config_id,
+        seed=args.seed,
+        payload=args.payload or "",
+        backends=backends,
+        options=options,
+    )
+    source = None
+    if args.style_source:
+        source = zwcodec.read_text_file(args.style_source)
+    _write_output(args, pipeline.apply_config(text, config, imitation_source=source))
     return 0
 
 
@@ -237,30 +206,18 @@ def cmd_delta(args) -> int:
                     sort_keys=True,
                 )
             )
-    elif args.format == "csv":
-        names = list(reports)
-        print("author," + ",".join(f"delta_{n},probability_{n}" for n in names))
-        for author in sorted(reports["candidate"].deltas):
-            cells = []
-            for name in names:
-                cells.append(f"{reports[name].deltas[author]:.4f}")
-                cells.append(f"{reports[name].probabilities[author]:.6f}")
-            print(f"{author}," + ",".join(cells))
-    elif args.format == "markdown":
-        names = list(reports)
-        header = "| Author |" + "".join(
-            f" Burrows' Delta ({n}) | Probability ({n}) |" for n in names
-        )
-        print(header)
-        print("|---|" + "---|" * (2 * len(names)))
-        for author in sorted(reports["candidate"].deltas):
-            cells = []
-            for name in names:
-                cells.append(f"{reports[name].deltas[author]:.4f}")
-                cells.append(f"{reports[name].probabilities[author]:.6f}")
-            print(f"| {author} | " + " | ".join(cells) + " |")
-    else:
-        raise UnsupportedFormat(f"unknown report format {args.format!r}")
+        return 0
+    columns = [("author", "Author", "")]
+    records = [{"author": author} for author in sorted(reports["candidate"].deltas)]
+    for name, report in reports.items():
+        columns += [
+            (f"delta_{name}", f"Burrows' Delta ({name})", ".4f"),
+            (f"probability_{name}", f"Probability ({name})", ".6f"),
+        ]
+        for record in records:
+            record[f"delta_{name}"] = report.deltas[record["author"]]
+            record[f"probability_{name}"] = report.probabilities[record["author"]]
+    sys.stdout.write(pipeline.render_table(args.format, columns, records))
     return 0
 
 
@@ -274,8 +231,10 @@ def cmd_matrix(args) -> int:
         k=spec.k,
         strip=strip,
         imitation_source=spec.imitation_source,
-        ngram_range=spec.ngram_range,
     )
+    for note in report.warnings:
+        overflow = SecretOverflow(note["dropped"])
+        print(f"warning: config {note['config']}: {overflow}", file=sys.stderr)
     rendered = pipeline.emit_report(report, args.format)
     if args.output and args.output != "-":
         zwcodec.write_text_file(args.output, rendered)

@@ -23,12 +23,14 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, asdict
+import warnings
+from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
 
 from . import transforms, weaver
 from .styloscope import Corpus, Document, fit_delta_reference, load_corpus, score_delta
 from .transforms import BackendSpec, StyleModel
+from .weaver import SecretOverflow
 from .zwcodec import read_text_file
 
 CANONICAL_ORDER = ("translation", "imitation", "obfuscation", "steganography")
@@ -114,13 +116,15 @@ def apply_config(
 ) -> str:
     """Run the configured stages over the text in canonical order.
 
-    The imitation stage trains on ``imitation_source`` (the input text
-    itself when not given).  Passing the same ``style_models`` dict to
-    several calls trains each (source, order) model once across them; a
-    failed training is not stored.  An empty stage set is the identity.
+    The imitation stage trains on ``imitation_source``, or on ``text`` as
+    given (not as translated) when that is None.  Passing the same
+    ``style_models`` dict to several calls trains each (source, order) model
+    once across them; a failed training is not stored.  An empty stage set
+    is the identity.
     """
     opts = config.options
     models = {} if style_models is None else style_models
+    source = text if imitation_source is None else imitation_source
     for stage in config.stages:
         seed = stage_seed(config.seed, config.id, stage)
         try:
@@ -129,10 +133,7 @@ def apply_config(
                     text, opts.chain, config.backends.get(stage), seed
                 )
             elif stage == "imitation":
-                key = (
-                    imitation_source if imitation_source is not None else text,
-                    opts.model_order,
-                )
+                key = (source, opts.model_order)
                 if key not in models:
                     models[key] = transforms.train_style_model(*key)
                 generated = transforms.imitate(
@@ -171,6 +172,7 @@ class MatrixReport:
     rows: tuple[MatrixRow, ...]
     errors: tuple[dict, ...]
     metadata: dict
+    warnings: tuple[dict, ...] = ()
 
 
 def run_matrix(
@@ -181,7 +183,6 @@ def run_matrix(
     function_words: list[str] | None = None,
     strip: bool = False,
     imitation_source: str | None = None,
-    ngram_range: tuple[int, int] = (2, 4),
 ) -> MatrixReport:
     """Transform the candidate under every config and score both versions.
 
@@ -190,33 +191,49 @@ def run_matrix(
     and every style model is trained at most once per call.  A config whose
     stage fails is recorded under ``errors`` (status "aborted") and the rest
     of the grid still runs; a failed external backend is never silently
-    replaced by the builtin fallback.
+    replaced by the builtin fallback.  A payload cut short by a carrier with
+    too few lines is recorded under ``warnings``; other warnings pass through.
     """
     fitted = fit_delta_reference(reference, k, function_words, strip)
     base_report = score_delta(fitted, candidate)
     style_models: dict[tuple[str, int], StyleModel] = {}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
+    overflows: list[dict] = []
     for config in configs:
-        try:
-            transformed = apply_config(
-                candidate.text,
-                config,
-                imitation_source=imitation_source or candidate.text,
-                style_models=style_models,
-            )
-            adv_doc = Document(id=f"{candidate.id}#config{config.id}", text=transformed)
-            adv_report = score_delta(fitted, adv_doc)
-        except StageError as exc:
-            errors.append(
-                {
-                    "config": config.id,
-                    "stage": exc.stage,
-                    "status": "aborted",
-                    "error": str(exc.cause),
-                }
-            )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SecretOverflow)
+            try:
+                transformed = apply_config(
+                    candidate.text,
+                    config,
+                    imitation_source=imitation_source,
+                    style_models=style_models,
+                )
+            except StageError as exc:
+                transformed = None
+                errors.append(
+                    {
+                        "config": config.id,
+                        "stage": exc.stage,
+                        "status": "aborted",
+                        "error": str(exc.cause),
+                    }
+                )
+        for note in caught:
+            if isinstance(note.message, SecretOverflow):
+                dropped = note.message.dropped
+                overflows.append(
+                    {"config": config.id, "stage": "steganography", "dropped": dropped}
+                )
+            else:
+                warnings.warn_explicit(
+                    note.message, note.category, note.filename, note.lineno
+                )
+        if transformed is None:
             continue
+        adv_doc = Document(id=f"{candidate.id}#config{config.id}", text=transformed)
+        adv_report = score_delta(fitted, adv_doc)
         for author in sorted(base_report.deltas):
             rows.append(
                 MatrixRow(
@@ -241,22 +258,51 @@ def run_matrix(
         },
         "k": k,
         "strip": strip,
-        "ngram_range": list(ngram_range),
         "reference_hash": reference.content_hash(),
         "candidate_hash": hashlib.sha256(candidate.text.encode("utf-8")).hexdigest(),
     }
-    return MatrixReport(rows=tuple(rows), errors=tuple(errors), metadata=metadata)
+    return MatrixReport(
+        rows=tuple(rows),
+        errors=tuple(errors),
+        metadata=metadata,
+        warnings=tuple(overflows),
+    )
 
 
-_CSV_COLUMNS = (
-    "config",
-    "author",
-    "delta_adversarial",
-    "delta_reference",
-    "probability_adversarial",
-    "probability_reference",
-    "delta_change",
-)
+def render_table(
+    fmt: str, columns: list[tuple[str, str, str]], records: list[dict]
+) -> str:
+    """Render records as CSV or as a Markdown table.
+
+    ``columns`` holds one (record key, Markdown heading, format spec) triple
+    per column; the key doubles as the CSV header.
+    """
+    cells = [[format(r[key], spec) for key, _, spec in columns] for r in records]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(key for key, _, _ in columns)
+        writer.writerows(cells)
+        return buffer.getvalue()
+    if fmt == "markdown":
+        lines = [
+            "| " + " | ".join(heading for _, heading, _ in columns) + " |",
+            "|" + "---|" * len(columns),
+        ]
+        lines += ["| " + " | ".join(row) + " |" for row in cells]
+        return "\n".join(lines) + "\n"
+    raise UnsupportedFormat(f"unknown report format {fmt!r}")
+
+
+_MATRIX_COLUMNS = [
+    ("config", "Config", ""),
+    ("author", "Author", ""),
+    ("delta_adversarial", "Burrows' Delta (adversarial)", ".4f"),
+    ("delta_reference", "Burrows' Delta (reference)", ".4f"),
+    ("probability_adversarial", "P(adversarial)", ".6f"),
+    ("probability_reference", "P(reference)", ".6f"),
+    ("delta_change", "Delta change", ".4f"),
+]
 
 
 def emit_report(report: MatrixReport, fmt: str = "json") -> str:
@@ -266,39 +312,10 @@ def emit_report(report: MatrixReport, fmt: str = "json") -> str:
             "metadata": report.metadata,
             "rows": [asdict(row) for row in report.rows],
             "errors": list(report.errors),
+            "warnings": list(report.warnings),
         }
         return json.dumps(payload, sort_keys=True, indent=2)
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.config,
-                    row.author,
-                    f"{row.delta_adversarial:.4f}",
-                    f"{row.delta_reference:.4f}",
-                    f"{row.probability_adversarial:.6f}",
-                    f"{row.probability_reference:.6f}",
-                    f"{row.delta_change:.4f}",
-                ]
-            )
-        return buffer.getvalue()
-    if fmt == "markdown":
-        lines = [
-            "| Config | Author | Burrows' Delta (adversarial) | "
-            "Burrows' Delta (reference) | P(adversarial) | P(reference) | Delta change |",
-            "|---|---|---|---|---|---|---|",
-        ]
-        for row in report.rows:
-            lines.append(
-                f"| {row.config} | {row.author} | {row.delta_adversarial:.4f} | "
-                f"{row.delta_reference:.4f} | {row.probability_adversarial:.6f} | "
-                f"{row.probability_reference:.6f} | {row.delta_change:.4f} |"
-            )
-        return "\n".join(lines) + "\n"
-    raise UnsupportedFormat(f"unknown report format {fmt!r}")
+    return render_table(fmt, _MATRIX_COLUMNS, [asdict(row) for row in report.rows])
 
 
 @dataclass(frozen=True)
@@ -311,30 +328,34 @@ class MatrixSpec:
     k: int = 50
     strip: bool = False
     imitation_source: str | None = None
-    ngram_range: tuple[int, int] = (2, 4)
 
 
-def _parse_backend(value) -> BackendSpec:
-    if isinstance(value, dict):
-        return BackendSpec(**value)
-    if value == "builtin":
-        return BackendSpec()
-    if isinstance(value, str) and value.startswith("cmd:"):
-        return BackendSpec(kind="external-command", target=value[4:])
-    if isinstance(value, str) and value.startswith(("http://", "https://")):
-        return BackendSpec(kind="http", target=value)
-    raise ValueError(f"cannot parse backend spec {value!r}")
+_RUN_KEYS = {
+    "corpus", "candidate", "configs", "seed", "payload", "k", "strip",
+    "chain", "backends", "options", "imitation_source",
+}
+_OPTION_KEYS = {f.name for f in fields(StageOptions)} - {"chain"}
+
+
+def _reject_unknown(keys, known: set[str], where: str) -> None:
+    unknown = sorted(set(keys) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r} in run file")
 
 
 def load_matrix_spec(path) -> MatrixSpec:
     """Read a declarative JSON run file.
 
     Recognized keys: corpus (directory), candidate (file), configs (list of
-    ids), seed, payload, k, ngrams ([min, max]), strip, backends (stage ->
-    spec), options (StageOptions fields), imitation_source (file).
+    ids), seed, payload, k, strip, chain (pivot languages), backends (stage
+    -> spec), options (StageOptions fields except chain), imitation_source
+    (file).  Any other key, at the top level, in options or in a backend
+    dict, raises ValueError.
     """
     path = Path(path)
     raw = json.loads(read_text_file(path))
+    _reject_unknown(raw, _RUN_KEYS, "top-level")
+    _reject_unknown(raw.get("options", {}), _OPTION_KEYS, "options")
     base = path.parent
 
     def resolve(p) -> Path:
@@ -348,7 +369,7 @@ def load_matrix_spec(path) -> MatrixSpec:
         text=read_text_file(candidate_path),
     )
     backends = {
-        stage: _parse_backend(spec) for stage, spec in raw.get("backends", {}).items()
+        stage: BackendSpec.parse(spec) for stage, spec in raw.get("backends", {}).items()
     }
     options = StageOptions(
         **{**raw.get("options", {}), "chain": tuple(raw.get("chain", ()))}
@@ -368,7 +389,6 @@ def load_matrix_spec(path) -> MatrixSpec:
     imitation_source = None
     if raw.get("imitation_source"):
         imitation_source = read_text_file(resolve(raw["imitation_source"]))
-    ngrams = raw.get("ngrams", [2, 4])
     return MatrixSpec(
         candidate=candidate,
         reference=reference,
@@ -376,5 +396,4 @@ def load_matrix_spec(path) -> MatrixSpec:
         k=int(raw.get("k", 50)),
         strip=bool(raw.get("strip", False)),
         imitation_source=imitation_source,
-        ngram_range=(int(ngrams[0]), int(ngrams[1])),
     )

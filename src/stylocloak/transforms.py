@@ -22,7 +22,7 @@ import subprocess
 import urllib.error
 import urllib.request
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from importlib import resources
 
@@ -61,6 +61,22 @@ class BackendSpec:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind != "builtin" and not self.target:
             raise ValueError(f"backend kind {self.kind!r} requires a target")
+
+    @classmethod
+    def parse(cls, value) -> "BackendSpec":
+        """Read a spec: a dict of fields, ``builtin``, ``cmd:<command>`` or a URL."""
+        if isinstance(value, dict):
+            unknown = sorted(set(value) - {f.name for f in fields(cls)})
+            if unknown:
+                raise ValueError(f"unknown backend key {unknown[0]!r}")
+            return cls(**value)
+        if value == "builtin":
+            return cls()
+        if isinstance(value, str) and value.startswith("cmd:"):
+            return cls(kind="external-command", target=value[4:])
+        if isinstance(value, str) and value.startswith(("http://", "https://")):
+            return cls(kind="http", target=value)
+        raise ValueError(f"cannot parse backend spec {value!r}")
 
 
 @lru_cache(maxsize=1)

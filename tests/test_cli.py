@@ -1,11 +1,15 @@
+import csv
 import hashlib
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
-from stylocloak import styloscope, zwcodec
+from stylocloak import pipeline, styloscope, zwcodec
 from stylocloak.cli import build_parser, dispatch
+from stylocloak.pipeline import CONFIG_STAGES, PipelineConfig
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.zwcodec import BIT0, END
 
@@ -150,6 +154,12 @@ def test_embed_lines_overflow_warns_on_stderr(capsys, tmp_path):
 
 # --- transforms surface ---------------------------------------------------------
 
+SAMPLE_TEXT = (
+    "The big house stood near the quiet river. You walked there slowly.\n"
+    "A small road led away from the old bridge. It was completely silent.\n"
+)
+
+
 def test_transform_obfuscation_deterministic(capsys, tmp_path):
     doc = tmp_path / "t.txt"
     doc.write_text("First one. Second two. Third three.", encoding="utf-8")
@@ -189,6 +199,44 @@ def test_transform_config_id_runs_pipeline(capsys, tmp_path):
     clean, extracted = zwcodec.strip_zero_width(out)
     assert clean == "alpha beta.\ngamma delta.\n"
     assert extracted
+
+
+def test_transform_config_id_equals_the_grid(capsys, tmp_path, monkeypatch):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    text = candidate.read_text(encoding="utf-8")
+    assert text.count("\n") >= 2
+    scored = {}
+    real_score = pipeline.score_delta
+
+    def recording(fitted, document):
+        scored[document.id] = document.text
+        return real_score(fitted, document)
+
+    monkeypatch.setattr(pipeline, "score_delta", recording)
+    configs = [PipelineConfig(id=i, seed=3, payload="KEY") for i in sorted(CONFIG_STAGES)]
+    document = styloscope.Document(id="cand", text=text)
+    report = pipeline.run_matrix(
+        document, styloscope.load_corpus(corpus_dir), configs, k=30
+    )
+    assert not report.errors
+    for config in configs:
+        code, out, _ = run(capsys, "transform", str(candidate), "--config-id",
+                           str(config.id), "--payload", "KEY", "--seed", "3")
+        assert code == 0
+        assert out == scored[f"cand#config{config.id}"], config.id
+
+
+@pytest.mark.parametrize("stage", ["translation", "imitation", "obfuscation"])
+def test_transform_stage_is_its_single_stage_config(capsys, tmp_path, stage):
+    doc = tmp_path / "t.txt"
+    doc.write_text(SAMPLE_TEXT, encoding="utf-8")
+    config_id = next(i for i, s in CONFIG_STAGES.items() if s == (stage,))
+    code, by_stage, _ = run(capsys, "transform", str(doc), "--stage", stage,
+                            "--seed", "5")
+    code2, by_id, _ = run(capsys, "transform", str(doc), "--config-id",
+                          str(config_id), "--seed", "5")
+    assert code == code2 == 0
+    assert by_stage == by_id
 
 
 def test_transform_requires_stage_or_config(capsys, tmp_path):
@@ -311,6 +359,22 @@ def test_delta_markdown_output(capsys, tmp_path):
     assert "Burrows' Delta" in out
 
 
+def test_delta_csv_quotes_author_names(capsys, tmp_path):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    (corpus_dir / "ashford").rename(corpus_dir / "smith, j")
+    code, out, _ = run(capsys, "delta", "--corpus", str(corpus_dir),
+                       "--candidate", str(candidate), "--reference", str(candidate),
+                       "--k", "30", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert [row[0] for row in rows] == ["author", "bellamy", "smith, j"]
+    assert {len(row) for row in rows} == {5}
+    code, out, _ = run(capsys, "delta", "--corpus", str(corpus_dir),
+                       "--candidate", str(candidate), "--k", "30", "--format", "csv")
+    assert code == 0
+    assert {len(row) for row in csv.reader(out.splitlines())} == {3}
+
+
 def test_delta_missing_corpus_is_data_error(capsys, tmp_path):
     code, _, err = run(capsys, "delta", "--corpus", str(tmp_path / "nope"),
                        "--candidate", str(tmp_path / "nope.txt"))
@@ -355,6 +419,33 @@ def test_matrix_hashes_crlf_candidate_as_its_bytes(capsys, tmp_path):
     assert json.loads(out)["metadata"]["candidate_hash"] == expected
 
 
+def test_matrix_prints_payload_overflow_to_stderr(capsys, tmp_path):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt",
+        "configs": [3, 8], "seed": 1, "payload": "ABCDE", "k": 30,
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        {"config": 8, "stage": "steganography", "dropped": 2}
+    ]
+    assert err == "warning: config 8: 2 secret letter(s) exceeded the carrier line count\n"
+
+
+def test_matrix_unknown_run_file_key_is_data_error(capsys, tmp_path):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "options": {"bogus": 1},
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert code == 2
+    assert out == ""
+    assert "'bogus'" in err
+
+
 def test_matrix_stdout_json_purity(capsys, tmp_path):
     corpus_dir, candidate = write_corpus(tmp_path)
     run_file = tmp_path / "run.json"
@@ -375,3 +466,20 @@ def test_usage_error_exits_1(capsys):
     assert dispatch(["weave"]) == 1  # missing required --word
     capsys.readouterr()
     assert dispatch([]) == 1
+
+
+# --- documentation -------------------------------------------------------------
+
+def test_readme_cli_tour_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
+    commands = [
+        line.split(" #", 1)[0].split(" >", 1)[0]
+        for line in tour.splitlines()
+        if line.startswith("stylocloak ")
+    ]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        assert parser.parse_args(argv).handler, command

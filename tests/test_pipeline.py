@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -274,6 +275,48 @@ def test_matrix_too_small_imitation_source_aborts_each_imitation_config():
     assert {r.config for r in report.rows} == set(CONFIG_STAGES) - IMITATION_CONFIGS
 
 
+def test_matrix_empty_imitation_source_is_not_replaced_by_the_candidate(monkeypatch):
+    trained = count_calls(monkeypatch, transforms, "train_style_model")
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(
+        candidate, small_reference(), grid_configs(), k=30, imitation_source=""
+    )
+    assert {e["config"] for e in report.errors} == IMITATION_CONFIGS
+    assert {e["stage"] for e in report.errors} == {"imitation"}
+    assert all(args[0] == "" for args in trained)
+
+
+def test_matrix_records_payload_overflow_in_config_order():
+    # the benchmark's grid at seed 1: a 9-line candidate and a 10-letter payload
+    reference = two_author_corpus(1)
+    candidate = candidate_for(STYLE_A, 1, 5000)
+    configs = [PipelineConfig(id=i, seed=1, payload="MEETATDAWN") for i in range(1, 16)]
+    report = run_matrix(candidate, reference, configs, k=50)
+    assert report.errors == ()
+    assert [w["config"] for w in report.warnings] == [8, 10, 11, 14]
+    assert {w["config"]: w["dropped"] for w in report.warnings} == {
+        8: 1, 10: 1, 11: 1, 14: 2,
+    }
+    assert {w["stage"] for w in report.warnings} == {"steganography"}
+    assert json.loads(emit_report(report, "json"))["warnings"] == list(report.warnings)
+
+
+def test_matrix_passes_other_warnings_through(monkeypatch):
+    real_obfuscate = transforms.obfuscate
+
+    def noisy(*args):
+        warnings.warn("obfuscation note", UserWarning)
+        return real_obfuscate(*args)
+
+    monkeypatch.setattr(transforms, "obfuscate", noisy)
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    with pytest.warns(UserWarning, match="obfuscation note"):
+        report = run_matrix(
+            candidate, small_reference(), [PipelineConfig(id=3, seed=1)], k=30
+        )
+    assert report.warnings == ()
+
+
 def test_matrix_translation_failure_reported_before_imitation(monkeypatch):
     trained = count_calls(monkeypatch, transforms, "train_style_model")
     backend = BackendSpec(kind="external-command", target="false")
@@ -374,6 +417,32 @@ def test_load_matrix_spec_parses_backends(tmp_path):
     backend = spec.configs[0].backends["translation"]
     assert backend.kind == "external-command"
     assert backend.target == "my-translator --fast"
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"ngrams": [2, 4]}, "ngrams"),
+        ({"options": {"bogus": 1}}, "bogus"),
+        ({"options": {"chain": ["de"]}}, "chain"),
+        ({"backends": {"translation": {"kind": "http", "url": "x"}}}, "url"),
+    ],
+)
+def test_load_matrix_spec_rejects_unknown_keys(tmp_path, change, key):
+    run_file = write_run_dir(tmp_path)
+    raw = json.loads(run_file.read_text())
+    raw.update(change)
+    run_file.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValueError, match=repr(key)):
+        load_matrix_spec(run_file)
+
+
+def test_load_matrix_spec_takes_chain_from_the_top_level(tmp_path):
+    run_file = write_run_dir(tmp_path)
+    raw = json.loads(run_file.read_text())
+    raw["chain"] = ["de", "fr"]
+    run_file.write_text(json.dumps(raw), encoding="utf-8")
+    assert load_matrix_spec(run_file).configs[0].options.chain == ("de", "fr")
 
 
 def test_load_matrix_spec_keeps_crlf(tmp_path):

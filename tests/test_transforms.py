@@ -327,6 +327,28 @@ def test_backend_spec_validation():
         BackendSpec(kind="http")  # no target
 
 
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("builtin", BackendSpec()),
+        ("cmd:tr --fast", BackendSpec(kind="external-command", target="tr --fast")),
+        ("https://mt.local/api", BackendSpec(kind="http", target="https://mt.local/api")),
+        (
+            {"kind": "http", "target": "http://x", "timeout": 2},
+            BackendSpec(kind="http", target="http://x", timeout=2),
+        ),
+    ],
+)
+def test_backend_spec_parse(value, expected):
+    assert BackendSpec.parse(value) == expected
+
+
+@pytest.mark.parametrize("value", ["ftp://x", "cmd", 3, {"kind": "http", "url": "x"}])
+def test_backend_spec_parse_rejects(value):
+    with pytest.raises(ValueError):
+        BackendSpec.parse(value)
+
+
 def test_builtin_backend_has_no_external_contract():
     with pytest.raises(BackendUnavailable):
         call_backend(BackendSpec(), "x", (), 0)
