@@ -39,8 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _escape(stream: str) -> str:
-    points = zwcodec.DEFAULT_ALPHABET.points
-    return "".join(f"U+{ord(c):04X}" if c in points else c for c in stream)
+    return "".join(f"U+{ord(c):04X}" if c in zwcodec.POINTS else c for c in stream)
 
 
 def _read_input(path: str) -> str:

@@ -13,8 +13,9 @@ discussion of, say, "config 3" always means obfuscation-only:
        obfuscation
      8 steganography
 
-Whatever the declared set, stages always execute in the fixed order
-translation -> imitation -> obfuscation -> steganography.
+A config's stage set follows from its id alone, and its stages always
+execute in the fixed order translation -> imitation -> obfuscation ->
+steganography.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import csv
 import hashlib
 import io
 import json
+import types
 import warnings
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from . import transforms, weaver
@@ -81,25 +83,22 @@ class StageOptions:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One cell of the experiment grid: a stage set plus its knobs."""
+    """One cell of the experiment grid: a config id plus its knobs."""
 
     id: int
     seed: int = 0
     payload: str = ""
-    stages: tuple[str, ...] = ()
     backends: dict[str, BackendSpec] = field(default_factory=dict)
     options: StageOptions = StageOptions()
 
     def __post_init__(self):
-        expected = CONFIG_STAGES.get(self.id)
-        if expected is None:
+        if self.id not in CONFIG_STAGES:
             raise ValueError(f"config id must be 1..15, got {self.id}")
-        if self.stages and set(self.stages) != set(expected):
-            raise ValueError(
-                f"config {self.id} means stages {sorted(expected)}, "
-                f"got {sorted(set(self.stages))}"
-            )
-        object.__setattr__(self, "stages", expected)
+
+    @property
+    def stages(self) -> tuple[str, ...]:
+        """The id's stage set, in canonical order."""
+        return CONFIG_STAGES[self.id]
 
 
 def stage_seed(base_seed: int, config_id: int, stage: str) -> int:
@@ -180,7 +179,6 @@ def run_matrix(
     reference: Corpus,
     configs: list[PipelineConfig],
     k: int = 50,
-    function_words: list[str] | None = None,
     strip: bool = False,
     imitation_source: str | None = None,
 ) -> MatrixReport:
@@ -194,7 +192,7 @@ def run_matrix(
     replaced by the builtin fallback.  A payload cut short by a carrier with
     too few lines is recorded under ``warnings``; other warnings pass through.
     """
-    fitted = fit_delta_reference(reference, k, function_words, strip)
+    fitted = fit_delta_reference(reference, k, strip)
     base_report = score_delta(fitted, candidate)
     style_models: dict[tuple[str, int], StyleModel] = {}
     rows: list[MatrixRow] = []
@@ -330,17 +328,64 @@ class MatrixSpec:
     imitation_source: str | None = None
 
 
-_RUN_KEYS = {
-    "corpus", "candidate", "configs", "seed", "payload", "k", "strip",
-    "chain", "backends", "options", "imitation_source",
+#: Each run-file key and the JSON type of its value.
+_RUN_TYPES = {
+    "corpus": str,
+    "candidate": str,
+    "configs": list[int],
+    "seed": int,
+    "payload": str,
+    "k": int,
+    "strip": bool,
+    "chain": list[str],
+    "backends": dict,
+    "options": dict,
+    "imitation_source": str,
 }
-_OPTION_KEYS = {f.name for f in fields(StageOptions)} - {"chain"}
+#: Each ``options`` key (every StageOptions field except chain) and its type.
+_OPTION_TYPES = {
+    "substitution_rate": float,
+    "punctuation_jitter": bool,
+    "imitation_ratio": float,
+    "model_order": int,
+    "weave_strategy": str,
+}
+_TYPE_NAMES = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    list: "a list",
+    dict: "an object",
+    type(None): "null",
+    list[int]: "a list of integers",
+    list[str]: "a list of strings",
+}
 
 
-def _reject_unknown(keys, known: set[str], where: str) -> None:
-    unknown = sorted(set(keys) - known)
+def _has_type(value, expected) -> bool:
+    """JSON type check: a number may be an integer, a boolean is never one."""
+    if isinstance(expected, types.GenericAlias):
+        (item,) = expected.__args__
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def _check_keys(raw: dict, known: dict, where: str) -> None:
+    """Reject a key missing from ``known`` or a value of the wrong type."""
+    unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ValueError(f"unknown {where} key {unknown[0]!r} in run file")
+    for key, value in raw.items():
+        if not _has_type(value, known[key]):
+            raise ValueError(
+                f"{where} key {key!r} in run file must be "
+                f"{_TYPE_NAMES[known[key]]}, got {_TYPE_NAMES[type(value)]}"
+            )
 
 
 def load_matrix_spec(path) -> MatrixSpec:
@@ -350,12 +395,15 @@ def load_matrix_spec(path) -> MatrixSpec:
     ids), seed, payload, k, strip, chain (pivot languages), backends (stage
     -> spec), options (StageOptions fields except chain), imitation_source
     (file).  Any other key, at the top level, in options or in a backend
-    dict, raises ValueError.
+    dict, or a value of another JSON type than ``_RUN_TYPES`` and
+    ``_OPTION_TYPES`` give, raises ValueError.
     """
     path = Path(path)
     raw = json.loads(read_text_file(path))
-    _reject_unknown(raw, _RUN_KEYS, "top-level")
-    _reject_unknown(raw.get("options", {}), _OPTION_KEYS, "options")
+    if not isinstance(raw, dict):
+        raise ValueError("run file must hold a JSON object")
+    _check_keys(raw, _RUN_TYPES, "top-level")
+    _check_keys(raw.get("options", {}), _OPTION_TYPES, "options")
     base = path.parent
 
     def resolve(p) -> Path:
@@ -374,11 +422,11 @@ def load_matrix_spec(path) -> MatrixSpec:
     options = StageOptions(
         **{**raw.get("options", {}), "chain": tuple(raw.get("chain", ()))}
     )
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
     payload = raw.get("payload", "")
     configs = tuple(
         PipelineConfig(
-            id=int(cid),
+            id=cid,
             seed=seed,
             payload=payload,
             backends=backends,
@@ -393,7 +441,7 @@ def load_matrix_spec(path) -> MatrixSpec:
         candidate=candidate,
         reference=reference,
         configs=configs,
-        k=int(raw.get("k", 50)),
-        strip=bool(raw.get("strip", False)),
+        k=raw.get("k", 50),
+        strip=raw.get("strip", False),
         imitation_source=imitation_source,
     )

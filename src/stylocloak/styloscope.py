@@ -22,6 +22,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +32,7 @@ _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 
 #: Symbols counted by special-character TF-IDF: ASCII punctuation plus a few
 #: mathematical symbols occasionally used as stylistic flourishes.
-DEFAULT_SPECIAL_CHARS = frozenset(string.punctuation) | frozenset("∃Δ∞∀∅")
+SPECIAL_CHARS = frozenset(string.punctuation) | frozenset("∃Δ∞∀∅")
 
 
 class InvalidRange(ValueError):
@@ -47,10 +48,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def default_function_words() -> list[str]:
+@lru_cache(maxsize=1)
+def default_function_words() -> tuple[str, ...]:
     """The bundled 175-word English function-word list, in file order."""
     data = resources.files("stylocloak").joinpath("data/function_words.txt")
-    return [w for w in data.read_text(encoding="utf-8").splitlines() if w]
+    return tuple(w for w in data.read_text(encoding="utf-8").splitlines() if w)
 
 
 @dataclass
@@ -163,29 +165,19 @@ def char_ngram_tfidf(
 
 
 def special_char_tfidf(
-    corpus: Corpus,
-    symbols: frozenset[str] = DEFAULT_SPECIAL_CHARS,
-    strip: bool = False,
+    corpus: Corpus, strip: bool = False
 ) -> dict[str, dict[str, float]]:
-    """TF-IDF over single special characters from a predetermined set."""
-    if not symbols:
-        raise ValueError("symbol set must be non-empty")
+    """TF-IDF over single characters from :data:`SPECIAL_CHARS`."""
     per_doc = {}
     for doc in corpus.documents:
         text = doc.view_text(strip)
-        per_doc[doc.id] = Counter(c for c in text if c in symbols)
+        per_doc[doc.id] = Counter(c for c in text if c in SPECIAL_CHARS)
     return _tfidf(per_doc, len(corpus.documents))
 
 
-def function_word_frequencies(
-    doc: Document,
-    function_words: list[str] | None = None,
-    strip: bool = False,
-) -> dict[str, float]:
+def function_word_frequencies(doc: Document, strip: bool = False) -> dict[str, float]:
     """Occurrences per 1000 tokens for every word on the function-word list."""
-    words = function_words if function_words is not None else default_function_words()
-    if not words:
-        raise ValueError("function-word list must be non-empty")
+    words = default_function_words()
     tokens = doc.tokens(strip)
     if not tokens:
         return {w: 0.0 for w in words}
@@ -239,20 +231,18 @@ def extract_feature_vectors(
     corpus: Corpus,
     n_min: int = 2,
     n_max: int = 4,
-    symbols: frozenset[str] = DEFAULT_SPECIAL_CHARS,
-    function_words: list[str] | None = None,
     strip: bool = False,
 ) -> dict[str, FeatureVector]:
     """Compute the full feature battery for every document in the corpus."""
     ngrams = char_ngram_tfidf(corpus, n_min, n_max, strip)
-    specials = special_char_tfidf(corpus, symbols, strip)
+    specials = special_char_tfidf(corpus, strip)
     vectors = {}
     for doc in corpus.documents:
         avg, histogram = token_length_stats(doc, strip)
         vectors[doc.id] = FeatureVector(
             char_ngram_tfidf=ngrams[doc.id],
             special_char_tfidf=specials[doc.id],
-            function_word_freq=function_word_frequencies(doc, function_words, strip),
+            function_word_freq=function_word_frequencies(doc, strip),
             avg_chars_per_token=avg,
             token_length_histogram=histogram,
             vocab_richness=vocabulary_richness(doc, strip),
@@ -314,10 +304,7 @@ def _z_profile(tokens: list[str], words, means, stds) -> tuple[float, ...]:
 
 
 def fit_delta_reference(
-    reference: Corpus,
-    k: int = 50,
-    function_words: list[str] | None = None,
-    strip: bool = False,
+    reference: Corpus, k: int = 50, strip: bool = False
 ) -> DeltaReference:
     """Fit the reference side of Burrows' Delta once, for any number of scores.
 
@@ -327,7 +314,6 @@ def fit_delta_reference(
     deviation; words with zero variance are dropped.  Author profiles
     (concatenated subcorpora) are z-scored against those statistics.
     """
-    words = function_words if function_words is not None else default_function_words()
     if k < 1:
         raise ValueError("k must be >= 1")
     grouped = reference.by_author()
@@ -344,7 +330,9 @@ def fit_delta_reference(
     for counts in doc_counts:
         total_counts.update(counts)
 
-    ranked = sorted(words, key=lambda w: (-total_counts.get(w, 0), w))
+    ranked = sorted(
+        default_function_words(), key=lambda w: (-total_counts.get(w, 0), w)
+    )
     n_docs = len(doc_tokens)
     kept, means, stds = [], [], []
     for w in ranked[:k]:
@@ -395,20 +383,14 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
 
 
 def burrows_delta(
-    reference: Corpus,
-    candidate: Document,
-    k: int = 50,
-    function_words: list[str] | None = None,
-    strip: bool = False,
+    reference: Corpus, candidate: Document, k: int = 50, strip: bool = False
 ) -> DeltaReport:
     """Burrows' Delta of the candidate against each reference author.
 
     One :func:`fit_delta_reference` followed by one :func:`score_delta`;
     fit once and score many when several candidates share a reference.
     """
-    return score_delta(
-        fit_delta_reference(reference, k, function_words, strip), candidate
-    )
+    return score_delta(fit_delta_reference(reference, k, strip), candidate)
 
 
 def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:

@@ -98,11 +98,6 @@ def load_synonyms() -> dict[str, tuple[str, ...]]:
     return table
 
 
-@lru_cache(maxsize=1)
-def _function_word_set() -> frozenset[str]:
-    return frozenset(default_function_words())
-
-
 def _match_case(template: str, word: str) -> str:
     if template.isupper() and len(template) > 1:
         return word.upper()
@@ -138,7 +133,7 @@ def _substitute(text: str, rng: random.Random, rate: float) -> str:
     if rate <= 0.0:
         return text
     table = load_synonyms()
-    function_words = _function_word_set()
+    function_words = frozenset(default_function_words())
 
     def repl(match: re.Match) -> str:
         word = match.group()
@@ -242,10 +237,9 @@ class StyleModel:
 
     order: int
     transitions: dict[str, dict[str, float]]
-    trained_on: str = ""
 
 
-def train_style_model(corpus_text: str, order: int = 3, corpus_id: str = "") -> StyleModel:
+def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
     """Count overlapping character windows and normalize to distributions."""
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -265,7 +259,7 @@ def train_style_model(corpus_text: str, order: int = 3, corpus_id: str = "") -> 
         }
         for context, followers in sorted(counts.items())
     }
-    return StyleModel(order=order, transitions=transitions, trained_on=corpus_id)
+    return StyleModel(order=order, transitions=transitions)
 
 
 def imitate(model: StyleModel, length: int, seed: int = 0) -> str:

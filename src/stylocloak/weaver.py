@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import regex
 
 from . import zwcodec
-from .zwcodec import (
-    DEFAULT_ALPHABET,
-    DEFAULT_CODEBOOK,
-    Codebook,
-    MalformedStream,
-    ZeroWidthAlphabet,
-)
+from .zwcodec import POINTS, MalformedStream
 
 _GRAPHEME = regex.compile(r"\X")
 _FIRST_WORD = re.compile(r"\S+")
@@ -59,10 +53,7 @@ class WovenWord:
 
 
 def weave_into_unigram(
-    word: str,
-    payload: str,
-    strategy: str = "round_robin",
-    alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET,
+    word: str, payload: str, strategy: str = "round_robin"
 ) -> WovenWord:
     """Distribute a zero-width stream between a word's grapheme clusters.
 
@@ -74,7 +65,7 @@ def weave_into_unigram(
     """
     if not word:
         raise EmptyWord("cannot weave into an empty word")
-    if set(word) & alphabet.points:
+    if set(word) & POINTS:
         raise ContaminatedWord(
             "carrier word already contains zero-width alphabet code points; "
             "strip it first"
@@ -101,23 +92,13 @@ def weave_into_unigram(
     return WovenWord(surface=surface, origin=word, payload=payload)
 
 
-def secret_units(
-    secret: str,
-    codebook: Codebook = DEFAULT_CODEBOOK,
-    alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET,
-) -> list[str]:
+def secret_units(secret: str) -> list[str]:
     """Encode each secret letter as its own self-terminated stream."""
-    return [
-        zwcodec.encode_message(letter, codebook, alphabet) for letter in secret
-    ]
+    return [zwcodec.encode_message(letter) for letter in secret]
 
 
 def embed_linewise(
-    lines: list[str],
-    secret: str,
-    codebook: Codebook = DEFAULT_CODEBOOK,
-    alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET,
-    strategy: str = "round_robin",
+    lines: list[str], secret: str, strategy: str = "round_robin"
 ) -> list[str]:
     """Hide one secret letter per carrier line, inside the line's first word.
 
@@ -126,7 +107,7 @@ def embed_linewise(
     secret outlives the carrier, the surplus is dropped and a
     :class:`SecretOverflow` warning reports how many letters were lost.
     """
-    units = secret_units(secret, codebook, alphabet)
+    units = secret_units(secret)
     output = []
     position = 0
     for line in lines:
@@ -137,9 +118,7 @@ def embed_linewise(
         if match is None:
             output.append(line)
             continue
-        woven = weave_into_unigram(
-            match.group(), units[position], strategy, alphabet
-        )
+        woven = weave_into_unigram(match.group(), units[position], strategy)
         output.append(line[: match.start()] + woven.surface + line[match.end() :])
         position += 1
     if position < len(units):
@@ -147,19 +126,15 @@ def embed_linewise(
     return output
 
 
-def extract_linewise(
-    lines: list[str],
-    codebook: Codebook = DEFAULT_CODEBOOK,
-    alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET,
-) -> str:
+def extract_linewise(lines: list[str]) -> str:
     """Recover the secret hidden by :func:`embed_linewise`, in line order."""
     letters = []
     for number, line in enumerate(lines, start=1):
-        _, extracted = zwcodec.strip_zero_width(line, alphabet)
+        _, extracted = zwcodec.strip_zero_width(line)
         if not extracted:
             continue
         try:
-            letters.append(zwcodec.decode_stream(extracted, codebook, alphabet))
+            letters.append(zwcodec.decode_stream(extracted))
         except MalformedStream as exc:
             raise MalformedStream(f"line {number}: {exc}") from exc
     return "".join(letters)
@@ -170,21 +145,11 @@ def split_lines(text: str) -> list[str]:
     return text.splitlines(keepends=True)
 
 
-def embed_into_text(
-    text: str,
-    secret: str,
-    codebook: Codebook = DEFAULT_CODEBOOK,
-    alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET,
-    strategy: str = "round_robin",
-) -> str:
+def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> str:
     """Line-wise embedding over a whole document, terminators preserved."""
-    return "".join(embed_linewise(split_lines(text), secret, codebook, alphabet, strategy))
+    return "".join(embed_linewise(split_lines(text), secret, strategy))
 
 
-def extract_from_text(
-    text: str,
-    codebook: Codebook = DEFAULT_CODEBOOK,
-    alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET,
-) -> str:
+def extract_from_text(text: str) -> str:
     """Inverse of :func:`embed_into_text`."""
-    return extract_linewise(split_lines(text), codebook, alphabet)
+    return extract_linewise(split_lines(text))

@@ -4,7 +4,8 @@ Four zero-width code points carry the payload: two act as binary digits,
 one separates letters, one terminates the stream.  Each letter A-Z is
 encoded as the minimal binary form of its alphabetical index (A=0 -> "0",
 B=1 -> "1", ..., Z=25 -> "11001"); letters are delimited by the separator,
-so variable-length codes need no prefix property.
+so variable-length codes need no prefix property.  The code points and the
+codebook are fixed: :data:`POINTS` and :data:`CODEBOOK`.
 
 No Unicode normalization is ever applied here: NFC/NFKC would destroy
 payloads, so carrier and stream text are treated as raw code-point
@@ -17,7 +18,7 @@ import json
 import string
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BIT0 = "​"  # ZERO WIDTH SPACE
 BIT1 = "‌"  # ZERO WIDTH NON-JOINER
@@ -48,71 +49,17 @@ class DroppedCharacters(UserWarning):
         super().__init__(f"dropped {count} unsupported character(s)")
 
 
-@dataclass(frozen=True)
-class ZeroWidthAlphabet:
-    """The four invisible code points and their roles."""
+#: The four payload code points.
+POINTS = frozenset((BIT0, BIT1, SEP, END))
 
-    bit0: str = BIT0
-    bit1: str = BIT1
-    sep: str = SEP
-    end: str = END
-
-    def __post_init__(self):
-        points = (self.bit0, self.bit1, self.sep, self.end)
-        if len(set(points)) != 4:
-            raise ValueError("alphabet code points must be pairwise distinct")
-        for p in points:
-            if len(p) != 1 or p not in ZERO_WIDTH_SET:
-                raise ValueError(f"{p!r} is not a known zero-width code point")
-
-    @property
-    def points(self) -> frozenset[str]:
-        return frozenset((self.bit0, self.bit1, self.sep, self.end))
+#: Letter -> minimal binary form of its alphabetical index: A="0", Z="11001".
+CODEBOOK = {
+    letter: format(index, "b") for index, letter in enumerate(string.ascii_uppercase)
+}
+_LETTERS = {bits: letter for letter, bits in CODEBOOK.items()}
 
 
-# Code points with no advance width that an alphabet may draw from.
-ZERO_WIDTH_SET = frozenset({BIT0, BIT1, SEP, END, "⁠", "᠎"})
-
-DEFAULT_ALPHABET = ZeroWidthAlphabet()
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Letter -> bit-string mapping and its exact inverse."""
-
-    forward: dict[str, str]
-    reverse: dict[str, str] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.reverse is None:
-            object.__setattr__(
-                self, "reverse", {bits: letter for letter, bits in self.forward.items()}
-            )
-        if len(self.reverse) != len(self.forward):
-            raise ValueError("codebook is not injective")
-        for bits in self.forward.values():
-            if not bits or set(bits) - {"0", "1"}:
-                raise ValueError(f"invalid bit-string {bits!r}")
-
-
-def build_codebook() -> Codebook:
-    """Canonical codebook: letter i maps to minimal binary of i, A="0"."""
-    forward = {
-        letter: format(index, "b")
-        for index, letter in enumerate(string.ascii_uppercase)
-    }
-    return Codebook(forward=forward)
-
-
-DEFAULT_CODEBOOK = build_codebook()
-
-
-def encode_message(
-    plaintext: str,
-    codebook: Codebook = DEFAULT_CODEBOOK,
-    alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET,
-    strict: bool = True,
-) -> str:
+def encode_message(plaintext: str, strict: bool = True) -> str:
     """Encode a letter sequence into a pure zero-width stream.
 
     Input is uppercased first.  Each letter's bit-string is emitted as
@@ -128,7 +75,7 @@ def encode_message(
     dropped = 0
     for position, char in enumerate(plaintext):
         letter = char.upper()
-        bits = codebook.forward.get(letter)
+        bits = CODEBOOK.get(letter)
         if bits is None:
             if strict:
                 raise UnsupportedCharacter(position, char)
@@ -137,15 +84,10 @@ def encode_message(
         groups.append(bits)
     if dropped:
         warnings.warn(DroppedCharacters(dropped), stacklevel=2)
-    bit_text = alphabet.sep.join(groups)
-    return bit_text.replace("0", alphabet.bit0).replace("1", alphabet.bit1) + alphabet.end
+    return SEP.join(groups).replace("0", BIT0).replace("1", BIT1) + END
 
 
-def decode_stream(
-    stream: str,
-    codebook: Codebook = DEFAULT_CODEBOOK,
-    alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET,
-) -> str:
+def decode_stream(stream: str) -> str:
     """Decode a zero-width stream back into uppercase letters.
 
     The stream is read up to the first end marker; letters are recovered by
@@ -153,41 +95,37 @@ def decode_stream(
     codebook.  Raises :class:`MalformedStream` for a foreign code point,
     a missing end marker, or an unknown bit-group.
     """
-    points = alphabet.points
-    if sum(stream.count(p) for p in points) != len(stream):
-        sample = sorted(set(stream) - points)[0]
+    if sum(stream.count(p) for p in POINTS) != len(stream):
+        sample = sorted(set(stream) - POINTS)[0]
         raise MalformedStream(
             f"foreign code point U+{ord(sample):04X} in stream"
         )
-    body, end_marker, _ = stream.partition(alphabet.end)
+    body, end_marker, _ = stream.partition(END)
     if not end_marker:
         raise MalformedStream("stream does not contain an end marker")
     if not body:
         return ""
-    bit_text = body.replace(alphabet.bit0, "0").replace(alphabet.bit1, "1")
+    bit_text = body.replace(BIT0, "0").replace(BIT1, "1")
     letters = []
-    for bits in bit_text.split(alphabet.sep):
-        letter = codebook.reverse.get(bits)
+    for bits in bit_text.split(SEP):
+        letter = _LETTERS.get(bits)
         if letter is None:
             raise MalformedStream(f"unknown bit-group {bits!r}")
         letters.append(letter)
     return "".join(letters)
 
 
-def strip_zero_width(
-    text: str, alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET
-) -> tuple[str, str]:
+def strip_zero_width(text: str) -> tuple[str, str]:
     """Split text into (clean, extracted): visible carrier and payload.
 
     The extracted stream preserves the original relative order of the
-    alphabet code points; interleaving clean and extracted at their original
+    payload code points; interleaving clean and extracted at their original
     offsets reconstructs the input exactly.
     """
-    points = alphabet.points
     clean = []
     extracted = []
     for char in text:
-        (extracted if char in points else clean).append(char)
+        (extracted if char in POINTS else clean).append(char)
     return "".join(clean), "".join(extracted)
 
 
@@ -208,18 +146,17 @@ class ScanReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def scan_text(text: str, alphabet: ZeroWidthAlphabet = DEFAULT_ALPHABET) -> ScanReport:
-    """Locate every alphabet code point; offsets are UTF-8 byte positions."""
-    points = alphabet.points
+def scan_text(text: str) -> ScanReport:
+    """Locate every payload code point; offsets are UTF-8 byte positions."""
     counts: Counter[str] = Counter()
     offsets: list[tuple[int, str]] = []
     byte_offset = 0
     for char in text:
-        if char in points:
+        if char in POINTS:
             counts[char] += 1
             offsets.append((byte_offset, char))
         byte_offset += len(char.encode("utf-8"))
-    counts_full = {p: counts.get(p, 0) for p in sorted(points)}
+    counts_full = {p: counts.get(p, 0) for p in sorted(POINTS)}
     return ScanReport(
         counts=counts_full,
         offsets=offsets,

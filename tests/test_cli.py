@@ -25,7 +25,6 @@ def run(capsys, *argv):
 # --- operation coverage: every module operation has exactly one subcommand ----
 
 OPERATION_SURFACE = {
-    "zwcodec.build_codebook": "encode",
     "zwcodec.encode_message": "encode",
     "zwcodec.decode_stream": "decode",
     "zwcodec.strip_zero_width": "strip",
@@ -444,6 +443,50 @@ def test_matrix_unknown_run_file_key_is_data_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "'bogus'" in err
+
+
+@pytest.mark.parametrize(
+    "run_json, named",
+    [
+        ("[]", "JSON object"),
+        ('{"backends": ["x"]}', "'backends'"),
+        ('{"options": []}', "'options'"),
+        ('{"configs": 5}', "'configs'"),
+        ('{"configs": [true]}', "'configs'"),
+        ('{"k": null}', "'k'"),
+        ('{"k": true}', "'k'"),
+        ('{"seed": "3"}', "'seed'"),
+        ('{"chain": 5}', "'chain'"),
+        ('{"corpus": 5}', "'corpus'"),
+        ('{"payload": 5}', "'payload'"),
+        ('{"strip": "false"}', "'strip'"),
+        ('{"options": {"model_order": "x"}}', "'model_order'"),
+        ('{"options": {"imitation_ratio": false}}', "'imitation_ratio'"),
+    ],
+)
+def test_matrix_run_file_of_wrong_shape_is_data_error(capsys, tmp_path, run_json, named):
+    write_corpus(tmp_path)
+    raw = json.loads(run_json)
+    if isinstance(raw, dict):
+        raw = {"corpus": "corpus", "candidate": "candidate.txt", "k": 30, **raw}
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_matrix_run_file_number_option_takes_an_integer(capsys, tmp_path):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [3], "k": 30,
+        "options": {"substitution_rate": 1, "imitation_ratio": 0},
+    }), encoding="utf-8")
+    code, out, _ = run(capsys, "matrix", "--config", str(run_file))
+    assert code == 0
+    assert json.loads(out)["errors"] == []
 
 
 def test_matrix_stdout_json_purity(capsys, tmp_path):

@@ -11,11 +11,10 @@ from stylocloak.zwcodec import (
     BIT1,
     END,
     SEP,
-    DEFAULT_ALPHABET,
+    CODEBOOK,
+    POINTS,
     MalformedStream,
     UnsupportedCharacter,
-    ZeroWidthAlphabet,
-    build_codebook,
     decode_stream,
     encode_message,
     scan_text,
@@ -37,28 +36,23 @@ def binary_by_hand(n):
 
 
 def test_codebook_canonical_values():
-    cb = build_codebook()
-    assert cb.forward["A"] == "0"
-    assert cb.forward["B"] == binary_by_hand(1) == "1"
-    assert cb.forward["Z"] == binary_by_hand(25) == "11001"
+    assert CODEBOOK["A"] == "0"
+    assert CODEBOOK["B"] == binary_by_hand(1) == "1"
+    assert CODEBOOK["Z"] == binary_by_hand(25) == "11001"
     for i, letter in enumerate(string.ascii_uppercase):
-        assert cb.forward[letter] == binary_by_hand(i)
+        assert CODEBOOK[letter] == binary_by_hand(i)
 
 
 def test_codebook_reverse_is_exact_inverse():
-    cb = build_codebook()
-    assert len(cb.reverse) == 26
-    for letter, bits in cb.forward.items():
-        assert cb.reverse[bits] == letter
+    reverse = zwcodec._LETTERS
+    assert len(reverse) == 26
+    for letter, bits in CODEBOOK.items():
+        assert reverse[bits] == letter
 
 
 def test_alphabet_code_points_distinct_and_zero_width():
     assert len({BIT0, BIT1, SEP, END}) == 4
-    assert DEFAULT_ALPHABET.points == frozenset((BIT0, BIT1, SEP, END))
-    with pytest.raises(ValueError):
-        ZeroWidthAlphabet(bit0=BIT1)  # collides with bit1
-    with pytest.raises(ValueError):
-        ZeroWidthAlphabet(bit0="x")  # visible
+    assert POINTS == frozenset((BIT0, BIT1, SEP, END))
 
 
 def test_encode_single_letter():
@@ -141,7 +135,7 @@ def test_round_trip_long_message():
 @given(letters)
 def test_stream_purity(message):
     stream = encode_message(message)
-    assert set(stream) <= DEFAULT_ALPHABET.points
+    assert set(stream) <= POINTS
     assert stream.count(END) == 1 and stream.endswith(END)
 
 
@@ -168,7 +162,7 @@ def test_strip_reconstruction_by_offsets():
     rebuilt = []
     ci = ei = 0
     for ch in text:
-        if ch in DEFAULT_ALPHABET.points:
+        if ch in POINTS:
             rebuilt.append(extracted[ei])
             ei += 1
         else:
