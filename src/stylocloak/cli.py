@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _escape(stream: str) -> str:
-    return "".join(f"U+{ord(c):04X}" if c in zwcodec.POINTS else c for c in stream)
+    return zwcodec.POINT_PATTERN.sub(lambda m: f"U+{ord(m.group()):04X}", stream)
 
 
 def _read_input(path: str) -> str:

@@ -22,7 +22,7 @@ import subprocess
 import urllib.error
 import urllib.request
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -34,6 +34,14 @@ _SENTENCE_BOUNDARY = re.compile(r"(?<=[.?!])\s+")
 _JITTER_TARGET = re.compile(r"([,;:]) ")
 
 BACKEND_KINDS = ("builtin", "external-command", "http")
+
+# The JSON type of each BackendSpec field in its dict form; a boolean is
+# never a number.
+_SPEC_FIELD_TYPES = {
+    "kind": (str, "a string"),
+    "target": (str, "a string"),
+    "timeout": ((int, float), "a number"),
+}
 
 
 class BackendUnavailable(RuntimeError):
@@ -64,11 +72,18 @@ class BackendSpec:
 
     @classmethod
     def parse(cls, value) -> "BackendSpec":
-        """Read a spec: a dict of fields, ``builtin``, ``cmd:<command>`` or a URL."""
+        """Read a spec: a dict of fields, ``builtin``, ``cmd:<command>`` or a URL.
+
+        A dict field of the wrong JSON type raises ValueError naming the key.
+        """
         if isinstance(value, dict):
-            unknown = sorted(set(value) - {f.name for f in fields(cls)})
+            unknown = sorted(set(value) - set(_SPEC_FIELD_TYPES))
             if unknown:
                 raise ValueError(f"unknown backend key {unknown[0]!r}")
+            for key, item in value.items():
+                expected, name = _SPEC_FIELD_TYPES[key]
+                if isinstance(item, bool) or not isinstance(item, expected):
+                    raise ValueError(f"backend key {key!r} must be {name}, got {item!r}")
             return cls(**value)
         if value == "builtin":
             return cls()

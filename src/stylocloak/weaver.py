@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import regex
 
 from . import zwcodec
-from .zwcodec import POINTS, MalformedStream
+from .zwcodec import POINT_PATTERN, MalformedStream
 
 _GRAPHEME = regex.compile(r"\X")
 _FIRST_WORD = re.compile(r"\S+")
@@ -65,7 +65,7 @@ def weave_into_unigram(
     """
     if not word:
         raise EmptyWord("cannot weave into an empty word")
-    if set(word) & POINTS:
+    if POINT_PATTERN.search(word):
         raise ContaminatedWord(
             "carrier word already contains zero-width alphabet code points; "
             "strip it first"
@@ -93,8 +93,15 @@ def weave_into_unigram(
 
 
 def secret_units(secret: str) -> list[str]:
-    """Encode each secret letter as its own self-terminated stream."""
-    return [zwcodec.encode_message(letter) for letter in secret]
+    """Encode each secret letter as its own self-terminated stream.
+
+    Each distinct letter is encoded once, in order of first occurrence, so
+    the first unsupported character is the one reported.
+    """
+    streams = {
+        letter: zwcodec.encode_message(letter) for letter in dict.fromkeys(secret)
+    }
+    return [streams[letter] for letter in secret]
 
 
 def embed_linewise(
@@ -127,16 +134,23 @@ def embed_linewise(
 
 
 def extract_linewise(lines: list[str]) -> str:
-    """Recover the secret hidden by :func:`embed_linewise`, in line order."""
+    """Recover the secret hidden by :func:`embed_linewise`, in line order.
+
+    Each distinct line stream is decoded once.
+    """
     letters = []
+    decoded: dict[str, str] = {}
     for number, line in enumerate(lines, start=1):
-        _, extracted = zwcodec.strip_zero_width(line)
+        extracted = "".join(POINT_PATTERN.findall(line))
         if not extracted:
             continue
-        try:
-            letters.append(zwcodec.decode_stream(extracted))
-        except MalformedStream as exc:
-            raise MalformedStream(f"line {number}: {exc}") from exc
+        letter = decoded.get(extracted)
+        if letter is None:
+            try:
+                letter = decoded[extracted] = zwcodec.decode_stream(extracted)
+            except MalformedStream as exc:
+                raise MalformedStream(f"line {number}: {exc}") from exc
+        letters.append(letter)
     return "".join(letters)
 
 

@@ -15,6 +15,7 @@ sequences throughout.
 from __future__ import annotations
 
 import json
+import re
 import string
 import warnings
 from collections import Counter
@@ -57,6 +58,15 @@ CODEBOOK = {
     letter: format(index, "b") for index, letter in enumerate(string.ascii_uppercase)
 }
 _LETTERS = {bits: letter for letter, bits in CODEBOOK.items()}
+
+#: Matches one payload code point.  Strip, line-wise extraction, weaving's
+#: contamination check and the CLI's escaping all find payload points
+#: through this pattern, so it decides what counts as payload.
+POINT_PATTERN = re.compile("[" + "".join(sorted(POINTS)) + "]")
+# Its byte twin for scan_text, which must match the same points.  UTF-8 is
+# self-synchronising, so a match in the encoded text always starts at a
+# character boundary.
+_POINT_BYTES = re.compile(b"|".join(p.encode("utf-8") for p in sorted(POINTS)))
 
 
 def encode_message(plaintext: str, strict: bool = True) -> str:
@@ -122,11 +132,7 @@ def strip_zero_width(text: str) -> tuple[str, str]:
     payload code points; interleaving clean and extracted at their original
     offsets reconstructs the input exactly.
     """
-    clean = []
-    extracted = []
-    for char in text:
-        (extracted if char in POINTS else clean).append(char)
-    return "".join(clean), "".join(extracted)
+    return POINT_PATTERN.sub("", text), "".join(POINT_PATTERN.findall(text))
 
 
 @dataclass(frozen=True)
@@ -147,20 +153,20 @@ class ScanReport:
 
 
 def scan_text(text: str) -> ScanReport:
-    """Locate every payload code point; offsets are UTF-8 byte positions."""
-    counts: Counter[str] = Counter()
-    offsets: list[tuple[int, str]] = []
-    byte_offset = 0
-    for char in text:
-        if char in POINTS:
-            counts[char] += 1
-            offsets.append((byte_offset, char))
-        byte_offset += len(char.encode("utf-8"))
-    counts_full = {p: counts.get(p, 0) for p in sorted(POINTS)}
+    """Locate every payload code point; offsets are UTF-8 byte positions.
+
+    The text is encoded once and searched as bytes.  A lone surrogate
+    cannot be encoded and raises :class:`UnicodeEncodeError`.
+    """
+    offsets = [
+        (match.start(), match.group().decode("utf-8"))
+        for match in _POINT_BYTES.finditer(text.encode("utf-8"))
+    ]
+    counts = Counter(point for _, point in offsets)
     return ScanReport(
-        counts=counts_full,
+        counts={p: counts[p] for p in sorted(POINTS)},
         offsets=offsets,
-        verdict=any(counts.values()),
+        verdict=bool(offsets),
     )
 
 

@@ -450,6 +450,12 @@ def test_matrix_unknown_run_file_key_is_data_error(capsys, tmp_path):
     [
         ("[]", "JSON object"),
         ('{"backends": ["x"]}', "'backends'"),
+        ('{"backends": {"translation": {"kind": "http", "target": 5}}}', "'target'"),
+        (
+            '{"chain": ["de"], "backends": {"translation": '
+            '{"kind": "external-command", "target": "cat", "timeout": "x"}}}',
+            "'timeout'",
+        ),
         ('{"options": []}', "'options'"),
         ('{"configs": 5}', "'configs'"),
         ('{"configs": [true]}', "'configs'"),

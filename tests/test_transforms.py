@@ -349,6 +349,20 @@ def test_backend_spec_parse_rejects(value):
         BackendSpec.parse(value)
 
 
+@pytest.mark.parametrize(
+    "value, key",
+    [
+        ({"kind": "http", "target": 5}, "'target'"),
+        ({"kind": "external-command", "target": "cat", "timeout": "x"}, "'timeout'"),
+        ({"kind": "http", "target": "http://x", "timeout": True}, "'timeout'"),
+        ({"kind": 5, "target": "http://x"}, "'kind'"),
+    ],
+)
+def test_backend_spec_parse_rejects_wrong_field_type(value, key):
+    with pytest.raises(ValueError, match=key):
+        BackendSpec.parse(value)
+
+
 def test_builtin_backend_has_no_external_contract():
     with pytest.raises(BackendUnavailable):
         call_backend(BackendSpec(), "x", (), 0)

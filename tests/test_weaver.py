@@ -183,3 +183,41 @@ def test_text_level_embedding_round_trip():
     stego = embed_into_text(text, "KEY")
     assert strip_zero_width(stego)[0] == text
     assert extract_from_text(stego) == "KEY"
+
+
+# every boundary str.splitlines breaks at, CRLF included
+LINE_BOUNDARIES = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
+cover_line = st.text(alphabet=st.sampled_from("ab é漢 \t"), max_size=8)
+
+
+@given(
+    st.lists(st.tuples(cover_line, st.sampled_from(LINE_BOUNDARIES)), max_size=12),
+    secrets,
+)
+def test_text_round_trip_over_every_line_boundary(lines, secret):
+    cover = "".join(text + boundary for text, boundary in lines)
+    carrying = sum(1 for line in cover.splitlines() if line.strip())
+    stego = embed_into_text(cover, secret)
+    assert strip_zero_width(stego)[0] == cover
+    assert extract_from_text(stego) == secret[:carrying]
+
+
+def test_malformed_stream_line_number_counts_every_line_boundary():
+    cover = "a\r\nb\x0bc\x1cd\x85e\u2028bro" + BIT0 + "ken\u2029last"
+    with pytest.raises(MalformedStream, match="^line 6: "):
+        extract_from_text(cover)
+
+
+def test_secret_units_encode_each_distinct_letter_once(monkeypatch):
+    calls = []
+    encode = zwcodec.encode_message
+    monkeypatch.setattr(zwcodec, "encode_message", lambda m: calls.append(m) or encode(m))
+    assert secret_units("ABAB") == [BIT0 + END, BIT1 + END] * 2
+    assert calls == ["A", "B"]
+
+
+def test_secret_units_report_first_unsupported_character():
+    with pytest.raises(zwcodec.UnsupportedCharacter) as exc:
+        secret_units("AB?C!?")
+    assert (exc.value.position, exc.value.char) == (0, "?")

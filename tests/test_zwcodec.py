@@ -215,6 +215,59 @@ def test_scanner_matches_strip(text):
     assert sum(report.counts.values()) == len(extracted)
 
 
+def naive_strip(text):
+    # per-character reference for strip_zero_width
+    clean, extracted = [], []
+    for char in text:
+        (extracted if char in POINTS else clean).append(char)
+    return "".join(clean), "".join(extracted)
+
+
+def naive_scan(text):
+    # per-character reference for scan_text: one UTF-8 encode per character
+    counts = {p: 0 for p in sorted(POINTS)}
+    offsets = []
+    byte_offset = 0
+    for char in text:
+        if char in POINTS:
+            counts[char] += 1
+            offsets.append((byte_offset, char))
+        byte_offset += len(char.encode("utf-8"))
+    return counts, offsets, bool(offsets)
+
+
+# every non-surrogate code point, with the payload points, astral emoji (also
+# as a ZWJ sequence), CJK, Devanagari and the line boundaries drawn often
+unicode_with_noise = st.lists(
+    st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from(sorted(POINTS)),
+        st.sampled_from(
+            ["\U0001F600", "\U0001F468" + SEP + "\U0001F469", "\u6f22\u5b57",
+             "\u0915\u094D\u0937", "\r\n", "\x85", "\u2028"]
+        ),
+    ),
+    max_size=100,
+).map("".join)
+
+
+@given(unicode_with_noise)
+def test_scan_and_strip_match_per_character_reference(text):
+    report = scan_text(text)
+    assert (report.counts, report.offsets, report.verdict) == naive_scan(text)
+    assert list(report.counts) == sorted(POINTS)
+    assert strip_zero_width(text) == naive_strip(text)
+
+
+def test_scan_offset_after_astral_emoji_is_four_bytes():
+    assert scan_text("\U0001F600" + BIT0).offsets == [(4, BIT0)]
+
+
+def test_scan_lone_surrogate_raises_encode_error():
+    with pytest.raises(UnicodeEncodeError):
+        scan_text("a" + BIT0 + "\ud800")
+
+
 def test_write_refuses_leading_bom(tmp_path):
     target = tmp_path / "out.txt"
     with pytest.raises(MalformedStream, match="byte-order mark"):
