@@ -69,8 +69,7 @@ class Document:
     def tokens(self, strip: bool = False) -> list[str]:
         cached = self._token_cache.get(strip)
         if cached is None:
-            text = strip_zero_width(self.text)[0] if strip else self.text
-            cached = self._token_cache[strip] = tokenize(text)
+            cached = self._token_cache[strip] = tokenize(self.view_text(strip))
         return cached
 
     def view_text(self, strip: bool = False) -> str:

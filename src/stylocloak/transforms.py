@@ -21,15 +21,20 @@ import shlex
 import subprocess
 import urllib.error
 import urllib.request
+from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate, groupby
 
 from .styloscope import default_function_words
 from .zwcodec import strip_zero_width
 
-_WORD = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)*")
+# Captured, so that split() keeps the words at the odd indices.
+_WORD = re.compile(r"([A-Za-z]+(?:'[A-Za-z]+)*)")
+# The last whitespace character before a word that runs to the end.
+_PARTIAL_WORD = re.compile(r"\s\S+\Z")
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.?!])\s+")
 _JITTER_TARGET = re.compile(r"([,;:]) ")
 
@@ -139,30 +144,32 @@ def split_sentences(text: str) -> list[str]:
     return chunks
 
 
-def sentence_count(text: str) -> int:
-    return len(split_sentences(text))
+@lru_cache(maxsize=1)
+def _substitution_candidates() -> dict[str, tuple[str, ...]]:
+    """The synonym table without function words and words lacking candidates."""
+    function_words = frozenset(default_function_words())
+    return {
+        word: candidates
+        for word, candidates in load_synonyms().items()
+        if candidates and word not in function_words
+    }
 
 
 def _substitute(text: str, rng: random.Random, rate: float) -> str:
     """Replace content words with dictionary synonyms at the given rate."""
     if rate <= 0.0:
         return text
-    table = load_synonyms()
-    function_words = frozenset(default_function_words())
-
-    def repl(match: re.Match) -> str:
-        word = match.group()
-        low = word.lower()
-        if low in function_words:
-            return word
-        candidates = table.get(low)
-        if not candidates:
-            return word
+    table = _substitution_candidates()
+    parts = _WORD.split(text)
+    for i in range(1, len(parts), 2):
+        word = parts[i]
+        candidates = table.get(word.lower())
+        if candidates is None:
+            continue
         if rate < 1.0 and rng.random() >= rate:
-            return word
-        return _match_case(word, rng.choice(candidates))
-
-    return _WORD.sub(repl, text)
+            continue
+        parts[i] = _match_case(word, rng.choice(candidates))
+    return "".join(parts)
 
 
 def round_trip_translate(
@@ -248,10 +255,20 @@ def call_backend(
 
 @dataclass(frozen=True)
 class StyleModel:
-    """Character Markov chain over a training corpus."""
+    """Character Markov chain over a training corpus.
+
+    ``tables`` maps each context to its sampling table ``(followers,
+    cumulative weights, total, n - 1)``, built once at training time.
+    :func:`imitate` draws from it exactly as ``random.choices`` draws on its
+    ``weights`` path, so sampling reproduces ``random.choices`` draw for draw
+    (pinned by ``test_table_draw_matches_random_choices``).
+    """
 
     order: int
     transitions: dict[str, dict[str, float]]
+    tables: dict[str, tuple[tuple[str, ...], list[float], float, int]] = field(
+        compare=False, repr=False
+    )
 
 
 def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
@@ -263,18 +280,21 @@ def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
         raise CorpusTooSmall(
             f"training text has {len(text)} characters, need more than {order}"
         )
-    counts: dict[str, Counter] = {}
-    for i in range(len(text) - order):
-        context = text[i : i + order]
-        counts.setdefault(context, Counter())[text[i + order]] += 1
-    transitions = {
-        context: {
-            char: n / sum(followers.values())
-            for char, n in sorted(followers.items())
+    counts = Counter(text[i : i + order + 1] for i in range(len(text) - order))
+    transitions: dict[str, dict[str, float]] = {}
+    tables = {}
+    # Windows of one length sort by context, then by follower.
+    for context, group in groupby(
+        sorted(counts.items()), key=lambda item: item[0][:order]
+    ):
+        windows = list(group)
+        total = sum(n for _, n in windows)
+        followers = transitions[context] = {
+            window[order]: n / total for window, n in windows
         }
-        for context, followers in sorted(counts.items())
-    }
-    return StyleModel(order=order, transitions=transitions)
+        cum = list(accumulate(followers.values()))
+        tables[context] = (tuple(followers), cum, cum[-1] + 0.0, len(cum) - 1)
+    return StyleModel(order=order, transitions=transitions, tables=tables)
 
 
 def imitate(model: StyleModel, length: int, seed: int = 0) -> str:
@@ -288,22 +308,19 @@ def imitate(model: StyleModel, length: int, seed: int = 0) -> str:
     if not model.transitions:
         raise ValueError("style model has no transitions")
     rng = random.Random(seed)
-    contexts = sorted(model.transitions)
-    out = list(rng.choice(contexts))
-    while len(out) < length:
-        context = "".join(out[-model.order :])
-        followers = model.transitions.get(context)
-        if not followers:
+    draw = rng.random
+    tables = model.tables
+    context = rng.choice(sorted(model.transitions))
+    out = [context]
+    for _ in range(length - len(context)):
+        table = tables.get(context)
+        if table is None:
             break
-        chars = list(followers)
-        weights = list(followers.values())
-        out.append(rng.choices(chars, weights=weights)[0])
-    sample = "".join(out[:length])
-    if sample and not sample[-1].isspace():
-        cut = max((i for i, c in enumerate(sample) if c.isspace()), default=None)
-        if cut is not None:
-            sample = sample[:cut]
-    return sample.rstrip()
+        chars, cum, total, hi = table
+        char = chars[bisect(cum, draw() * total, 0, hi)]
+        out.append(char)
+        context = context[1:] + char
+    return _PARTIAL_WORD.sub("", "".join(out)[:length]).rstrip()
 
 
 def obfuscate(

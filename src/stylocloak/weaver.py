@@ -48,8 +48,6 @@ class WovenWord:
     """A visible unigram interleaved with an invisible payload."""
 
     surface: str
-    origin: str
-    payload: str
 
 
 def weave_into_unigram(
@@ -89,7 +87,7 @@ def weave_into_unigram(
     surface = "".join(
         cluster + inserted for cluster, inserted in zip(clusters, per_gap)
     )
-    return WovenWord(surface=surface, origin=word, payload=payload)
+    return WovenWord(surface=surface)
 
 
 def secret_units(secret: str) -> list[str]:
@@ -154,16 +152,11 @@ def extract_linewise(lines: list[str]) -> str:
     return "".join(letters)
 
 
-def split_lines(text: str) -> list[str]:
-    """Split into lines keeping LF/CRLF terminators, so join is lossless."""
-    return text.splitlines(keepends=True)
-
-
 def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> str:
     """Line-wise embedding over a whole document, terminators preserved."""
-    return "".join(embed_linewise(split_lines(text), secret, strategy))
+    return "".join(embed_linewise(text.splitlines(keepends=True), secret, strategy))
 
 
 def extract_from_text(text: str) -> str:
     """Inverse of :func:`embed_into_text`."""
-    return extract_linewise(split_lines(text))
+    return extract_linewise(text.splitlines(keepends=True))

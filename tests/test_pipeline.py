@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import runpy
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -460,3 +463,37 @@ def test_load_matrix_spec_keeps_crlf(tmp_path):
 def test_run_file_options_are_the_stage_options_except_chain():
     names = {f.name for f in dataclasses.fields(StageOptions)} - {"chain"}
     assert set(pipeline._OPTION_TYPES) == names
+
+
+# --- golden reports ----------------------------------------------------------
+
+# sha256 of the JSON report on the benchmark's grid inputs.  Any change to a
+# transform's output, a Delta value or the report layout changes these.
+GOLDEN_REPORT_SHA256 = {
+    1: "389e7785bd64db37d1404f0f023b209d7d9ea9eabe64acd1f7d54c8922fe99e6",
+    7: "11fdbeb9d7cd56f9a16b03c7a371b3664270969a38a85a8e7f307013923fd5a8",
+}
+
+
+def sha256_text(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_REPORT_SHA256))
+def test_grid_report_matches_golden_hash(seed):
+    candidate = candidate_for(STYLE_A, seed, 5000)
+    configs = [PipelineConfig(id=i, seed=seed, payload="MEETATDAWN") for i in range(1, 16)]
+    report = run_matrix(candidate, two_author_corpus(seed), configs, k=50)
+    assert sha256_text(emit_report(report, "json")) == GOLDEN_REPORT_SHA256[seed]
+
+
+def test_run_config_grid_script_prints_the_golden_report(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_config_grid.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--seed", "1", "--format", "json"])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    start = out.index("\n{\n") + 1
+    _, end = json.JSONDecoder().raw_decode(out, start)
+    assert sha256_text(out[start:end]) == GOLDEN_REPORT_SHA256[1]
+    assert "scanner verdict: True" in out
+    assert "stripped text identical to candidate: True" in out
