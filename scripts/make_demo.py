@@ -25,12 +25,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("dest", nargs="?", default="demo")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--docs", type=int, default=8)
-    parser.add_argument("--doc-chars", type=int, default=6000)
     args = parser.parse_args()
 
     dest = Path(args.dest)
-    corpus = two_author_corpus(args.seed, args.docs, args.doc_chars)
+    corpus = two_author_corpus(args.seed)
     for doc in corpus.documents:
         path = dest / "corpus" / doc.id
         path.parent.mkdir(parents=True, exist_ok=True)

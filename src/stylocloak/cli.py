@@ -43,8 +43,9 @@ def _escape(stream: str) -> str:
 
 
 def _read_input(path: str) -> str:
+    """Read a file, or stdin for ``-``, as UTF-8 without newline translation."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     return zwcodec.read_text_file(path)
 
 
@@ -103,7 +104,7 @@ def cmd_scan(args) -> int:
 def cmd_weave(args) -> int:
     stream = zwcodec.encode_message(_message_from(args), strict=not args.lenient)
     woven = weaver.weave_into_unigram(args.word, stream, args.strategy)
-    sys.stdout.write(_escape(woven.surface) if args.escaped else woven.surface)
+    sys.stdout.write(_escape(woven) if args.escaped else woven)
     sys.stdout.write("\n")
     return 0
 
@@ -162,10 +163,10 @@ def cmd_features(args) -> int:
         corpus.documents.append(
             Document(id=args.candidate, text=zwcodec.read_text_file(args.candidate))
         )
+    if args.strip:
+        corpus = corpus.stripped()
     n_min, n_max = _parse_ngrams(args.ngrams)
-    vectors = styloscope.extract_feature_vectors(
-        corpus, n_min, n_max, strip=args.strip
-    )
+    vectors = styloscope.extract_feature_vectors(corpus, n_min, n_max)
     payload = {
         doc_id: {
             "char_ngram_tfidf": vec.char_ngram_tfidf,
@@ -185,16 +186,20 @@ def cmd_features(args) -> int:
 
 def cmd_delta(args) -> int:
     corpus = styloscope.load_corpus(args.corpus)
-    candidate = Document(
-        id=args.candidate, text=zwcodec.read_text_file(args.candidate)
-    )
-    fitted = styloscope.fit_delta_reference(corpus, args.k, strip=args.strip)
-    reports = {"candidate": styloscope.score_delta(fitted, candidate)}
+    paths = {"candidate": args.candidate}
     if args.reference:
-        reference_doc = Document(
-            id=args.reference, text=zwcodec.read_text_file(args.reference)
-        )
-        reports["reference"] = styloscope.score_delta(fitted, reference_doc)
+        paths["reference"] = args.reference
+    documents = {
+        name: Document(id=path, text=zwcodec.read_text_file(path))
+        for name, path in paths.items()
+    }
+    if args.strip:
+        corpus = corpus.stripped()
+        documents = {name: doc.stripped() for name, doc in documents.items()}
+    fitted = styloscope.fit_delta_reference(corpus, args.k)
+    reports = {
+        name: styloscope.score_delta(fitted, doc) for name, doc in documents.items()
+    }
     if args.format == "json":
         if len(reports) == 1:
             print(reports["candidate"].to_json())

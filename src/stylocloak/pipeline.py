@@ -16,6 +16,14 @@ discussion of, say, "config 3" always means obfuscation-only:
 A config's stage set follows from its id alone, and its stages always
 execute in the fixed order translation -> imitation -> obfuscation ->
 steganography.
+
+Zero-width content is handled once, where text enters: :func:`apply_config`
+strips the text it transforms on entry and the imitation source when a
+style model is first trained, so no stage sees a stray code point and the
+steganography stage always writes into a clean carrier.  ``run_matrix``
+with ``strip=True`` also measures stripped copies of the candidate, the
+reference and every transformed text, modelling an analyst who sanitizes
+input first.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from . import transforms, weaver
 from .styloscope import Corpus, Document, fit_delta_reference, load_corpus, score_delta
 from .transforms import BackendSpec, StyleModel
 from .weaver import SecretOverflow
-from .zwcodec import read_text_file
+from .zwcodec import read_text_file, strip_zero_width
 
 CANONICAL_ORDER = ("translation", "imitation", "obfuscation", "steganography")
 
@@ -115,14 +123,16 @@ def apply_config(
 ) -> str:
     """Run the configured stages over the text in canonical order.
 
-    The imitation stage trains on ``imitation_source``, or on ``text`` as
-    given (not as translated) when that is None.  Passing the same
+    The text is stripped of zero-width content on entry.  The imitation
+    stage trains on ``imitation_source``, stripped, or on the stripped
+    ``text`` (not as translated) when that is None.  Passing the same
     ``style_models`` dict to several calls trains each (source, order) model
     once across them; a failed training is not stored.  An empty stage set
-    is the identity.
+    strips and changes nothing else.
     """
     opts = config.options
     models = {} if style_models is None else style_models
+    text, _ = strip_zero_width(text)
     source = text if imitation_source is None else imitation_source
     for stage in config.stages:
         seed = stage_seed(config.seed, config.id, stage)
@@ -134,7 +144,9 @@ def apply_config(
             elif stage == "imitation":
                 key = (source, opts.model_order)
                 if key not in models:
-                    models[key] = transforms.train_style_model(*key)
+                    models[key] = transforms.train_style_model(
+                        strip_zero_width(source)[0], opts.model_order
+                    )
                 generated = transforms.imitate(
                     models[key], round(len(text) * opts.imitation_ratio), seed
                 )
@@ -185,15 +197,19 @@ def run_matrix(
     """Transform the candidate under every config and score both versions.
 
     The reference columns come from the untransformed candidate, so they are
-    constant across configs for each author.  The reference is fitted once
-    and every style model is trained at most once per call.  A config whose
-    stage fails is recorded under ``errors`` (status "aborted") and the rest
-    of the grid still runs; a failed external backend is never silently
-    replaced by the builtin fallback.  A payload cut short by a carrier with
-    too few lines is recorded under ``warnings``; other warnings pass through.
+    constant across configs for each author.  With ``strip`` the candidate,
+    the reference and each transformed text are measured as stripped copies;
+    without it the caller's own documents are scored, token caches and all.
+    The reference is fitted once and every style model is trained at most
+    once per call.  A config whose stage fails is recorded under ``errors``
+    (status "aborted") and the rest of the grid still runs; a failed
+    external backend is never silently replaced by the builtin fallback.  A
+    payload cut short by a carrier with too few lines is recorded under
+    ``warnings``; other warnings pass through.
     """
-    fitted = fit_delta_reference(reference, k, strip)
-    base_report = score_delta(fitted, candidate)
+    measured = candidate.stripped() if strip else candidate
+    fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
+    base_report = score_delta(fitted, measured)
     style_models: dict[tuple[str, int], StyleModel] = {}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
@@ -231,7 +247,7 @@ def run_matrix(
         if transformed is None:
             continue
         adv_doc = Document(id=f"{candidate.id}#config{config.id}", text=transformed)
-        adv_report = score_delta(fitted, adv_doc)
+        adv_report = score_delta(fitted, adv_doc.stripped() if strip else adv_doc)
         for author in sorted(base_report.deltas):
             rows.append(
                 MatrixRow(

@@ -6,11 +6,11 @@ and a hapax/dis legomena vocabulary-richness ratio.  Burrows' Delta ranks
 candidate authorship by the mean absolute difference of function-word
 frequency z-scores; low values suggest the same author.
 
-Zero-width payloads are deliberately visible to this module by default:
-the tokenizer treats invisible code points as token boundaries, and raw
-character n-grams pick them up directly.  Passing ``strip=True`` removes
-them before any measurement, which models an analysis pipeline that
-sanitizes its input first.
+Every measurement reads the text it is given.  Zero-width payloads are
+therefore visible: the tokenizer treats invisible code points as token
+boundaries, and raw character n-grams pick them up directly.  An analyst
+who sanitizes input first measures :meth:`Corpus.stripped` or
+:meth:`Document.stripped` instead, once, where the text comes in.
 """
 
 from __future__ import annotations
@@ -57,23 +57,23 @@ def default_function_words() -> tuple[str, ...]:
 
 @dataclass
 class Document:
-    """A text unit with an optional author label and cached tokenizations."""
+    """A text unit with an optional author label and a cached tokenization."""
 
     id: str
     text: str
     author: str | None = None
-    _token_cache: dict[bool, list[str]] = field(
-        default_factory=dict, repr=False, compare=False
+    _tokens: list[str] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
-    def tokens(self, strip: bool = False) -> list[str]:
-        cached = self._token_cache.get(strip)
-        if cached is None:
-            cached = self._token_cache[strip] = tokenize(self.view_text(strip))
-        return cached
+    def tokens(self) -> list[str]:
+        if self._tokens is None:
+            self._tokens = tokenize(self.text)
+        return self._tokens
 
-    def view_text(self, strip: bool = False) -> str:
-        return strip_zero_width(self.text)[0] if strip else self.text
+    def stripped(self) -> Document:
+        """A copy of this document with its zero-width content removed."""
+        return Document(self.id, strip_zero_width(self.text)[0], self.author)
 
 
 @dataclass
@@ -92,6 +92,10 @@ class Corpus:
             if doc.author is not None:
                 grouped.setdefault(doc.author, []).append(doc)
         return grouped
+
+    def stripped(self) -> Corpus:
+        """A copy of this corpus with every document's zero-width content removed."""
+        return Corpus([doc.stripped() for doc in self.documents])
 
     def content_hash(self) -> str:
         digest = hashlib.sha256()
@@ -141,7 +145,6 @@ def char_ngram_tfidf(
     corpus: Corpus,
     n_min: int = 2,
     n_max: int = 4,
-    strip: bool = False,
 ) -> dict[str, dict[str, float]]:
     """TF-IDF weighted character n-grams over raw lowercased text.
 
@@ -154,7 +157,7 @@ def char_ngram_tfidf(
         raise InsufficientCorpus("empty corpus")
     per_doc = {}
     for doc in corpus.documents:
-        text = doc.view_text(strip).lower()
+        text = doc.text.lower()
         counts: Counter = Counter()
         for n in range(n_min, n_max + 1):
             for i in range(len(text) - n + 1):
@@ -163,21 +166,18 @@ def char_ngram_tfidf(
     return _tfidf(per_doc, len(corpus.documents))
 
 
-def special_char_tfidf(
-    corpus: Corpus, strip: bool = False
-) -> dict[str, dict[str, float]]:
+def special_char_tfidf(corpus: Corpus) -> dict[str, dict[str, float]]:
     """TF-IDF over single characters from :data:`SPECIAL_CHARS`."""
     per_doc = {}
     for doc in corpus.documents:
-        text = doc.view_text(strip)
-        per_doc[doc.id] = Counter(c for c in text if c in SPECIAL_CHARS)
+        per_doc[doc.id] = Counter(c for c in doc.text if c in SPECIAL_CHARS)
     return _tfidf(per_doc, len(corpus.documents))
 
 
-def function_word_frequencies(doc: Document, strip: bool = False) -> dict[str, float]:
+def function_word_frequencies(doc: Document) -> dict[str, float]:
     """Occurrences per 1000 tokens for every word on the function-word list."""
     words = default_function_words()
-    tokens = doc.tokens(strip)
+    tokens = doc.tokens()
     if not tokens:
         return {w: 0.0 for w in words}
     counts = Counter(tokens)
@@ -185,11 +185,9 @@ def function_word_frequencies(doc: Document, strip: bool = False) -> dict[str, f
     return {w: counts.get(w, 0) * scale for w in words}
 
 
-def token_length_stats(
-    doc: Document, strip: bool = False
-) -> tuple[float, dict[int, float]]:
+def token_length_stats(doc: Document) -> tuple[float, dict[int, float]]:
     """Mean code points per token, and the token-length distribution."""
-    tokens = doc.tokens(strip)
+    tokens = doc.tokens()
     if not tokens:
         return 0.0, {}
     lengths = Counter(len(t) for t in tokens)
@@ -199,13 +197,13 @@ def token_length_stats(
     return avg, histogram
 
 
-def vocabulary_richness(doc: Document, strip: bool = False) -> float:
+def vocabulary_richness(doc: Document) -> float:
     """(hapax legomena / dis legomena) / token count; empty text scores 0.
 
     With no dis legomena the denominator is taken as 1, keeping the ratio
     finite for texts that never repeat a word exactly twice.
     """
-    tokens = doc.tokens(strip)
+    tokens = doc.tokens()
     if not tokens:
         return 0.0
     counts = Counter(tokens)
@@ -230,21 +228,20 @@ def extract_feature_vectors(
     corpus: Corpus,
     n_min: int = 2,
     n_max: int = 4,
-    strip: bool = False,
 ) -> dict[str, FeatureVector]:
     """Compute the full feature battery for every document in the corpus."""
-    ngrams = char_ngram_tfidf(corpus, n_min, n_max, strip)
-    specials = special_char_tfidf(corpus, strip)
+    ngrams = char_ngram_tfidf(corpus, n_min, n_max)
+    specials = special_char_tfidf(corpus)
     vectors = {}
     for doc in corpus.documents:
-        avg, histogram = token_length_stats(doc, strip)
+        avg, histogram = token_length_stats(doc)
         vectors[doc.id] = FeatureVector(
             char_ngram_tfidf=ngrams[doc.id],
             special_char_tfidf=specials[doc.id],
-            function_word_freq=function_word_frequencies(doc, strip),
+            function_word_freq=function_word_frequencies(doc),
             avg_chars_per_token=avg,
             token_length_histogram=histogram,
-            vocab_richness=vocabulary_richness(doc, strip),
+            vocab_richness=vocabulary_richness(doc),
         )
     return vectors
 
@@ -291,7 +288,6 @@ class DeltaReference:
     means: tuple[float, ...]
     stds: tuple[float, ...]
     author_z: dict[str, tuple[float, ...]]
-    strip: bool
 
 
 def _z_profile(tokens: list[str], words, means, stds) -> tuple[float, ...]:
@@ -302,9 +298,7 @@ def _z_profile(tokens: list[str], words, means, stds) -> tuple[float, ...]:
     )
 
 
-def fit_delta_reference(
-    reference: Corpus, k: int = 50, strip: bool = False
-) -> DeltaReference:
+def fit_delta_reference(reference: Corpus, k: int = 50) -> DeltaReference:
     """Fit the reference side of Burrows' Delta once, for any number of scores.
 
     The k most frequent function words across the whole reference corpus
@@ -323,7 +317,7 @@ def fit_delta_reference(
     if any(doc.author is None for doc in reference.documents):
         raise InsufficientCorpus("every reference document needs an author label")
 
-    doc_tokens = [doc.tokens(strip) for doc in reference.documents]
+    doc_tokens = [doc.tokens() for doc in reference.documents]
     doc_counts = [Counter(tokens) for tokens in doc_tokens]
     total_counts: Counter = Counter()
     for counts in doc_counts:
@@ -351,11 +345,11 @@ def fit_delta_reference(
 
     author_z = {
         author: _z_profile(
-            [t for doc in docs for t in doc.tokens(strip)], kept, means, stds
+            [t for doc in docs for t in doc.tokens()], kept, means, stds
         )
         for author, docs in sorted(grouped.items())
     }
-    return DeltaReference(tuple(kept), tuple(means), tuple(stds), author_z, strip)
+    return DeltaReference(tuple(kept), tuple(means), tuple(stds), author_z)
 
 
 def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
@@ -364,9 +358,7 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
     Delta(author) is the mean absolute difference between the author's and
     the candidate's z-scores over the fitted words.
     """
-    cand_z = _z_profile(
-        candidate.tokens(fitted.strip), fitted.words, fitted.means, fitted.stds
-    )
+    cand_z = _z_profile(candidate.tokens(), fitted.words, fitted.means, fitted.stds)
     n_words = len(fitted.words)
     deltas = {}
     z_scores = {"candidate": dict(zip(fitted.words, cand_z))}
@@ -381,15 +373,13 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
     )
 
 
-def burrows_delta(
-    reference: Corpus, candidate: Document, k: int = 50, strip: bool = False
-) -> DeltaReport:
+def burrows_delta(reference: Corpus, candidate: Document, k: int = 50) -> DeltaReport:
     """Burrows' Delta of the candidate against each reference author.
 
     One :func:`fit_delta_reference` followed by one :func:`score_delta`;
     fit once and score many when several candidates share a reference.
     """
-    return score_delta(fit_delta_reference(reference, k, strip), candidate)
+    return score_delta(fit_delta_reference(reference, k), candidate)
 
 
 def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:

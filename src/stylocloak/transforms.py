@@ -7,9 +7,9 @@ point at an external command or HTTP endpoint, and the builtin fallbacks
 (synonym-pivot drift, a character Markov chain) keep everything runnable
 offline.
 
-All transforms strip zero-width content from their input first.  Transforms
-always run before steganographic embedding, and scrubbing on entry
-guarantees they can never corrupt a payload.
+Transforms work on the text they are given and know nothing of zero-width
+code points: :func:`stylocloak.pipeline.apply_config` strips its input once
+on entry, and its style-model source once at training, before any stage runs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from importlib import resources
 from itertools import accumulate, groupby
 
 from .styloscope import default_function_words
-from .zwcodec import strip_zero_width
 
 # Captured, so that split() keeps the words at the odd indices.
 _WORD = re.compile(r"([A-Za-z]+(?:'[A-Za-z]+)*)")
@@ -191,8 +190,7 @@ def round_trip_translate(
         if not chain:
             raise ValueError("external translation requires a pivot chain")
         return call_backend(backend, text, chain, seed)
-    clean, _ = strip_zero_width(text)
-    return _substitute(clean, random.Random(seed), rate=1.0)
+    return _substitute(text, random.Random(seed), rate=1.0)
 
 
 def call_backend(
@@ -275,12 +273,12 @@ def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
     """Count overlapping character windows and normalize to distributions."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    text, _ = strip_zero_width(corpus_text)
-    if len(text) <= order:
+    size = len(corpus_text)
+    if size <= order:
         raise CorpusTooSmall(
-            f"training text has {len(text)} characters, need more than {order}"
+            f"training text has {size} characters, need more than {order}"
         )
-    counts = Counter(text[i : i + order + 1] for i in range(len(text) - order))
+    counts = Counter(corpus_text[i : i + order + 1] for i in range(size - order))
     transitions: dict[str, dict[str, float]] = {}
     tables = {}
     # Windows of one length sort by context, then by follower.
@@ -336,9 +334,8 @@ def obfuscate(
     preserved except for substituted synonyms, and the sentence count never
     changes.  Returns the input unchanged when nothing fired.
     """
-    clean, _ = strip_zero_width(text)
     rng = random.Random(seed)
-    chunks = split_sentences(clean)
+    chunks = split_sentences(text)
     # A final fragment without a terminator stays pinned at the end: moving
     # it inward would merge it into the next sentence and change the count.
     movable = len(chunks)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 
 import regex
 
@@ -43,16 +42,9 @@ class SecretOverflow(UserWarning):
         super().__init__(f"{dropped} secret letter(s) exceeded the carrier line count")
 
 
-@dataclass(frozen=True)
-class WovenWord:
-    """A visible unigram interleaved with an invisible payload."""
-
-    surface: str
-
-
 def weave_into_unigram(
     word: str, payload: str, strategy: str = "round_robin"
-) -> WovenWord:
+) -> str:
     """Distribute a zero-width stream between a word's grapheme clusters.
 
     ``round_robin`` cycles the insertion gaps left to right, handing each
@@ -84,10 +76,7 @@ def weave_into_unigram(
             per_gap.append(payload[cursor : cursor + take])
             cursor += take
 
-    surface = "".join(
-        cluster + inserted for cluster, inserted in zip(clusters, per_gap)
-    )
-    return WovenWord(surface=surface)
+    return "".join(cluster + inserted for cluster, inserted in zip(clusters, per_gap))
 
 
 def secret_units(secret: str) -> list[str]:
@@ -124,7 +113,7 @@ def embed_linewise(
             output.append(line)
             continue
         woven = weave_into_unigram(match.group(), units[position], strategy)
-        output.append(line[: match.start()] + woven.surface + line[match.end() :])
+        output.append(line[: match.start()] + woven + line[match.end() :])
         position += 1
     if position < len(units):
         warnings.warn(SecretOverflow(len(units) - position), stacklevel=2)

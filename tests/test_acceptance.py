@@ -81,7 +81,7 @@ def test_criterion_02_invisibility_invariant():
         )
         strategy = rng.choice(weaver.STRATEGIES)
         woven = weave_into_unigram(word, payload, strategy)
-        clean, extracted = strip_zero_width(woven.surface)
+        clean, extracted = strip_zero_width(woven)
         if clean != word or extracted != payload:
             failures += 1
     for trial in range(100):  # 100 line-wise pairs
@@ -194,7 +194,7 @@ def test_criterion_06_steganography_only_neutrality():
 
     baseline = burrows_delta(reference, candidate, k=50)
     stripped = burrows_delta(
-        reference, Document(id="stego", text=stego_text), k=50, strip=True
+        reference, Document(id="stego", text=stego_text).stripped(), k=50
     )
     neutral = all(
         abs(stripped.deltas[a] - baseline.deltas[a]) <= 1e-12 for a in baseline.deltas

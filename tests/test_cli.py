@@ -1,13 +1,15 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from stylocloak import pipeline, styloscope, zwcodec
+from stylocloak import pipeline, styloscope, weaver, zwcodec
 from stylocloak.cli import build_parser, dispatch
 from stylocloak.pipeline import CONFIG_STAGES, PipelineConfig
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
@@ -119,6 +121,36 @@ def test_scan_produces_single_json_value(capsys, tmp_path):
     assert code == 0
     json.loads(out)  # exactly one parseable value
     assert json.loads(out)["verdict"] is False
+
+
+#: Locales that decode a bare ``sys.stdin`` otherwise than as UTF-8.
+FOREIGN_LOCALES = {
+    "latin-1": {"PYTHONIOENCODING": "latin-1"},
+    "c-locale": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+}
+
+
+@pytest.mark.parametrize("locale_env", FOREIGN_LOCALES.values(), ids=FOREIGN_LOCALES)
+def test_stdin_is_read_like_a_file(tmp_path, locale_env):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {
+        key: value for key, value in os.environ.items()
+        if not key.startswith(("PYTHON", "LC_", "LANG"))
+    }
+    env.update(locale_env, PYTHONPATH=str(src))
+    for command, data in (("scan", "a\u200bb\n"), ("strip", "a\u200bb\r\nc\r\n")):
+        path = tmp_path / f"{command}.txt"
+        path.write_bytes(data.encode("utf-8"))
+        printed = [
+            subprocess.run(
+                [sys.executable, "-m", "stylocloak.cli", command, source],
+                input=path.read_bytes(), env=env, capture_output=True,
+            )
+            for source in (str(path), "-")
+        ]
+        assert [p.returncode for p in printed] == [0, 0], printed[1].stderr
+        assert printed[1].stdout == printed[0].stdout, command
+    assert printed[0].stdout == b"ab\r\nc\r\n"
 
 
 def test_weave_subcommand(capsys):
@@ -274,6 +306,54 @@ def write_corpus(tmp_path):
     candidate = tmp_path / "candidate.txt"
     candidate.write_text(candidate_for(STYLE_A, seed=5, n_chars=900).text, "utf-8")
     return corpus_dir, candidate
+
+
+def write_dirty_twin(root):
+    """The ``write_corpus`` workspace, with zero-width content where text enters.
+
+    The candidate carries a line-wise payload, the untransformed reference a
+    stray U+200B and one corpus document an encoded stream.
+    """
+    corpus_dir, candidate = write_corpus(root)
+    text = candidate.read_text(encoding="utf-8")
+    candidate.write_text(weaver.embed_into_text(text, "KEY"), encoding="utf-8")
+    (root / "original.txt").write_text(text[:7] + "\u200b" + text[7:], encoding="utf-8")
+    document = sorted((corpus_dir / "ashford").glob("*.txt"))[0]
+    body = document.read_text(encoding="utf-8")
+    document.write_text(
+        body[:10] + zwcodec.encode_message("HI") + body[10:], encoding="utf-8"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("features", "--corpus", "corpus", "--candidate", "candidate.txt",
+         "--ngrams", "2..3"),
+        ("delta", "--corpus", "corpus", "--candidate", "candidate.txt",
+         "--reference", "original.txt", "--k", "30"),
+        ("delta", "--corpus", "corpus", "--candidate", "candidate.txt",
+         "--reference", "original.txt", "--k", "30", "--format", "csv"),
+    ],
+    ids=["features", "delta-json", "delta-csv"],
+)
+def test_strip_measures_dirty_inputs_as_their_clean_twins(
+    capsys, tmp_path, monkeypatch, argv
+):
+    clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+    _, candidate = write_corpus(clean)
+    (clean / "original.txt").write_bytes(candidate.read_bytes())
+    write_dirty_twin(dirty)
+    printed = {}
+    for root in (clean, dirty):
+        monkeypatch.chdir(root)
+        for flags in ((), ("--strip",)):
+            printed[root.name, flags] = run(capsys, *argv, *flags)
+    expected = printed["clean", ()]
+    assert expected[0] == 0
+    assert printed["dirty", ("--strip",)] == expected
+    assert printed["clean", ("--strip",)] == expected
+    assert printed["dirty", ()][1] != expected[1]
 
 
 def test_features_json_output(capsys, tmp_path):

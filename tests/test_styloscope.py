@@ -294,8 +294,8 @@ def test_feature_vectors_see_payload_unless_stripped():
     raw_clean = extract_feature_vectors(clean_corpus)["t"]
     assert raw_dirty != raw_clean
 
-    stripped_dirty = extract_feature_vectors(dirty, strip=True)["t"]
-    stripped_clean = extract_feature_vectors(clean_corpus, strip=True)["t"]
+    stripped_dirty = extract_feature_vectors(dirty.stripped())["t"]
+    stripped_clean = extract_feature_vectors(clean_corpus.stripped())["t"]
     assert stripped_dirty == stripped_clean
 
 
@@ -305,7 +305,7 @@ def test_delta_strip_toggle_restores_original_scores():
     # payload lands inside the first word, splitting "the" for the tokenizer
     stego_text = original.text[:2] + zwcodec.encode_message("SECRET") + original.text[2:]
     raw = burrows_delta(ref, doc(stego_text), k=10)
-    stripped = burrows_delta(ref, doc(stego_text), k=10, strip=True)
+    stripped = burrows_delta(ref, doc(stego_text).stripped(), k=10)
     baseline = burrows_delta(ref, original, k=10)
     assert stripped.deltas == baseline.deltas
     assert raw.deltas != baseline.deltas

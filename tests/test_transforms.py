@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stylocloak import zwcodec
+from stylocloak.pipeline import PipelineConfig, apply_config
 from stylocloak.styloscope import tokenize
 from stylocloak.transforms import (
     BackendSpec,
@@ -91,7 +92,7 @@ def test_translate_preserves_capitalization():
 
 def test_translate_strips_preexisting_zero_width():
     text = "zorblatt" + zwcodec.BIT0 + zwcodec.END
-    assert round_trip_translate(text, seed=0) == "zorblatt"
+    assert apply_config(text, PipelineConfig(id=2)) == "zorblatt"
 
 
 def test_translate_external_requires_chain():
@@ -177,7 +178,6 @@ def test_imitate_contexts_come_from_training_text(length, seed):
 
 def counter_per_context_transitions(text, order):
     """The reference training: one Counter per context, normalized per follower."""
-    text, _ = zwcodec.strip_zero_width(text)
     counts = {}
     for i in range(len(text) - order):
         counts.setdefault(text[i : i + order], Counter())[text[i + order]] += 1

@@ -39,23 +39,23 @@ pytestmark = pytest.mark.filterwarnings(
 
 def test_weave_single_gap():
     woven = weave_into_unigram("a", END)
-    assert woven.surface == "a" + END
+    assert woven == "a" + END
 
 
 def test_weave_cycles_gaps_left_to_right():
     woven = weave_into_unigram("ab", BIT0 + END)
-    assert woven.surface == "a" + BIT0 + "b" + END
+    assert woven == "a" + BIT0 + "b" + END
 
 
 def test_weave_uneven_payload_gives_earlier_gaps_extra():
     # 3 units over 2 gaps -> runs of 2 and 1, reading order preserved
     woven = weave_into_unigram("ab", BIT0 + BIT1 + END)
-    assert woven.surface == "a" + BIT0 + BIT1 + "b" + END
+    assert woven == "a" + BIT0 + BIT1 + "b" + END
 
 
 def test_weave_after_first_strategy():
     woven = weave_into_unigram("abc", BIT0 + END, strategy="after_first")
-    assert woven.surface == "a" + BIT0 + END + "bc"
+    assert woven == "a" + BIT0 + END + "bc"
 
 
 def test_weave_rejects_empty_word():
@@ -77,16 +77,16 @@ def test_weave_never_splits_grapheme_cluster():
     # "e" + combining acute is one user-perceived character
     word = "aéb"
     woven = weave_into_unigram(word, BIT0 + BIT1 + END)
-    assert "é" in woven.surface
+    assert "é" in woven
 
 
 @given(clean_word, payloads, st.sampled_from(weaver.STRATEGIES))
 def test_weave_strip_round_trip(word, payload, strategy):
     woven = weave_into_unigram(word, payload, strategy)
-    clean, extracted = strip_zero_width(woven.surface)
+    clean, extracted = strip_zero_width(woven)
     assert clean == word
     assert extracted == payload
-    assert woven.surface[0] == word[0]  # payload never at position 0
+    assert woven[0] == word[0]  # payload never at position 0
 
 
 def test_secret_units_are_single_letter_streams():
