@@ -14,19 +14,13 @@ import json
 import sys
 import warnings
 
-from . import pipeline, styloscope, weaver, zwcodec
-from .pipeline import CONFIG_STAGES, PipelineConfig, StageError, StageOptions
-from .styloscope import Document
-from .transforms import BackendSpec, BackendUnavailable, Timeout
+# pipeline, styloscope and transforms are imported by the handlers that run
+# them, so that a command loads only the modules it uses.
+from . import weaver, zwcodec
 from .weaver import SecretOverflow
 
 # Every domain error (malformed stream, bad corpus, bad config) is a ValueError.
 _DATA_ERRORS = (ValueError, KeyError, OSError)
-
-# --stage S runs the grid's single-stage config for S.
-_STAGE_CONFIG_IDS = {
-    stages[0]: cid for cid, stages in CONFIG_STAGES.items() if len(stages) == 1
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,22 +122,34 @@ def cmd_extract_lines(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from . import pipeline, transforms
+
+    # --stage S runs the grid's single-stage config for S.
+    stage_config_ids = {
+        stages[0]: cid
+        for cid, stages in pipeline.CONFIG_STAGES.items()
+        if len(stages) == 1
+    }
     if args.config_id is not None:
         config_id = args.config_id
     elif args.stage is not None:
-        config_id = _STAGE_CONFIG_IDS[args.stage]
+        config_id = stage_config_ids[args.stage]
     else:
         raise ValueError("provide --stage or --config-id")
     text = _read_input(args.input)
-    options = StageOptions(
+    options = pipeline.StageOptions(
         substitution_rate=args.rate,
         punctuation_jitter=args.jitter,
         imitation_ratio=args.imitation_ratio,
         model_order=args.order,
         chain=tuple(args.chain.split(",")) if args.chain else (),
     )
-    backends = {"translation": BackendSpec.parse(args.backend)} if args.backend else {}
-    config = PipelineConfig(
+    backends = (
+        {"translation": transforms.BackendSpec.parse(args.backend)}
+        if args.backend
+        else {}
+    )
+    config = pipeline.PipelineConfig(
         id=config_id,
         seed=args.seed,
         payload=args.payload or "",
@@ -158,11 +164,12 @@ def cmd_transform(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from . import styloscope
+
     corpus = styloscope.load_corpus(args.corpus)
     if args.candidate:
-        corpus.documents.append(
-            Document(id=args.candidate, text=zwcodec.read_text_file(args.candidate))
-        )
+        text = zwcodec.read_text_file(args.candidate)
+        corpus.documents.append(styloscope.Document(id=args.candidate, text=text))
     if args.strip:
         corpus = corpus.stripped()
     n_min, n_max = _parse_ngrams(args.ngrams)
@@ -185,12 +192,14 @@ def cmd_features(args) -> int:
 
 
 def cmd_delta(args) -> int:
+    from . import pipeline, styloscope
+
     corpus = styloscope.load_corpus(args.corpus)
     paths = {"candidate": args.candidate}
     if args.reference:
         paths["reference"] = args.reference
     documents = {
-        name: Document(id=path, text=zwcodec.read_text_file(path))
+        name: styloscope.Document(id=path, text=zwcodec.read_text_file(path))
         for name, path in paths.items()
     }
     if args.strip:
@@ -226,6 +235,8 @@ def cmd_delta(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from . import pipeline
+
     spec = pipeline.load_matrix_spec(args.config)
     strip = spec.strip or args.strip
     report = pipeline.run_matrix(
@@ -340,15 +351,21 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (BackendUnavailable, Timeout) as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return 3
-    except StageError as exc:
-        if isinstance(exc.cause, BackendUnavailable):
+    except RuntimeError as exc:
+        # Backend and stage errors are RuntimeErrors.  Their modules are
+        # imported only here, so that commands which cannot raise them do
+        # not load them; a RuntimeError of any other kind propagates.
+        from .pipeline import StageError
+        from .transforms import BackendUnavailable
+
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        if isinstance(cause, BackendUnavailable):
             print(f"backend error: {exc}", file=sys.stderr)
             return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, StageError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        raise
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

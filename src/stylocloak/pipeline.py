@@ -18,12 +18,13 @@ execute in the fixed order translation -> imitation -> obfuscation ->
 steganography.
 
 Zero-width content is handled once, where text enters: :func:`apply_config`
-strips the text it transforms on entry and the imitation source when a
-style model is first trained, so no stage sees a stray code point and the
-steganography stage always writes into a clean carrier.  ``run_matrix``
-with ``strip=True`` also measures stripped copies of the candidate, the
-reference and every transformed text, modelling an analyst who sanitizes
-input first.
+strips the text it transforms on entry, :func:`run_matrix` strips the
+candidate once for all its configs, and the imitation source is stripped
+when a style model is first trained.  So no stage sees a stray code point,
+and the steganography stage always writes into a clean carrier.
+``run_matrix`` with ``strip=True`` also measures stripped copies of the
+candidate, the reference and every transformed text, modelling an analyst
+who sanitizes input first.
 """
 
 from __future__ import annotations
@@ -130,9 +131,19 @@ def apply_config(
     once across them; a failed training is not stored.  An empty stage set
     strips and changes nothing else.
     """
-    opts = config.options
-    models = {} if style_models is None else style_models
     text, _ = strip_zero_width(text)
+    models = {} if style_models is None else style_models
+    return _run_stages(text, config, imitation_source, models)
+
+
+def _run_stages(
+    text: str,
+    config: PipelineConfig,
+    imitation_source: str | None,
+    models: dict[tuple[str, int], StyleModel],
+) -> str:
+    """:func:`apply_config` on a text that is already stripped."""
+    opts = config.options
     source = text if imitation_source is None else imitation_source
     for stage in config.stages:
         seed = stage_seed(config.seed, config.id, stage)
@@ -210,6 +221,7 @@ def run_matrix(
     measured = candidate.stripped() if strip else candidate
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
     base_report = score_delta(fitted, measured)
+    clean_text, _ = strip_zero_width(candidate.text)
     style_models: dict[tuple[str, int], StyleModel] = {}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
@@ -218,11 +230,8 @@ def run_matrix(
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", SecretOverflow)
             try:
-                transformed = apply_config(
-                    candidate.text,
-                    config,
-                    imitation_source=imitation_source,
-                    style_models=style_models,
+                transformed = _run_stages(
+                    clean_text, config, imitation_source, style_models
                 )
             except StageError as exc:
                 transformed = None

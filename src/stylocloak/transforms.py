@@ -17,10 +17,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import shlex
-import subprocess
-import urllib.error
-import urllib.request
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass, field
@@ -204,7 +200,12 @@ def call_backend(
     caller must abort the stage rather than pass the input through.
     """
     request = json.dumps({"text": text, "chain": list(chain), "seed": seed})
+    # Each branch imports its own client, so that only a run that calls an
+    # external backend loads subprocess or urllib.
     if backend.kind == "external-command":
+        import shlex
+        import subprocess
+
         try:
             proc = subprocess.run(
                 shlex.split(backend.target),
@@ -223,6 +224,9 @@ def call_backend(
             )
         raw = proc.stdout
     elif backend.kind == "http":
+        import urllib.error
+        import urllib.request
+
         req = urllib.request.Request(
             backend.target,
             data=request.encode("utf-8"),

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import re
 import warnings
-
-import regex
+from functools import cache
 
 from . import zwcodec
 from .zwcodec import POINT_PATTERN, MalformedStream
 
-_GRAPHEME = regex.compile(r"\X")
 _FIRST_WORD = re.compile(r"\S+")
 
 STRATEGIES = ("round_robin", "after_first")
@@ -40,6 +38,14 @@ class SecretOverflow(UserWarning):
     def __init__(self, dropped: int):
         self.dropped = dropped
         super().__init__(f"{dropped} secret letter(s) exceeded the carrier line count")
+
+
+@cache
+def _grapheme_pattern():
+    r"""``\X``, compiled on first use so that ``regex`` loads only when needed."""
+    import regex
+
+    return regex.compile(r"\X")
 
 
 def weave_into_unigram(
@@ -63,7 +69,12 @@ def weave_into_unigram(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
-    clusters = _GRAPHEME.findall(word)
+    if word.isascii() and "\r" not in word:
+        # No ASCII character joins its neighbour except CR before LF, so
+        # this word's grapheme clusters are its characters.
+        clusters = list(word)
+    else:
+        clusters = _grapheme_pattern().findall(word)
     gaps = len(clusters)  # one gap after each cluster
     if strategy == "after_first":
         per_gap = [payload] + [""] * (gaps - 1)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stylocloak import pipeline, styloscope, weaver, zwcodec
+from stylocloak import cli, pipeline, styloscope, weaver, zwcodec
 from stylocloak.cli import build_parser, dispatch
 from stylocloak.pipeline import CONFIG_STAGES, PipelineConfig
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
@@ -293,6 +293,27 @@ def test_backend_failure_via_config_id_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "transform", str(doc), "--config-id", "2",
                        "--backend", "cmd:false", "--chain", "de")
     assert code == 3
+
+
+def test_stage_error_from_a_data_fault_exits_2(capsys, tmp_path):
+    doc = tmp_path / "t.txt"
+    doc.write_text("some text to imitate", encoding="utf-8")
+    source = tmp_path / "source.txt"
+    source.write_text("ab", encoding="utf-8")  # not longer than the order
+    code, _, err = run(capsys, "transform", str(doc), "--stage", "imitation",
+                       "--style-source", str(source), "--order", "3")
+    assert code == 2
+    assert err.startswith("error: stage 'imitation' failed")
+
+
+def test_other_runtime_error_propagates(capsys, tmp_path, monkeypatch):
+    def broken(args):
+        raise RuntimeError("a bug, not a backend or stage failure")
+
+    monkeypatch.setattr(cli, "cmd_scan", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        dispatch(["scan", str(tmp_path / "unread.txt")])
+    assert capsys.readouterr().err == ""
 
 
 # --- stylometry surface ---------------------------------------------------------
@@ -595,6 +616,79 @@ def test_usage_error_exits_1(capsys):
     assert dispatch(["weave"]) == 1  # missing required --word
     capsys.readouterr()
     assert dispatch([]) == 1
+
+
+# --- import budget: a command loads only the modules it runs -----------------
+
+#: Modules that importing the CLI, and running its codec and weaving commands
+#: on ASCII text, must not load.
+HEAVY_MODULES = (
+    "stylocloak.pipeline",
+    "stylocloak.transforms",
+    "stylocloak.styloscope",
+    "regex",
+    "urllib.request",
+    "subprocess",
+)
+
+
+def modules_loaded_by(statement, cwd):
+    """The ``HEAVY_MODULES`` that ``statement`` loads in a fresh interpreter."""
+    script = "\n".join([
+        "import json, sys",
+        "before = set(sys.modules)",
+        statement,
+        f"heavy = {HEAVY_MODULES!r}",
+        "loaded = [m for m in heavy if m in sys.modules and m not in before]",
+        "print(json.dumps(loaded), file=sys.stderr)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_command_module(tmp_path):
+    assert modules_loaded_by("import stylocloak.cli", tmp_path) == []
+
+
+def test_importing_the_pipeline_loads_no_backend_client(tmp_path):
+    loaded = modules_loaded_by("import stylocloak.pipeline", tmp_path)
+    assert not {"urllib.request", "subprocess"} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "carrier.txt"],
+        ["strip", "stego.txt"],
+        ["decode", "stream.txt"],
+        ["extract-lines", "stego.txt"],
+        ["embed-lines", "carrier.txt", "--message", "KEY"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_codec_commands_load_no_command_module(tmp_path, argv):
+    carrier = "alpha beta\ngamma delta\n\nepsilon zeta\n"
+    (tmp_path / "carrier.txt").write_text(carrier, encoding="utf-8")
+    (tmp_path / "stego.txt").write_text(
+        weaver.embed_into_text(carrier, "KEY"), encoding="utf-8"
+    )
+    (tmp_path / "stream.txt").write_text(
+        "pa" + zwcodec.encode_message("HI") + "per\n", encoding="utf-8"
+    )
+    statement = (
+        "from stylocloak.cli import dispatch\n"
+        f"if dispatch({argv!r}) != 0: raise SystemExit('command failed')"
+    )
+    assert modules_loaded_by(statement, tmp_path) == []
 
 
 # --- documentation -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import string
 
 import pytest
+import regex
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -87,6 +88,53 @@ def test_weave_strip_round_trip(word, payload, strategy):
     assert clean == word
     assert extracted == payload
     assert woven[0] == word[0]  # payload never at position 0
+
+
+# Words that take the ASCII path (any ASCII, control characters and CRLF
+# included) and words that mix ASCII with clusters only \X can split.
+ascii_word = st.lists(
+    st.one_of(st.characters(max_codepoint=0x7F), st.just("\r\n")),
+    min_size=1,
+    max_size=12,
+).map("".join)
+NON_ASCII_CLUSTERS = (
+    "e\u0301",  # e + combining acute
+    "\u0301",  # a lone combining mark
+    "\U0001F44D\U0001F3FD",  # thumbs up + skin tone modifier
+    "\U0001F1EB\U0001F1F7",  # regional indicator pair (a flag)
+    "\u2764\ufe0f",  # heart + variation selector
+    "\ud55c",  # precomposed Hangul syllable
+    "\u1100\u1161\u11a8",  # conjoining Hangul jamo L V T
+    "\u00e9",
+)
+mixed_word = st.lists(
+    st.one_of(
+        st.characters(max_codepoint=0x7F),
+        st.just("\r\n"),
+        st.sampled_from(NON_ASCII_CLUSTERS),
+    ),
+    min_size=1,
+    max_size=8,
+).map("".join)
+
+
+def weave_by_grapheme_regex(word, payload, strategy):
+    """weave_into_unigram as specified: payload runs after each \\X cluster."""
+    clusters = regex.findall(r"\X", word)
+    if strategy == "after_first":
+        runs = [payload] + [""] * (len(clusters) - 1)
+    else:
+        base, extra = divmod(len(payload), len(clusters))
+        sizes = [base + (gap < extra) for gap in range(len(clusters))]
+        starts = [sum(sizes[:gap]) for gap in range(len(clusters))]
+        runs = [payload[start : start + size] for start, size in zip(starts, sizes)]
+    return "".join(cluster + run for cluster, run in zip(clusters, runs))
+
+
+@given(st.one_of(ascii_word, mixed_word), payloads, st.sampled_from(weaver.STRATEGIES))
+def test_weave_splits_words_as_grapheme_regex_does(word, payload, strategy):
+    expected = weave_by_grapheme_regex(word, payload, strategy)
+    assert weave_into_unigram(word, payload, strategy) == expected
 
 
 def test_secret_units_are_single_letter_streams():
