@@ -11,3 +11,17 @@ Subpackages by job:
 """
 
 __version__ = "0.1.0"
+
+
+class StylocloakError(Exception):
+    """A fault in what stylocloak was given, not in stylocloak itself.
+
+    The CLI prints it and exits with ``exit_code``; any other exception is a
+    bug and propagates with its traceback.
+    """
+
+    exit_code = 2
+
+
+class DataError(StylocloakError, ValueError):
+    """Malformed stream, bad corpus, bad run file or bad option (exit 2)."""

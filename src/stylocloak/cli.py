@@ -1,10 +1,11 @@
 """Command-line surface for the whole toolkit.
 
 Exit codes: 0 success, 1 usage error, 2 data error (malformed stream, bad
-corpus, bad config), 3 external backend failure.  Machine-readable output
-goes to stdout, diagnostics to stderr.  Raw encoded streams are written as
-real zero-width code points; pass --escaped to render them as U+XXXX for
-terminals that mangle invisibles.
+corpus, bad config, unreadable or undecodable input), 3 external backend
+failure; any other error is a bug and ends in a traceback.  Machine-readable
+output goes to stdout, diagnostics to stderr.  Raw encoded streams are
+written as real zero-width code points; pass --escaped to render them as
+U+XXXX for terminals that mangle invisibles.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ import warnings
 
 # pipeline, styloscope and transforms are imported by the handlers that run
 # them, so that a command loads only the modules it uses.
-from . import weaver, zwcodec
+from . import DataError, StylocloakError, weaver, zwcodec
 from .weaver import SecretOverflow
-
-# Every domain error (malformed stream, bad corpus, bad config) is a ValueError.
-_DATA_ERRORS = (ValueError, KeyError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,12 +54,15 @@ def _message_from(args) -> str:
         return zwcodec.read_text_file(args.payload_file).strip()
     if getattr(args, "message", None) is not None:
         return args.message
-    raise ValueError("provide --message or --payload-file")
+    raise DataError("provide --message or --payload-file")
 
 
 def _parse_ngrams(value: str) -> tuple[int, int]:
     low, _, high = value.partition("..")
-    return int(low), int(high or low)
+    try:
+        return int(low), int(high or low)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected MIN..MAX, got {value!r}") from None
 
 
 def cmd_encode(args) -> int:
@@ -135,7 +136,7 @@ def cmd_transform(args) -> int:
     elif args.stage is not None:
         config_id = stage_config_ids[args.stage]
     else:
-        raise ValueError("provide --stage or --config-id")
+        raise DataError("provide --stage or --config-id")
     text = _read_input(args.input)
     options = pipeline.StageOptions(
         substitution_rate=args.rate,
@@ -172,8 +173,7 @@ def cmd_features(args) -> int:
         corpus.documents.append(styloscope.Document(id=args.candidate, text=text))
     if args.strip:
         corpus = corpus.stripped()
-    n_min, n_max = _parse_ngrams(args.ngrams)
-    vectors = styloscope.extract_feature_vectors(corpus, n_min, n_max)
+    vectors = styloscope.extract_feature_vectors(corpus, *args.ngrams)
     payload = {
         doc_id: {
             "char_ngram_tfidf": vec.char_ngram_tfidf,
@@ -323,7 +323,7 @@ def build_parser() -> _Parser:
     p = add("features", cmd_features, "extract lexical feature vectors as JSON")
     p.add_argument("--corpus", required=True)
     p.add_argument("--candidate", help="score an extra unlabeled document too")
-    p.add_argument("--ngrams", default="2..4", metavar="MIN..MAX")
+    p.add_argument("--ngrams", type=_parse_ngrams, default="2..4", metavar="MIN..MAX")
     p.add_argument("--strip", action="store_true")
 
     p = add("delta", cmd_delta, "Burrows' Delta of a candidate against a corpus")
@@ -351,24 +351,12 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except RuntimeError as exc:
-        # Backend and stage errors are RuntimeErrors.  Their modules are
-        # imported only here, so that commands which cannot raise them do
-        # not load them; a RuntimeError of any other kind propagates.
-        from .pipeline import StageError
-        from .transforms import BackendUnavailable
-
-        cause = exc.cause if isinstance(exc, StageError) else exc
-        if isinstance(cause, BackendUnavailable):
-            print(f"backend error: {exc}", file=sys.stderr)
-            return 3
-        if isinstance(exc, StageError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        raise
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (StylocloakError, OSError, UnicodeError, json.JSONDecodeError) as exc:
+        # Faults in the input, and files or text that cannot be read,
+        # decoded or encoded; anything else is a bug and propagates.
+        code = getattr(exc, "exit_code", 2)
+        print(f"{'backend error' if code == 3 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

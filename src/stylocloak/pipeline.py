@@ -33,12 +33,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import types
 import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from . import transforms, weaver
+from . import DataError, StylocloakError, transforms, weaver
 from .styloscope import Corpus, Document, fit_delta_reference, load_corpus, score_delta
 from .transforms import BackendSpec, StyleModel
 from .weaver import SecretOverflow
@@ -65,16 +66,17 @@ CONFIG_STAGES: dict[int, tuple[str, ...]] = {
 }
 
 
-class UnsupportedFormat(ValueError):
+class UnsupportedFormat(DataError):
     """Requested report format is not one of json/csv/markdown."""
 
 
-class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name and the cause."""
+class StageError(StylocloakError, RuntimeError):
+    """A stage failed on its input; carries the stage, the cause and its exit code."""
 
-    def __init__(self, stage: str, cause: BaseException):
+    def __init__(self, stage: str, cause: StylocloakError):
         self.stage = stage
         self.cause = cause
+        self.exit_code = cause.exit_code
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
@@ -87,7 +89,12 @@ class StageOptions:
     imitation_ratio: float = 0.25
     model_order: int = 3
     chain: tuple[str, ...] = ()
-    weave_strategy: str = "round_robin"
+
+    def __post_init__(self):
+        for name in ("substitution_rate", "imitation_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.id not in CONFIG_STAGES:
-            raise ValueError(f"config id must be 1..15, got {self.id}")
+            raise DataError(f"config id must be 1..15, got {self.id}")
 
     @property
     def stages(self) -> tuple[str, ...]:
@@ -117,23 +124,18 @@ def stage_seed(base_seed: int, config_id: int, stage: str) -> int:
 
 
 def apply_config(
-    text: str,
-    config: PipelineConfig,
-    imitation_source: str | None = None,
-    style_models: dict[tuple[str, int], StyleModel] | None = None,
+    text: str, config: PipelineConfig, imitation_source: str | None = None
 ) -> str:
     """Run the configured stages over the text in canonical order.
 
     The text is stripped of zero-width content on entry.  The imitation
     stage trains on ``imitation_source``, stripped, or on the stripped
-    ``text`` (not as translated) when that is None.  Passing the same
-    ``style_models`` dict to several calls trains each (source, order) model
-    once across them; a failed training is not stored.  An empty stage set
-    strips and changes nothing else.
+    ``text`` (not as translated) when that is None.  An empty stage set
+    strips and changes nothing else.  A stage that fails on its input raises
+    :class:`StageError`; any other exception is a bug and propagates as is.
     """
     text, _ = strip_zero_width(text)
-    models = {} if style_models is None else style_models
-    return _run_stages(text, config, imitation_source, models)
+    return _run_stages(text, config, imitation_source, {})
 
 
 def _run_stages(
@@ -142,7 +144,11 @@ def _run_stages(
     imitation_source: str | None,
     models: dict[tuple[str, int], StyleModel],
 ) -> str:
-    """:func:`apply_config` on a text that is already stripped."""
+    """:func:`apply_config` on a text that is already stripped.
+
+    ``models`` caches each (source, order) style model across calls; a
+    failed training is not stored.
+    """
     opts = config.options
     source = text if imitation_source is None else imitation_source
     for stage in config.stages:
@@ -168,10 +174,8 @@ def _run_stages(
                     text, seed, opts.substitution_rate, opts.punctuation_jitter
                 )
             elif stage == "steganography":
-                text = weaver.embed_into_text(
-                    text, config.payload, strategy=opts.weave_strategy
-                )
-        except Exception as exc:
+                text = weaver.embed_into_text(text, config.payload)
+        except StylocloakError as exc:
             raise StageError(stage, exc) from exc
     return text
 
@@ -373,7 +377,6 @@ _OPTION_TYPES = {
     "punctuation_jitter": bool,
     "imitation_ratio": float,
     "model_order": int,
-    "weave_strategy": str,
 }
 _TYPE_NAMES = {
     str: "a string",
@@ -404,13 +407,21 @@ def _check_keys(raw: dict, known: dict, where: str) -> None:
     """Reject a key missing from ``known`` or a value of the wrong type."""
     unknown = sorted(set(raw) - set(known))
     if unknown:
-        raise ValueError(f"unknown {where} key {unknown[0]!r} in run file")
+        raise DataError(f"unknown {where} key {unknown[0]!r} in run file")
     for key, value in raw.items():
         if not _has_type(value, known[key]):
-            raise ValueError(
+            raise DataError(
                 f"{where} key {key!r} in run file must be "
                 f"{_TYPE_NAMES[known[key]]}, got {_TYPE_NAMES[type(value)]}"
             )
+
+
+def _finite(token: str) -> float:
+    """A run-file number; ``NaN``, ``Infinity`` and overflowing ones are refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise DataError(f"run file number {token} is not finite")
+    return value
 
 
 def load_matrix_spec(path) -> MatrixSpec:
@@ -421,17 +432,26 @@ def load_matrix_spec(path) -> MatrixSpec:
     -> spec), options (StageOptions fields except chain), imitation_source
     (file).  Any other key, at the top level, in options or in a backend
     dict, or a value of another JSON type than ``_RUN_TYPES`` and
-    ``_OPTION_TYPES`` give, raises ValueError.
+    ``_OPTION_TYPES`` give, raises DataError; so do a missing corpus or
+    candidate and a number that is not finite (``NaN``, ``Infinity``,
+    ``1e999``).
     """
     path = Path(path)
-    raw = json.loads(read_text_file(path))
+    raw = json.loads(
+        read_text_file(path), parse_constant=_finite, parse_float=_finite
+    )
     if not isinstance(raw, dict):
-        raise ValueError("run file must hold a JSON object")
+        raise DataError("run file must hold a JSON object")
     _check_keys(raw, _RUN_TYPES, "top-level")
+    for key in ("corpus", "candidate"):
+        if key not in raw:
+            raise DataError(f"run file lacks the top-level key {key!r}")
     _check_keys(raw.get("options", {}), _OPTION_TYPES, "options")
     base = path.parent
 
     def resolve(p) -> Path:
+        if "\0" in p:  # every file system call refuses it with a ValueError
+            raise DataError("embedded null byte")
         p = Path(p)
         return p if p.is_absolute() else base / p
 

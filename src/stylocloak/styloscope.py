@@ -26,6 +26,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from . import DataError
 from .zwcodec import read_text_file, strip_zero_width
 
 _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
@@ -35,11 +36,11 @@ _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 SPECIAL_CHARS = frozenset(string.punctuation) | frozenset("∃Δ∞∀∅")
 
 
-class InvalidRange(ValueError):
+class InvalidRange(DataError):
     """An n-gram range with n_min < 1 or n_max < n_min."""
 
 
-class InsufficientCorpus(ValueError):
+class InsufficientCorpus(DataError):
     """The reference corpus cannot support a Delta computation."""
 
 
@@ -308,7 +309,7 @@ def fit_delta_reference(reference: Corpus, k: int = 50) -> DeltaReference:
     (concatenated subcorpora) are z-scored against those statistics.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise DataError("k must be >= 1")
     grouped = reference.by_author()
     if not grouped:
         raise InsufficientCorpus("reference corpus has no labeled authors")

@@ -24,6 +24,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, groupby
 
+from . import DataError, StylocloakError
 from .styloscope import default_function_words
 
 # Captured, so that split() keeps the words at the odd indices.
@@ -44,15 +45,17 @@ _SPEC_FIELD_TYPES = {
 }
 
 
-class BackendUnavailable(RuntimeError):
+class BackendUnavailable(StylocloakError, RuntimeError):
     """The external transform backend failed or returned garbage."""
+
+    exit_code = 3
 
 
 class Timeout(BackendUnavailable):
     """The external transform backend did not answer in time."""
 
 
-class CorpusTooSmall(ValueError):
+class CorpusTooSmall(DataError):
     """Style-model training text is not longer than the context order."""
 
 
@@ -66,24 +69,24 @@ class BackendSpec:
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind != "builtin" and not self.target:
-            raise ValueError(f"backend kind {self.kind!r} requires a target")
+            raise DataError(f"unknown backend kind {self.kind!r}")
+        if self.kind != "builtin" and not self.target.strip():
+            raise DataError(f"backend kind {self.kind!r} requires a target")
 
     @classmethod
     def parse(cls, value) -> "BackendSpec":
         """Read a spec: a dict of fields, ``builtin``, ``cmd:<command>`` or a URL.
 
-        A dict field of the wrong JSON type raises ValueError naming the key.
+        A dict field of the wrong JSON type raises DataError naming the key.
         """
         if isinstance(value, dict):
             unknown = sorted(set(value) - set(_SPEC_FIELD_TYPES))
             if unknown:
-                raise ValueError(f"unknown backend key {unknown[0]!r}")
+                raise DataError(f"unknown backend key {unknown[0]!r}")
             for key, item in value.items():
                 expected, name = _SPEC_FIELD_TYPES[key]
                 if isinstance(item, bool) or not isinstance(item, expected):
-                    raise ValueError(f"backend key {key!r} must be {name}, got {item!r}")
+                    raise DataError(f"backend key {key!r} must be {name}, got {item!r}")
             return cls(**value)
         if value == "builtin":
             return cls()
@@ -91,7 +94,7 @@ class BackendSpec:
             return cls(kind="external-command", target=value[4:])
         if isinstance(value, str) and value.startswith(("http://", "https://")):
             return cls(kind="http", target=value)
-        raise ValueError(f"cannot parse backend spec {value!r}")
+        raise DataError(f"cannot parse backend spec {value!r}")
 
 
 @lru_cache(maxsize=1)
@@ -184,7 +187,7 @@ def round_trip_translate(
     backend = backend or BackendSpec()
     if backend.kind != "builtin":
         if not chain:
-            raise ValueError("external translation requires a pivot chain")
+            raise DataError("external translation requires a pivot chain")
         return call_backend(backend, text, chain, seed)
     return _substitute(text, random.Random(seed), rate=1.0)
 
@@ -197,7 +200,10 @@ def call_backend(
     A command backend gets the request on stdin and must print {"text": ...}
     on stdout; an HTTP backend gets a POST and must answer 200 with the same
     shape.  Anything else raises BackendUnavailable (or Timeout), and the
-    caller must abort the stage rather than pass the input through.
+    caller must abort the stage rather than pass the input through.  A
+    target or timeout that the client refuses (an unbalanced quote, a NUL
+    byte, no URL scheme, a timeout out of range) raises DataError with the
+    client's message.
     """
     request = json.dumps({"text": text, "chain": list(chain), "seed": seed})
     # Each branch imports its own client, so that only a run that calls an
@@ -217,6 +223,8 @@ def call_backend(
             raise Timeout(f"command backend exceeded {backend.timeout}s") from exc
         except OSError as exc:
             raise BackendUnavailable(f"cannot run backend command: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise DataError(str(exc)) from exc
         if proc.returncode != 0:
             raise BackendUnavailable(
                 f"backend command exited {proc.returncode}: "
@@ -224,15 +232,16 @@ def call_backend(
             )
         raw = proc.stdout
     elif backend.kind == "http":
+        import http.client
         import urllib.error
         import urllib.request
 
-        req = urllib.request.Request(
-            backend.target,
-            data=request.encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
         try:
+            req = urllib.request.Request(
+                backend.target,
+                data=request.encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
             with urllib.request.urlopen(req, timeout=backend.timeout) as resp:
                 if resp.status != 200:
                     raise BackendUnavailable(f"backend returned HTTP {resp.status}")
@@ -243,12 +252,17 @@ def call_backend(
             if isinstance(getattr(exc, "reason", None), TimeoutError):
                 raise Timeout(f"http backend exceeded {backend.timeout}s") from exc
             raise BackendUnavailable(f"http backend unreachable: {exc}") from exc
+        except (ValueError, OverflowError, http.client.InvalidURL) as exc:
+            raise DataError(str(exc)) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendUnavailable(f"http backend failed: {exc}") from exc
     else:
         raise BackendUnavailable("builtin backend has no external contract")
     try:
         reply = json.loads(raw.decode("utf-8"))
         result = reply["text"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    # UnicodeDecodeError is a ValueError; TypeError is a reply that is no object.
+    except (ValueError, KeyError, TypeError) as exc:
         raise BackendUnavailable(f"backend reply is not {{'text': ...}}: {exc}") from exc
     if not isinstance(result, str):
         raise BackendUnavailable("backend reply 'text' is not a string")
@@ -276,7 +290,7 @@ class StyleModel:
 def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
     """Count overlapping character windows and normalize to distributions."""
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise DataError("order must be >= 1")
     size = len(corpus_text)
     if size <= order:
         raise CorpusTooSmall(

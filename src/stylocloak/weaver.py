@@ -16,7 +16,7 @@ import re
 import warnings
 from functools import cache
 
-from . import zwcodec
+from . import DataError, zwcodec
 from .zwcodec import POINT_PATTERN, MalformedStream
 
 _FIRST_WORD = re.compile(r"\S+")
@@ -24,11 +24,11 @@ _FIRST_WORD = re.compile(r"\S+")
 STRATEGIES = ("round_robin", "after_first")
 
 
-class EmptyWord(ValueError):
+class EmptyWord(DataError):
     """The carrier word has no visible code point to anchor the payload."""
 
 
-class ContaminatedWord(ValueError):
+class ContaminatedWord(DataError):
     """The carrier word already holds zero-width alphabet code points."""
 
 
@@ -67,7 +67,7 @@ def weave_into_unigram(
             "strip it first"
         )
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        raise DataError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
     if word.isascii() and "\r" not in word:
         # No ASCII character joins its neighbour except CR before LF, so

@@ -21,13 +21,15 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
+from . import DataError
+
 BIT0 = "​"  # ZERO WIDTH SPACE
 BIT1 = "‌"  # ZERO WIDTH NON-JOINER
 SEP = "‍"   # ZERO WIDTH JOINER, delimits letters
 END = "﻿"   # ZERO WIDTH NO-BREAK SPACE, terminates a stream
 
 
-class UnsupportedCharacter(ValueError):
+class UnsupportedCharacter(DataError):
     """A character outside A-Z (after uppercasing) was given in strict mode."""
 
     def __init__(self, position: int, char: str):
@@ -38,7 +40,7 @@ class UnsupportedCharacter(ValueError):
         )
 
 
-class MalformedStream(ValueError):
+class MalformedStream(DataError):
     """A zero-width stream could not be decoded."""
 
 

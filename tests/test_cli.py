@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from stylocloak import cli, pipeline, styloscope, weaver, zwcodec
+from stylocloak import (
+    StylocloakError,
+    cli,
+    pipeline,
+    styloscope,
+    transforms,
+    weaver,
+    zwcodec,
+)
 from stylocloak.cli import build_parser, dispatch
 from stylocloak.pipeline import CONFIG_STAGES, PipelineConfig
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
@@ -616,6 +624,145 @@ def test_usage_error_exits_1(capsys):
     assert dispatch(["weave"]) == 1  # missing required --word
     capsys.readouterr()
     assert dispatch([]) == 1
+
+
+#: A command backend that answers a JSON list instead of an object.
+LIST_REPLY = f'cmd:{sys.executable} -c "print([1])"'
+
+
+# Each case gives a command, its run file (a dict over a config-2 run, or raw
+# text), its exit code, the last line of its stderr and, for a config that
+# aborts, the report's error.
+@pytest.mark.parametrize(
+    "argv, run_json, code, last_line, errors",
+    [
+        (["matrix", "--config", "run.json"], {"corpus": None}, 2,
+         "error: run file lacks the top-level key 'corpus'", None),
+        (["matrix", "--config", "run.json"], {"candidate": None}, 2,
+         "error: run file lacks the top-level key 'candidate'", None),
+        (["matrix", "--config", "run.json"], "{not json", 2,
+         "error: Expecting property name enclosed in double quotes: line 1 column 2 "
+         "(char 1)", None),
+        (["scan", "latin1.txt"], None, 2,
+         "error: 'utf-8' codec can't decode byte 0xe9 in position 3: invalid "
+         "continuation byte", None),
+        (["delta", "--corpus", "corpus", "--candidate", "candidate.txt", "--k", "0"],
+         None, 2, "error: k must be >= 1", None),
+        (["transform", "candidate.txt", "--config-id", "99"], None, 2,
+         "error: config id must be 1..15, got 99", None),
+        (["transform", "candidate.txt", "--stage", "translation",
+          "--backend", "cmd:foo 'bar", "--chain", "de"], None, 2,
+         "error: stage 'translation' failed: No closing quotation", None),
+        (["matrix", "--config", "run.json"],
+         {"chain": ["de"], "backends": {"translation": {"kind": "http",
+                                                        "target": "notaurl"}}},
+         0, "", "unknown url type: 'notaurl'"),
+        (["matrix", "--config", "run.json"],
+         {"chain": ["de"], "backends": {"translation": "cmd:foo\0bar"}},
+         0, "", "embedded null byte"),
+        (["weave", "--word", "ab\udcff", "--message", "A"], None, 2,
+         "error: 'utf-8' codec can't encode character '\\udcff' in position 4: "
+         "surrogates not allowed", None),
+        (["features", "--corpus", "corpus", "--ngrams", "2..x"], None, 1,
+         "stylocloak features: error: argument --ngrams: expected MIN..MAX, "
+         "got '2..x'", None),
+        (["matrix", "--config", "run.json"], {"options": {"weave_strategy": "x"}}, 2,
+         "error: unknown options key 'weave_strategy' in run file", None),
+        (["matrix", "--config", "run.json"],
+         '{"corpus": "corpus", "candidate": "candidate.txt", '
+         '"options": {"imitation_ratio": NaN}}', 2,
+         "error: run file number NaN is not finite", None),
+        (["transform", "candidate.txt", "--stage", "imitation",
+          "--imitation-ratio", "inf"], None, 2,
+         "error: imitation_ratio must be finite, got inf", None),
+        (["transform", "candidate.txt", "--stage", "translation",
+          "--backend", "cmd: ", "--chain", "de"], None, 2,
+         "error: backend kind 'external-command' requires a target", None),
+        (["transform", "candidate.txt", "--stage", "translation",
+          "--backend", LIST_REPLY, "--chain", "de"], None, 3,
+         "backend error: stage 'translation' failed: backend reply is not "
+         "{'text': ...}: list indices must be integers or slices, not str", None),
+    ],
+    ids=[
+        "run-file-without-corpus", "run-file-without-candidate", "run-file-not-json",
+        "non-utf8-input", "delta-k-0", "config-id-99", "unbalanced-quote", "http-notaurl",
+        "nul-in-command", "unencodable-word", "malformed-ngrams",
+        "weave-strategy-key", "nan-in-run-file", "infinite-imitation-ratio",
+        "empty-command", "list-reply",
+    ],
+)
+def test_exit_code_and_message(
+    capsys, tmp_path, monkeypatch, argv, run_json, code, last_line, errors
+):
+    write_corpus(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes("caf\u00e9\n".encode("latin-1"))
+    if isinstance(run_json, dict):
+        raw = {"corpus": "corpus", "candidate": "candidate.txt", "configs": [2],
+               "k": 30, **run_json}
+        run_json = json.dumps({k: v for k, v in raw.items() if v is not None})
+    if run_json is not None:
+        (tmp_path / "run.json").write_text(run_json, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert (err.splitlines() or [""])[-1] == last_line
+    if code != 1:
+        assert len(err.splitlines()) <= 1
+    if errors is not None:
+        assert [e["error"] for e in json.loads(out)["errors"]] == [errors]
+
+
+@pytest.mark.parametrize("command", ["matrix", "transform"])
+def test_a_bug_in_a_stage_propagates(capsys, tmp_path, monkeypatch, command):
+    def broken(*args):
+        raise TypeError("a bug in a stage")
+
+    write_corpus(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [3], "k": 30,
+    }), encoding="utf-8")
+    monkeypatch.setattr(transforms, "obfuscate", broken)
+    argv = {
+        "matrix": ["matrix", "--config", str(tmp_path / "run.json")],
+        "transform": ["transform", str(tmp_path / "candidate.txt"),
+                      "--stage", "obfuscation"],
+    }[command]
+    with pytest.raises(TypeError, match="a bug"):
+        dispatch(argv)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_a_bug_in_a_handler_propagates(capsys, tmp_path, monkeypatch, error):
+    def broken(args):
+        raise error("a bug, not a data error")
+
+    monkeypatch.setattr(cli, "cmd_scan", broken)
+    with pytest.raises(error, match="a bug"):
+        dispatch(["scan", str(tmp_path / "unread.txt")])
+    assert capsys.readouterr().err == ""
+
+
+def test_every_exception_class_is_a_stylocloak_error_or_warning():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import stylocloak
+
+    modules = [stylocloak] + [
+        importlib.import_module(f"stylocloak.{info.name}")
+        for info in pkgutil.iter_modules(stylocloak.__path__)
+    ]
+    classes = [
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and issubclass(cls, BaseException)
+    ]
+    assert len(classes) >= 10
+    for cls in classes:
+        assert issubclass(cls, (StylocloakError, Warning)), cls
 
 
 # --- import budget: a command loads only the modules it runs -----------------

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from stylocloak import pipeline, transforms, weaver, zwcodec
+from stylocloak import DataError, pipeline, transforms, weaver, zwcodec
 from stylocloak.pipeline import (
     CANONICAL_ORDER,
     CONFIG_STAGES,
@@ -148,6 +148,25 @@ def test_stage_error_carries_stage_name():
         apply_config(SAMPLE, config)
     assert exc.value.stage == "translation"
     assert isinstance(exc.value.cause, transforms.BackendUnavailable)
+
+
+def test_a_bug_in_a_stage_is_not_a_stage_error(monkeypatch):
+    def broken(*args):
+        raise TypeError("a bug in a stage")
+
+    monkeypatch.setattr(transforms, "obfuscate", broken)
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    with pytest.raises(TypeError, match="a bug"):
+        apply_config(SAMPLE, PipelineConfig(id=3))
+    with pytest.raises(TypeError, match="a bug"):
+        run_matrix(candidate, small_reference(), [PipelineConfig(id=3)], k=30)
+
+
+@pytest.mark.parametrize("field", ["substitution_rate", "imitation_ratio"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_stage_options_refuse_a_non_finite_rate(field, value):
+    with pytest.raises(DataError, match=f"{field} must be finite"):
+        StageOptions(**{field: value})
 
 
 def test_imitation_appends_styled_text():
@@ -476,6 +495,15 @@ def test_load_matrix_spec_keeps_crlf(tmp_path):
     report = run_matrix(spec.candidate, spec.reference, list(spec.configs), k=spec.k)
     expected = hashlib.sha256((tmp_path / "candidate.txt").read_bytes()).hexdigest()
     assert report.metadata["candidate_hash"] == expected
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_matrix_spec_refuses_a_non_finite_number(tmp_path, number):
+    run_file = write_run_dir(tmp_path)
+    text = run_file.read_text(encoding="utf-8").replace("0.4", number)
+    run_file.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"run file number {number} is not finite"):
+        load_matrix_spec(run_file)
 
 
 def test_run_file_options_are_the_stage_options_except_chain():
