@@ -11,6 +11,7 @@ U+XXXX for terminals that mangle invisibles.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
@@ -49,6 +50,22 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _warn(message) -> None:
+    """The one way a command reports something it did not stop for."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _warned(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, each warning it raises printed by :func:`_warn`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", zwcodec.DroppedCharacters)
+        warnings.simplefilter("always", SecretOverflow)
+        result = call(*args, **kwargs)
+    for warning in caught:
+        _warn(warning.message)
+    return result
+
+
 def _message_from(args) -> str:
     if getattr(args, "payload_file", None):
         return zwcodec.read_text_file(args.payload_file).strip()
@@ -66,7 +83,8 @@ def _parse_ngrams(value: str) -> tuple[int, int]:
 
 
 def cmd_encode(args) -> int:
-    stream = zwcodec.encode_message(_message_from(args), strict=not args.lenient)
+    message = _message_from(args)
+    stream = _warned(zwcodec.encode_message, message, strict=not args.lenient)
     sys.stdout.write(_escape(stream) if args.escaped else stream)
     sys.stdout.write("\n")
     return 0
@@ -97,7 +115,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_weave(args) -> int:
-    stream = zwcodec.encode_message(_message_from(args), strict=not args.lenient)
+    message = _message_from(args)
+    stream = _warned(zwcodec.encode_message, message, strict=not args.lenient)
     woven = weaver.weave_into_unigram(args.word, stream, args.strategy)
     sys.stdout.write(_escape(woven) if args.escaped else woven)
     sys.stdout.write("\n")
@@ -106,13 +125,9 @@ def cmd_weave(args) -> int:
 
 def cmd_embed_lines(args) -> int:
     text = _read_input(args.input)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SecretOverflow)
-        result = weaver.embed_into_text(
-            text, _message_from(args), strategy=args.strategy
-        )
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    result = _warned(
+        weaver.embed_into_text, text, _message_from(args), strategy=args.strategy
+    )
     _write_output(args, result)
     return 0
 
@@ -164,6 +179,21 @@ def cmd_transform(args) -> int:
     return 0
 
 
+def _feature_json(doc_id: str, vec) -> str:
+    """One ``"doc id": {vector}`` member of the ``features`` JSON object."""
+    payload = {
+        "char_ngram_tfidf": vec.char_ngram_tfidf,
+        "special_char_tfidf": vec.special_char_tfidf,
+        "function_word_freq": vec.function_word_freq,
+        "avg_chars_per_token": vec.avg_chars_per_token,
+        "token_length_histogram": {
+            str(k): v for k, v in vec.token_length_histogram.items()
+        },
+        "vocab_richness": vec.vocab_richness,
+    }
+    return json.dumps(doc_id) + ": " + json.dumps(payload, sort_keys=True)
+
+
 def cmd_features(args) -> int:
     from . import styloscope
 
@@ -173,26 +203,21 @@ def cmd_features(args) -> int:
         corpus.documents.append(styloscope.Document(id=args.candidate, text=text))
     if args.strip:
         corpus = corpus.stripped()
-    vectors = styloscope.extract_feature_vectors(corpus, *args.ngrams)
-    payload = {
-        doc_id: {
-            "char_ngram_tfidf": vec.char_ngram_tfidf,
-            "special_char_tfidf": vec.special_char_tfidf,
-            "function_word_freq": vec.function_word_freq,
-            "avg_chars_per_token": vec.avg_chars_per_token,
-            "token_length_histogram": {
-                str(k): v for k, v in vec.token_length_histogram.items()
-            },
-            "vocab_richness": vec.vocab_richness,
-        }
-        for doc_id, vec in vectors.items()
-    }
-    print(json.dumps(payload, sort_keys=True))
+    # The bytes of json.dumps(payload, sort_keys=True), written one document
+    # at a time so that neither every vector nor the whole text is held at
+    # once.  The sort is stable: a repeated id keeps its last document.
+    corpus.documents.sort(key=lambda doc: doc.id)
+    vectors = styloscope.iter_feature_vectors(corpus, *args.ngrams)
+    members = itertools.starmap(_feature_json, vectors)
+    sys.stdout.write("{")
+    for i, member in enumerate(members):
+        sys.stdout.write(", " + member if i else member)
+    sys.stdout.write("}\n")
     return 0
 
 
 def cmd_delta(args) -> int:
-    from . import pipeline, styloscope
+    from . import styloscope
 
     corpus = styloscope.load_corpus(args.corpus)
     paths = {"candidate": args.candidate}
@@ -220,6 +245,8 @@ def cmd_delta(args) -> int:
                 )
             )
         return 0
+    from . import pipeline  # only the table formats need render_table
+
     columns = [("author", "Author", "")]
     records = [{"author": author} for author in sorted(reports["candidate"].deltas)]
     for name, report in reports.items():
@@ -248,8 +275,7 @@ def cmd_matrix(args) -> int:
         imitation_source=spec.imitation_source,
     )
     for note in report.warnings:
-        overflow = SecretOverflow(note["dropped"])
-        print(f"warning: config {note['config']}: {overflow}", file=sys.stderr)
+        _warn(f"config {note['config']}: {SecretOverflow(note['dropped'])}")
     rendered = pipeline.emit_report(report, args.format)
     if args.output and args.output != "-":
         zwcodec.write_text_file(args.output, rendered)

@@ -433,13 +433,15 @@ def load_matrix_spec(path) -> MatrixSpec:
     (file).  Any other key, at the top level, in options or in a backend
     dict, or a value of another JSON type than ``_RUN_TYPES`` and
     ``_OPTION_TYPES`` give, raises DataError; so do a missing corpus or
-    candidate and a number that is not finite (``NaN``, ``Infinity``,
-    ``1e999``).
+    candidate, a number that is not finite (``NaN``, ``Infinity``,
+    ``1e999``) and nesting deeper than the JSON parser's recursion limit.
     """
     path = Path(path)
-    raw = json.loads(
-        read_text_file(path), parse_constant=_finite, parse_float=_finite
-    )
+    text = read_text_file(path)
+    try:
+        raw = json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except RecursionError:
+        raise DataError("run file nests deeper than the JSON parser allows") from None
     if not isinstance(raw, dict):
         raise DataError("run file must hold a JSON object")
     _check_keys(raw, _RUN_TYPES, "top-level")

@@ -15,12 +15,12 @@ who sanitizes input first measures :meth:`Corpus.stripped` or
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
 import string
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -99,6 +99,9 @@ class Corpus:
         return Corpus([doc.stripped() for doc in self.documents])
 
     def content_hash(self) -> str:
+        # hashlib maps OpenSSL: only digests pay for it, not every feature run
+        import hashlib
+
         digest = hashlib.sha256()
         for doc in sorted(self.documents, key=lambda d: d.id):
             digest.update(doc.id.encode("utf-8"))
@@ -126,20 +129,46 @@ def load_corpus(root) -> Corpus:
     return Corpus(documents)
 
 
-def _tfidf(per_doc_counts: dict[str, Counter], n_docs: int) -> dict[str, dict[str, float]]:
-    """count(term, doc) * ln(N / df(term)); zero weights are omitted."""
+def _tfidf(
+    per_doc_counts: dict[str, Counter], n_docs: int
+) -> Iterator[tuple[str, dict[str, float]]]:
+    """count(term, doc) * ln(N / df(term)), one document at a time.
+
+    Zero weights are omitted.  Each document's counts are popped from
+    ``per_doc_counts`` as its weights are built, so counts and weights of
+    every document are never held at once.
+    """
     df: Counter = Counter()
     for counts in per_doc_counts.values():
         df.update(counts.keys())
-    vectors = {}
-    for doc_id, counts in per_doc_counts.items():
-        vec = {}
-        for term, count in counts.items():
-            idf = math.log(n_docs / df[term])
-            if idf > 0.0:
-                vec[term] = count * idf
-        vectors[doc_id] = vec
-    return vectors
+    idf = {term: w for term, d in df.items() if (w := math.log(n_docs / d)) > 0.0}
+    del df
+    for doc_id in list(per_doc_counts):
+        counts = per_doc_counts.pop(doc_id)
+        yield doc_id, {t: c * idf[t] for t, c in counts.items() if t in idf}
+
+
+def _char_ngram_counts(corpus: Corpus, n_min: int, n_max: int) -> dict[str, Counter]:
+    if n_min < 1 or n_max < n_min:
+        raise InvalidRange(f"invalid n-gram range [{n_min}, {n_max}]")
+    if not corpus.documents:
+        raise InsufficientCorpus("empty corpus")
+    per_doc = {}
+    for doc in corpus.documents:
+        text = doc.text.lower()
+        counts: Counter = Counter()
+        for n in range(n_min, n_max + 1):
+            slices = map(slice, range(len(text) - n + 1), range(n, len(text) + 1))
+            counts.update(map(text.__getitem__, slices))
+        per_doc[doc.id] = counts
+    return per_doc
+
+
+def _special_char_counts(corpus: Corpus) -> dict[str, Counter]:
+    return {
+        doc.id: Counter(filter(SPECIAL_CHARS.__contains__, doc.text))
+        for doc in corpus.documents
+    }
 
 
 def char_ngram_tfidf(
@@ -152,27 +181,13 @@ def char_ngram_tfidf(
     N-grams are drawn from the unsegmented text, spaces included, so they
     capture spelling quirks and inter-word transitions alike.
     """
-    if n_min < 1 or n_max < n_min:
-        raise InvalidRange(f"invalid n-gram range [{n_min}, {n_max}]")
-    if not corpus.documents:
-        raise InsufficientCorpus("empty corpus")
-    per_doc = {}
-    for doc in corpus.documents:
-        text = doc.text.lower()
-        counts: Counter = Counter()
-        for n in range(n_min, n_max + 1):
-            for i in range(len(text) - n + 1):
-                counts[text[i : i + n]] += 1
-        per_doc[doc.id] = counts
-    return _tfidf(per_doc, len(corpus.documents))
+    counts = _char_ngram_counts(corpus, n_min, n_max)
+    return dict(_tfidf(counts, len(corpus.documents)))
 
 
 def special_char_tfidf(corpus: Corpus) -> dict[str, dict[str, float]]:
     """TF-IDF over single characters from :data:`SPECIAL_CHARS`."""
-    per_doc = {}
-    for doc in corpus.documents:
-        per_doc[doc.id] = Counter(c for c in doc.text if c in SPECIAL_CHARS)
-    return _tfidf(per_doc, len(corpus.documents))
+    return dict(_tfidf(_special_char_counts(corpus), len(corpus.documents)))
 
 
 def function_word_frequencies(doc: Document) -> dict[str, float]:
@@ -225,26 +240,49 @@ class FeatureVector:
     vocab_richness: float
 
 
+def _feature_vector(doc: Document, ngram_vec, special_vec) -> FeatureVector:
+    avg, histogram = token_length_stats(doc)
+    return FeatureVector(
+        char_ngram_tfidf=ngram_vec,
+        special_char_tfidf=special_vec,
+        function_word_freq=function_word_frequencies(doc),
+        avg_chars_per_token=avg,
+        token_length_histogram=histogram,
+        vocab_richness=vocabulary_richness(doc),
+    )
+
+
+def iter_feature_vectors(
+    corpus: Corpus,
+    n_min: int = 2,
+    n_max: int = 4,
+) -> Iterator[tuple[str, FeatureVector]]:
+    """The full feature battery, one ``(doc id, vector)`` at a time.
+
+    Every document is counted before this returns, so a bad range raises
+    here.  Each vector is weighted only when it is asked for, so a consumer
+    that lets each one go holds the counts not yet weighted plus at most two
+    documents' weights, never every vector.  Ids come in corpus order; an
+    id that repeats keeps its first place and its last document, as a dict
+    built from the corpus would.
+    """
+    n_docs = len(corpus.documents)
+    ngrams = _tfidf(_char_ngram_counts(corpus, n_min, n_max), n_docs)
+    specials = _tfidf(_special_char_counts(corpus), n_docs)
+    documents = {doc.id: doc for doc in corpus.documents}
+    return (
+        (doc_id, _feature_vector(documents[doc_id], ngram_vec, special_vec))
+        for (doc_id, ngram_vec), (_, special_vec) in zip(ngrams, specials)
+    )
+
+
 def extract_feature_vectors(
     corpus: Corpus,
     n_min: int = 2,
     n_max: int = 4,
 ) -> dict[str, FeatureVector]:
     """Compute the full feature battery for every document in the corpus."""
-    ngrams = char_ngram_tfidf(corpus, n_min, n_max)
-    specials = special_char_tfidf(corpus)
-    vectors = {}
-    for doc in corpus.documents:
-        avg, histogram = token_length_stats(doc)
-        vectors[doc.id] = FeatureVector(
-            char_ngram_tfidf=ngrams[doc.id],
-            special_char_tfidf=specials[doc.id],
-            function_word_freq=function_word_frequencies(doc),
-            avg_chars_per_token=avg,
-            token_length_histogram=histogram,
-            vocab_richness=vocabulary_richness(doc),
-        )
-    return vectors
+    return dict(iter_feature_vectors(corpus, n_min, n_max))
 
 
 @dataclass(frozen=True)

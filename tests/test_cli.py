@@ -399,6 +399,67 @@ def test_features_json_output(capsys, tmp_path):
     }
 
 
+#: sha256 of ``features --corpus corpus --candidate candidate.txt`` stdout on
+#: the ``make_demo.py --seed 1`` workspace, by ``--ngrams`` value.  Any change
+#: to a feature value or to the JSON layout changes these.
+GOLDEN_FEATURES_SHA256 = {
+    "2..4": "ef2afcfde3282c78552f1780ccd6746d42192db94e181554ad4521cbe7ba6435",
+    "1..3": "bd4a05e2fb62f6d96fbb3cd0540c6e0a3a11d4bb45169558f18a65e4dd1f95f7",
+}
+
+
+@pytest.fixture(scope="module")
+def demo_workspace(tmp_path_factory):
+    dest = tmp_path_factory.mktemp("demo")
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_demo.py"), str(dest), "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        check=True,
+        capture_output=True,
+    )
+    return dest
+
+
+@pytest.mark.parametrize("ngrams", sorted(GOLDEN_FEATURES_SHA256))
+def test_features_output_matches_golden_hash(capsys, monkeypatch, demo_workspace, ngrams):
+    monkeypatch.chdir(demo_workspace)
+    code, out, err = run(capsys, "features", "--corpus", "corpus",
+                         "--candidate", "candidate.txt", "--ngrams", ngrams)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_FEATURES_SHA256[ngrams]
+
+
+def test_features_writes_the_json_of_every_vector_a_repeated_id_last(
+    capsys, monkeypatch, tmp_path
+):
+    corpus_dir, _ = write_corpus(tmp_path)
+    monkeypatch.chdir(corpus_dir)
+    # The candidate's id is its path, the same id as the corpus document.
+    code, out, _ = run(capsys, "features", "--corpus", ".",
+                       "--candidate", "ashford/ashford_00.txt", "--ngrams", "1..2")
+    assert code == 0
+    reference = styloscope.load_corpus(".")
+    twin = reference.documents[0]
+    reference.documents.append(styloscope.Document(twin.id, twin.text))
+    vectors = styloscope.extract_feature_vectors(reference, 1, 2)
+    assert len(vectors) == len(reference.documents) - 1
+    payload = {
+        doc_id: {
+            "char_ngram_tfidf": vec.char_ngram_tfidf,
+            "special_char_tfidf": vec.special_char_tfidf,
+            "function_word_freq": vec.function_word_freq,
+            "avg_chars_per_token": vec.avg_chars_per_token,
+            "token_length_histogram": {
+                str(k): v for k, v in vec.token_length_histogram.items()
+            },
+            "vocab_richness": vec.vocab_richness,
+        }
+        for doc_id, vec in vectors.items()
+    }
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
 def test_delta_json_output(capsys, tmp_path):
     corpus_dir, candidate = write_corpus(tmp_path)
     code, out, _ = run(capsys, "delta", "--corpus", str(corpus_dir),
@@ -540,6 +601,34 @@ def test_matrix_prints_payload_overflow_to_stderr(capsys, tmp_path):
         {"config": 8, "stage": "steganography", "dropped": 2}
     ]
     assert err == "warning: config 8: 2 secret letter(s) exceeded the carrier line count\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--message", "A1B", "--lenient"],
+        ["weave", "--word", "hello", "--message", "A1B", "--lenient"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_lenient_commands_print_dropped_characters_as_one_warning_line(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "stylocloak.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        encoding="utf-8",
+    )
+    assert done.returncode == 0
+    assert done.stderr == "warning: dropped 1 unsupported character(s)\n"
+
+
+def test_deeply_nested_run_file_is_data_error(capsys, tmp_path):
+    run_file = tmp_path / "run.json"
+    run_file.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert (code, out) == (2, "")
+    assert err == "error: run file nests deeper than the JSON parser allows\n"
 
 
 def test_matrix_unknown_run_file_key_is_data_error(capsys, tmp_path):
@@ -779,13 +868,13 @@ HEAVY_MODULES = (
 )
 
 
-def modules_loaded_by(statement, cwd):
-    """The ``HEAVY_MODULES`` that ``statement`` loads in a fresh interpreter."""
+def modules_loaded_by(statement, cwd, heavy=HEAVY_MODULES):
+    """The ``heavy`` modules that ``statement`` loads in a fresh interpreter."""
     script = "\n".join([
         "import json, sys",
         "before = set(sys.modules)",
         statement,
-        f"heavy = {HEAVY_MODULES!r}",
+        f"heavy = {heavy!r}",
         "loaded = [m for m in heavy if m in sys.modules and m not in before]",
         "print(json.dumps(loaded), file=sys.stderr)",
     ])
@@ -836,6 +925,27 @@ def test_codec_commands_load_no_command_module(tmp_path, argv):
         f"if dispatch({argv!r}) != 0: raise SystemExit('command failed')"
     )
     assert modules_loaded_by(statement, tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["features", "--corpus", "corpus", "--candidate", "candidate.txt"],
+        ["delta", "--corpus", "corpus", "--candidate", "candidate.txt", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_scoring_commands_load_neither_pipeline_nor_hashlib(tmp_path, argv):
+    write_corpus(tmp_path)
+    statement = (
+        "import contextlib, io\n"
+        "from stylocloak.cli import dispatch\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = dispatch({argv!r})\n"
+        "if code != 0: raise SystemExit('command failed')"
+    )
+    heavy = ("stylocloak.pipeline", "stylocloak.transforms", "hashlib")
+    assert modules_loaded_by(statement, tmp_path, heavy) == []
 
 
 # --- documentation -------------------------------------------------------------

@@ -1,14 +1,16 @@
 import math
 import random
 import string
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracle_delta import oracle_burrows_delta
 from stylocloak import zwcodec
 from stylocloak.styloscope import (
+    SPECIAL_CHARS,
     Corpus,
     Document,
     InsufficientCorpus,
@@ -19,6 +21,7 @@ from stylocloak.styloscope import (
     default_function_words,
     extract_feature_vectors,
     function_word_frequencies,
+    iter_feature_vectors,
     load_corpus,
     special_char_tfidf,
     token_length_stats,
@@ -97,6 +100,91 @@ def test_special_char_tfidf_hand_value():
 def test_special_char_in_every_document_weighs_zero():
     vectors = special_char_tfidf(corpus("a!", "b!"))
     assert vectors["d0"] == {} and vectors["d1"] == {}
+
+
+def oracle_tfidf(documents, terms_of):
+    """TF-IDF the slow way: one count per term seen, one ``math.log`` per (doc, term).
+
+    A repeated document id keeps its last document, while N counts every
+    document.
+    """
+    per_doc = {}
+    for document in documents:
+        counts = Counter()
+        for term in terms_of(document.text):
+            counts[term] += 1
+        per_doc[document.id] = counts
+    df = Counter()
+    for counts in per_doc.values():
+        df.update(counts.keys())
+    vectors = {}
+    for doc_id, counts in per_doc.items():
+        vec = {}
+        for term, count in counts.items():
+            idf = math.log(len(documents) / df[term])
+            if idf > 0.0:
+                vec[term] = count * idf
+        vectors[doc_id] = vec
+    return vectors
+
+
+def oracle_ngrams(n_min, n_max):
+    def terms_of(text):
+        text = text.lower()
+        for n in range(n_min, n_max + 1):
+            for i in range(len(text) - n + 1):
+                yield text[i : i + n]
+
+    return terms_of
+
+
+def oracle_specials(text):
+    return (c for c in text if c in SPECIAL_CHARS)
+
+
+# ASCII, symbols counted as special, and non-ASCII letters; "İ" lowercases
+# to two code points.
+tfidf_texts = st.text(alphabet="abAB !?.,'-\néßİΔ∞ж中😀", max_size=12)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from("xyz"), tfidf_texts), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=4),
+)
+@example([("x", ""), ("y", "a")], 1, 4)
+@example([("x", "ab!"), ("y", "cd?"), ("x", "Ab ?")], 1, 0)
+def test_tfidf_matches_naive_oracle(docs, n_min, span):
+    n_max = min(n_min + span, 5)
+    documents = [Document(doc_id, text) for doc_id, text in docs]
+    reference = Corpus(documents)
+    ngrams = char_ngram_tfidf(reference, n_min, n_max)
+    specials = special_char_tfidf(reference)
+    expected_ngrams = oracle_tfidf(documents, oracle_ngrams(n_min, n_max))
+    expected_specials = oracle_tfidf(documents, oracle_specials)
+    assert ngrams == expected_ngrams and list(ngrams) == list(expected_ngrams)
+    assert specials == expected_specials
+    vectors = list(iter_feature_vectors(reference, n_min, n_max))
+    assert [doc_id for doc_id, _ in vectors] == list(expected_ngrams)
+    for doc_id, vector in vectors:
+        assert vector.char_ngram_tfidf == expected_ngrams[doc_id]
+        assert vector.special_char_tfidf == expected_specials[doc_id]
+
+
+def test_repeated_id_keeps_its_first_place_and_last_document():
+    last = doc("The cat sat; the mat!", doc_id="a/1.txt")
+    reference = Corpus([doc("of of of", doc_id="a/1.txt"), doc("b b", doc_id="b"), last])
+    vectors = extract_feature_vectors(reference, 1, 3)
+    assert list(vectors) == ["a/1.txt", "b"]
+    assert vectors["a/1.txt"].function_word_freq == function_word_frequencies(last)
+    assert vectors["a/1.txt"].char_ngram_tfidf == oracle_tfidf(
+        reference.documents, oracle_ngrams(1, 3)
+    )["a/1.txt"]
+
+
+def test_feature_iterator_checks_the_range_before_it_is_read():
+    with pytest.raises(InvalidRange):
+        iter_feature_vectors(corpus("ab"), 3, 2)
 
 
 # --- per-document features ---------------------------------------------------
