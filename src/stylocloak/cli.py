@@ -19,7 +19,6 @@ import warnings
 # pipeline, styloscope and transforms are imported by the handlers that run
 # them, so that a command loads only the modules it uses.
 from . import DataError, StylocloakError, weaver, zwcodec
-from .weaver import SecretOverflow
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,20 +49,12 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _warn(message) -> None:
-    """The one way a command reports something it did not stop for."""
+def _warn(message, *_) -> None:
+    """The one way a command reports something it did not stop for.
+
+    It is ``warnings.showwarning`` while :func:`dispatch` runs a handler.
+    """
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _warned(call, *args, **kwargs):
-    """``call(*args, **kwargs)``, each warning it raises printed by :func:`_warn`."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", zwcodec.DroppedCharacters)
-        warnings.simplefilter("always", SecretOverflow)
-        result = call(*args, **kwargs)
-    for warning in caught:
-        _warn(warning.message)
-    return result
 
 
 def _message_from(args) -> str:
@@ -84,7 +75,7 @@ def _parse_ngrams(value: str) -> tuple[int, int]:
 
 def cmd_encode(args) -> int:
     message = _message_from(args)
-    stream = _warned(zwcodec.encode_message, message, strict=not args.lenient)
+    stream = zwcodec.encode_message(message, strict=not args.lenient)
     sys.stdout.write(_escape(stream) if args.escaped else stream)
     sys.stdout.write("\n")
     return 0
@@ -116,7 +107,7 @@ def cmd_scan(args) -> int:
 
 def cmd_weave(args) -> int:
     message = _message_from(args)
-    stream = _warned(zwcodec.encode_message, message, strict=not args.lenient)
+    stream = zwcodec.encode_message(message, strict=not args.lenient)
     woven = weaver.weave_into_unigram(args.word, stream, args.strategy)
     sys.stdout.write(_escape(woven) if args.escaped else woven)
     sys.stdout.write("\n")
@@ -125,9 +116,7 @@ def cmd_weave(args) -> int:
 
 def cmd_embed_lines(args) -> int:
     text = _read_input(args.input)
-    result = _warned(
-        weaver.embed_into_text, text, _message_from(args), strategy=args.strategy
-    )
+    result = weaver.embed_into_text(text, _message_from(args), args.strategy)
     _write_output(args, result)
     return 0
 
@@ -275,7 +264,7 @@ def cmd_matrix(args) -> int:
         imitation_source=spec.imitation_source,
     )
     for note in report.warnings:
-        _warn(f"config {note['config']}: {SecretOverflow(note['dropped'])}")
+        _warn(f"config {note['config']}: {weaver.SecretOverflow(note['dropped'])}")
     rendered = pipeline.emit_report(report, args.format)
     if args.output and args.output != "-":
         zwcodec.write_text_file(args.output, rendered)
@@ -376,7 +365,11 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn
+            warnings.simplefilter("always", zwcodec.DroppedCharacters)
+            warnings.simplefilter("always", weaver.SecretOverflow)
+            return args.handler(args)
     except (StylocloakError, OSError, UnicodeError, json.JSONDecodeError) as exc:
         # Faults in the input, and files or text that cannot be read,
         # decoded or encoded; anything else is a bug and propagates.

@@ -42,7 +42,6 @@ from pathlib import Path
 from . import DataError, StylocloakError, transforms, weaver
 from .styloscope import Corpus, Document, fit_delta_reference, load_corpus, score_delta
 from .transforms import BackendSpec, StyleModel
-from .weaver import SecretOverflow
 from .zwcodec import read_text_file, strip_zero_width
 
 CANONICAL_ORDER = ("translation", "imitation", "obfuscation", "steganography")
@@ -131,11 +130,16 @@ def apply_config(
     The text is stripped of zero-width content on entry.  The imitation
     stage trains on ``imitation_source``, stripped, or on the stripped
     ``text`` (not as translated) when that is None.  An empty stage set
-    strips and changes nothing else.  A stage that fails on its input raises
-    :class:`StageError`; any other exception is a bug and propagates as is.
+    strips and changes nothing else.  Payload letters beyond the carrier's
+    lines are dropped with a :class:`~stylocloak.weaver.SecretOverflow`
+    warning.  A stage that fails on its input raises :class:`StageError`;
+    any other exception is a bug and propagates as is.
     """
     text, _ = strip_zero_width(text)
-    return _run_stages(text, config, imitation_source, {})
+    text, dropped = _run_stages(text, config, imitation_source, {})
+    if dropped:
+        warnings.warn(weaver.SecretOverflow(dropped), stacklevel=2)
+    return text
 
 
 def _run_stages(
@@ -143,13 +147,14 @@ def _run_stages(
     config: PipelineConfig,
     imitation_source: str | None,
     models: dict[tuple[str, int], StyleModel],
-) -> str:
-    """:func:`apply_config` on a text that is already stripped.
+) -> tuple[str, int]:
+    """:func:`apply_config` on a stripped text, returned with the letters dropped.
 
     ``models`` caches each (source, order) style model across calls; a
     failed training is not stored.
     """
     opts = config.options
+    dropped = 0
     source = text if imitation_source is None else imitation_source
     for stage in config.stages:
         seed = stage_seed(config.seed, config.id, stage)
@@ -174,10 +179,13 @@ def _run_stages(
                     text, seed, opts.substitution_rate, opts.punctuation_jitter
                 )
             elif stage == "steganography":
-                text = weaver.embed_into_text(text, config.payload)
+                lines, dropped = weaver.embed_linewise(
+                    text.splitlines(keepends=True), config.payload
+                )
+                text = "".join(lines)
         except StylocloakError as exc:
             raise StageError(stage, exc) from exc
-    return text
+    return text, dropped
 
 
 @dataclass(frozen=True)
@@ -220,7 +228,7 @@ def run_matrix(
     (status "aborted") and the rest of the grid still runs; a failed
     external backend is never silently replaced by the builtin fallback.  A
     payload cut short by a carrier with too few lines is recorded under
-    ``warnings``; other warnings pass through.
+    ``warnings``.
     """
     measured = candidate.stripped() if strip else candidate
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
@@ -231,34 +239,24 @@ def run_matrix(
     errors: list[dict] = []
     overflows: list[dict] = []
     for config in configs:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", SecretOverflow)
-            try:
-                transformed = _run_stages(
-                    clean_text, config, imitation_source, style_models
-                )
-            except StageError as exc:
-                transformed = None
-                errors.append(
-                    {
-                        "config": config.id,
-                        "stage": exc.stage,
-                        "status": "aborted",
-                        "error": str(exc.cause),
-                    }
-                )
-        for note in caught:
-            if isinstance(note.message, SecretOverflow):
-                dropped = note.message.dropped
-                overflows.append(
-                    {"config": config.id, "stage": "steganography", "dropped": dropped}
-                )
-            else:
-                warnings.warn_explicit(
-                    note.message, note.category, note.filename, note.lineno
-                )
-        if transformed is None:
+        try:
+            transformed, dropped = _run_stages(
+                clean_text, config, imitation_source, style_models
+            )
+        except StageError as exc:
+            errors.append(
+                {
+                    "config": config.id,
+                    "stage": exc.stage,
+                    "status": "aborted",
+                    "error": str(exc.cause),
+                }
+            )
             continue
+        if dropped:
+            overflows.append(
+                {"config": config.id, "stage": "steganography", "dropped": dropped}
+            )
         adv_doc = Document(id=f"{candidate.id}#config{config.id}", text=transformed)
         adv_report = score_delta(fitted, adv_doc.stripped() if strip else adv_doc)
         for author in sorted(base_report.deltas):
@@ -378,6 +376,8 @@ _OPTION_TYPES = {
     "imitation_ratio": float,
     "model_order": int,
 }
+#: The one ``backends`` key: only the translation stage calls a backend.
+_BACKEND_TYPES = {"translation": (str, dict)}
 _TYPE_NAMES = {
     str: "a string",
     int: "an integer",
@@ -388,6 +388,7 @@ _TYPE_NAMES = {
     type(None): "null",
     list[int]: "a list of integers",
     list[str]: "a list of strings",
+    (str, dict): "a string or an object",
 }
 
 
@@ -428,11 +429,11 @@ def load_matrix_spec(path) -> MatrixSpec:
     """Read a declarative JSON run file.
 
     Recognized keys: corpus (directory), candidate (file), configs (list of
-    ids), seed, payload, k, strip, chain (pivot languages), backends (stage
-    -> spec), options (StageOptions fields except chain), imitation_source
-    (file).  Any other key, at the top level, in options or in a backend
-    dict, or a value of another JSON type than ``_RUN_TYPES`` and
-    ``_OPTION_TYPES`` give, raises DataError; so do a missing corpus or
+    ids), seed, payload, k, strip, chain (pivot languages), backends (only
+    translation -> spec), options (StageOptions fields except chain),
+    imitation_source (file).  Any other key, at the top level, in options,
+    backends or a backend dict, or a value of another JSON type than the
+    ``_*_TYPES`` tables give, raises DataError; so do a missing corpus or
     candidate, a number that is not finite (``NaN``, ``Infinity``,
     ``1e999``) and nesting deeper than the JSON parser's recursion limit.
     """
@@ -449,6 +450,7 @@ def load_matrix_spec(path) -> MatrixSpec:
         if key not in raw:
             raise DataError(f"run file lacks the top-level key {key!r}")
     _check_keys(raw.get("options", {}), _OPTION_TYPES, "options")
+    _check_keys(raw.get("backends", {}), _BACKEND_TYPES, "backends")
     base = path.parent
 
     def resolve(p) -> Path:

@@ -1,11 +1,11 @@
 """Adversarial style transforms: translation drift, imitation, obfuscation.
 
 Every builtin stage is a pure function of (input, seed, options), so a whole
-experiment grid can be replayed bit-for-bit.  Real machine translation and
-neural text generation are deliberately out of process: a BackendSpec can
-point at an external command or HTTP endpoint, and the builtin fallbacks
-(synonym-pivot drift, a character Markov chain) keep everything runnable
-offline.
+experiment grid can be replayed bit-for-bit.  Real machine translation is
+deliberately out of process: the translation stage's BackendSpec can point
+at an external command or HTTP endpoint.  The builtin stages (synonym-pivot
+drift, a character Markov chain, sentence shuffling) keep everything
+runnable offline.
 
 Transforms work on the text they are given and know nothing of zero-width
 code points: :func:`stylocloak.pipeline.apply_config` strips its input once
@@ -262,7 +262,7 @@ def call_backend(
         reply = json.loads(raw.decode("utf-8"))
         result = reply["text"]
     # UnicodeDecodeError is a ValueError; TypeError is a reply that is no object.
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise BackendUnavailable(f"backend reply is not {{'text': ...}}: {exc}") from exc
     if not isinstance(result, str):
         raise BackendUnavailable("backend reply 'text' is not a string")

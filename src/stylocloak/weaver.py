@@ -104,13 +104,13 @@ def secret_units(secret: str) -> list[str]:
 
 def embed_linewise(
     lines: list[str], secret: str, strategy: str = "round_robin"
-) -> list[str]:
+) -> tuple[list[str], int]:
     """Hide one secret letter per carrier line, inside the line's first word.
 
     Lines beyond the secret's length pass through byte-identical.  Blank or
     whitespace-only lines are skipped and consume no secret letter.  If the
-    secret outlives the carrier, the surplus is dropped and a
-    :class:`SecretOverflow` warning reports how many letters were lost.
+    secret outlives the carrier, the surplus is dropped.  Returns the lines
+    and the number of letters dropped.
     """
     units = secret_units(secret)
     output = []
@@ -126,9 +126,7 @@ def embed_linewise(
         woven = weave_into_unigram(match.group(), units[position], strategy)
         output.append(line[: match.start()] + woven + line[match.end() :])
         position += 1
-    if position < len(units):
-        warnings.warn(SecretOverflow(len(units) - position), stacklevel=2)
-    return output
+    return output, len(units) - position
 
 
 def extract_linewise(lines: list[str]) -> str:
@@ -153,8 +151,14 @@ def extract_linewise(lines: list[str]) -> str:
 
 
 def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> str:
-    """Line-wise embedding over a whole document, terminators preserved."""
-    return "".join(embed_linewise(text.splitlines(keepends=True), secret, strategy))
+    """Line-wise embedding over a whole document, terminators preserved.
+
+    Letters beyond the carrier's lines are dropped with a SecretOverflow warning.
+    """
+    lines, dropped = embed_linewise(text.splitlines(keepends=True), secret, strategy)
+    if dropped:
+        warnings.warn(SecretOverflow(dropped), stacklevel=2)
+    return "".join(lines)
 
 
 def extract_from_text(text: str) -> str:

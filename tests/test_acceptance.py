@@ -92,7 +92,7 @@ def test_criterion_02_invisibility_invariant():
         secret = "".join(
             rng.choice(string.ascii_uppercase) for _ in range(rng.randint(0, 8))
         )
-        out = embed_linewise(lines, secret)
+        out, _ = embed_linewise(lines, secret)
         if [strip_zero_width(l)[0] for l in out] != lines:
             failures += 1
     _verdict(
@@ -108,16 +108,22 @@ def test_criterion_03_linewise_conformance_exhaustive():
         for n_lines in range(6):
             secret = string.ascii_uppercase[:n_secret]
             lines = [f"line{i} word tail" for i in range(n_lines)]
-            out = embed_linewise(lines, secret)
+            out, dropped = embed_linewise(lines, secret)
             modified = sum(1 for before, after in zip(lines, out) if before != after)
             expected = min(n_secret, n_lines)
             trailing_ok = out[expected:] == lines[expected:]
-            if modified != expected or not trailing_ok or len(out) != len(lines):
+            dropped_ok = dropped == max(0, n_secret - n_lines)
+            if (
+                modified != expected
+                or not trailing_ok
+                or len(out) != len(lines)
+                or not dropped_ok
+            ):
                 bad.append((n_secret, n_lines))
     _verdict(
         3,
         f"all 36 (|secret|, |lines|) cases modify exactly min(|secret|, |lines|) lines "
-        f"({len(bad)} deviations)",
+        f"and drop max(0, |secret| - |lines|) letters ({len(bad)} deviations)",
         not bad,
     )
 

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -623,6 +624,30 @@ def test_lenient_commands_print_dropped_characters_as_one_warning_line(argv):
     assert done.stderr == "warning: dropped 1 unsupported character(s)\n"
 
 
+def test_transform_prints_payload_overflow_as_one_warning_line(tmp_path):
+    carrier = tmp_path / "t.txt"
+    carrier.write_text("only line\n", encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "stylocloak.cli", "transform", str(carrier),
+         "--config-id", "8", "--payload", "ABC"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        encoding="utf-8",
+    )
+    assert done.returncode == 0
+    assert done.stderr == "warning: 2 secret letter(s) exceeded the carrier line count\n"
+
+
+def test_dispatch_prints_any_warning_as_one_line(capsys, monkeypatch):
+    def noisy(args):
+        warnings.warn("a note from a handler", UserWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_scan", noisy)
+    assert run(capsys, "scan", "-") == (0, "", "warning: a note from a handler\n")
+
+
 def test_deeply_nested_run_file_is_data_error(capsys, tmp_path):
     run_file = tmp_path / "run.json"
     run_file.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -799,6 +824,64 @@ def test_exit_code_and_message(
         assert len(err.splitlines()) <= 1
     if errors is not None:
         assert [e["error"] for e in json.loads(out)["errors"]] == [errors]
+
+
+@pytest.mark.parametrize(
+    "backends, named",
+    [
+        ({"imitation": "cmd:false"}, "'imitation'"),
+        ({"obfuscation": "http://127.0.0.1:9/x"}, "'obfuscation'"),
+        (
+            {"imitation": "cmd:false", "obfuscation": "http://127.0.0.1:9/x",
+             "bogus-stage": "builtin"},
+            "'bogus-stage'",
+        ),
+    ],
+    ids=["imitation", "obfuscation", "three-keys"],
+)
+def test_run_file_backend_for_a_stage_without_one_is_data_error(
+    capsys, tmp_path, backends, named
+):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [1, 3],
+        "k": 30, "backends": {"translation": "builtin", **backends},
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown backends key {named} in run file\n"
+
+
+def test_run_file_backend_of_the_wrong_type_is_data_error(capsys, tmp_path):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt",
+        "backends": {"translation": 5},
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: backends key 'translation' in run file must be a string or an "
+        "object, got an integer\n"
+    )
+
+
+def test_deeply_nested_backend_reply_is_backend_error(capsys, tmp_path):
+    deep = "import sys; sys.stdin.read(); print('[' * 100000 + ']' * 100000)"
+    backend = "cmd:" + shlex.join([sys.executable, "-c", deep])
+    (tmp_path / "t.txt").write_text(SAMPLE_TEXT, encoding="utf-8")
+    code, out, err = run(
+        capsys, "transform", str(tmp_path / "t.txt"), "--stage", "translation",
+        "--chain", "fr", "--backend", backend,
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "backend error: stage 'translation' failed: backend reply is not "
+        "{'text': ...}: maximum recursion depth exceeded"
+    )
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["matrix", "transform"])

@@ -337,6 +337,29 @@ def test_matrix_records_payload_overflow_in_config_order():
     assert json.loads(emit_report(report, "json"))["warnings"] == list(report.warnings)
 
 
+def test_matrix_records_payload_overflow_without_warning_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_matrix swapped the process-wide warning filters")
+
+    reference = two_author_corpus(1)
+    candidate = candidate_for(STYLE_A, 1, 5000)
+    configs = [PipelineConfig(id=i, seed=1, payload="MEETATDAWN") for i in range(1, 16)]
+    # Undone before pytest reports, which itself calls catch_warnings.
+    with monkeypatch.context() as patched:
+        patched.setattr(warnings, "catch_warnings", refuse)
+        report = run_matrix(candidate, reference, configs, k=50)
+    assert {w["config"]: w["dropped"] for w in report.warnings} == {
+        8: 1, 10: 1, 11: 1, 14: 2,
+    }
+
+
+def test_apply_config_warns_payload_overflow():
+    with pytest.warns(weaver.SecretOverflow) as caught:
+        out = apply_config("only line\n", PipelineConfig(id=8, payload="ABC"))
+    assert [w.message.dropped for w in caught] == [2]
+    assert weaver.extract_from_text(out) == "A"
+
+
 def test_matrix_passes_other_warnings_through(monkeypatch):
     real_obfuscate = transforms.obfuscate
 

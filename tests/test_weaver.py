@@ -144,24 +144,23 @@ def test_secret_units_are_single_letter_streams():
         assert unit.endswith(END)
 
 
-def test_embed_no_lines_warns_overflow():
-    with pytest.warns(SecretOverflow) as caught:
-        assert embed_linewise([], "ABC") == []
-    assert caught[0].message.dropped == 3
+def test_embed_no_lines_reports_overflow():
+    assert embed_linewise([], "ABC") == ([], 3)
 
 
 def test_embed_one_letter_into_first_line():
-    out = embed_linewise(["x", "y"], "A")
+    out, dropped = embed_linewise(["x", "y"], "A")
     assert out == ["x" + BIT0 + END, "y"]
+    assert dropped == 0
 
 
 def test_embed_empty_secret_is_identity():
     lines = ["alpha beta", "", "gamma"]
-    assert embed_linewise(lines, "") == lines
+    assert embed_linewise(lines, "") == (lines, 0)
 
 
 def test_embed_targets_first_word_only():
-    out = embed_linewise(["  hello world  "], "A")
+    out, _ = embed_linewise(["  hello world  "], "A")
     # unit "A" = BIT0+END spread over the gaps of "hello"
     assert out == ["  h" + BIT0 + "e" + END + "llo world  "]
     clean, _ = strip_zero_width(out[0])
@@ -169,7 +168,7 @@ def test_embed_targets_first_word_only():
 
 
 def test_embed_skips_blank_lines_without_consuming():
-    out = embed_linewise(["", "   ", "word"], "A")
+    out, _ = embed_linewise(["", "   ", "word"], "A")
     assert out[0] == ""
     assert out[1] == "   "
     clean, extracted = strip_zero_width(out[2])
@@ -179,13 +178,14 @@ def test_embed_skips_blank_lines_without_consuming():
 
 def test_embed_preserves_line_terminators():
     lines = ["one\r\n", "two\n", "three"]
-    out = embed_linewise(lines, "AB")
+    out, _ = embed_linewise(lines, "AB")
     assert out[0].endswith("\r\n") and out[1].endswith("\n")
     assert [strip_zero_width(l)[0] for l in out] == lines
 
 
 def test_extract_round_trip():
-    assert extract_linewise(embed_linewise(["x", "y"], "AB")) == "AB"
+    lines, dropped = embed_linewise(["x", "y"], "AB")
+    assert (extract_linewise(lines), dropped) == ("AB", 0)
 
 
 def test_extract_clean_carrier_is_empty():
@@ -193,8 +193,8 @@ def test_extract_clean_carrier_is_empty():
 
 
 def test_extract_after_truncation():
-    with pytest.warns(SecretOverflow):
-        lines = embed_linewise(["x"], "AB")
+    lines, dropped = embed_linewise(["x"], "AB")
+    assert dropped == 1
     assert extract_linewise(lines) == "A"
 
 
@@ -205,24 +205,25 @@ def test_extract_reports_line_number_on_malformed_stream():
 
 @given(st.lists(clean_word, max_size=6), secrets)
 def test_line_count_and_visible_invariance(lines, secret):
-    out = embed_linewise(lines, secret)
+    out, _ = embed_linewise(lines, secret)
     assert len(out) == len(lines)
     assert [strip_zero_width(l)[0] for l in out] == lines
 
 
 @given(st.lists(clean_word, max_size=6), secrets)
 def test_payload_conservation(lines, secret):
-    out = embed_linewise(lines, secret)
+    out, dropped = embed_linewise(lines, secret)
     recovered = extract_linewise(out)
     assert recovered == secret[: len(recovered)]
     assert len(recovered) == min(len(secret), len(lines))
+    assert dropped == len(secret) - len(recovered)
 
 
 @given(st.lists(clean_word, max_size=5), secrets)
 def test_idempotent_cleanliness(lines, secret):
-    embedded = embed_linewise(lines, secret)
+    embedded, _ = embed_linewise(lines, secret)
     stripped = [strip_zero_width(l)[0] for l in embedded]
-    re_embedded = embed_linewise(stripped, secret)
+    re_embedded, _ = embed_linewise(stripped, secret)
     assert [strip_zero_width(l)[0] for l in re_embedded] == lines
 
 
@@ -231,6 +232,13 @@ def test_text_level_embedding_round_trip():
     stego = embed_into_text(text, "KEY")
     assert strip_zero_width(stego)[0] == text
     assert extract_from_text(stego) == "KEY"
+
+
+def test_text_level_embedding_warns_overflow():
+    with pytest.warns(SecretOverflow) as caught:
+        stego = embed_into_text("only line\n", "ABC")
+    assert [w.message.dropped for w in caught] == [2]
+    assert extract_from_text(stego) == "A"
 
 
 # every boundary str.splitlines breaks at, CRLF included
