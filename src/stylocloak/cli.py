@@ -161,6 +161,11 @@ def cmd_transform(args) -> int:
         backends=backends,
         options=options,
     )
+    if backends and "translation" not in config.stages:
+        raise DataError(
+            f"--backend applies only to the translation stage, "
+            f"which config {config_id} does not run"
+        )
     source = None
     if args.style_source:
         source = zwcodec.read_text_file(args.style_source)
@@ -327,11 +332,17 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rate", type=float, default=0.3, help="obfuscation synonym rate")
     p.add_argument("--jitter", action="store_true", help="punctuation spacing jitter")
-    p.add_argument("--imitation-ratio", type=float, default=0.25)
+    p.add_argument(
+        "--imitation-ratio", type=float, default=0.25,
+        help="generated characters per input character, in [0, 1]",
+    )
     p.add_argument("--order", type=int, default=3, help="style model context length")
     p.add_argument("--style-source", help="training text for the imitation stage")
     p.add_argument("--chain", help="comma-separated pivot languages")
-    p.add_argument("--backend", help="builtin | cmd:<command> | http(s)://<url>")
+    p.add_argument(
+        "--backend",
+        help="translation backend: builtin | cmd:<command> | http(s)://<url>",
+    )
     p.add_argument("--payload", help="secret letters for the steganography stage")
     p.add_argument("--output", "-o")
 

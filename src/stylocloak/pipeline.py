@@ -94,6 +94,11 @@ class StageOptions:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value}")
+        # Imitation appends round(ratio * len(text)) characters: bound it.
+        if not 0 <= self.imitation_ratio <= 1:
+            raise DataError(
+                f"imitation_ratio must be in [0, 1], got {self.imitation_ratio}"
+            )
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,15 @@ round-trip and is rejected.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
+from bisect import bisect_left, bisect_right
 from functools import cache
+from itertools import accumulate
 
 from . import DataError, zwcodec
-from .zwcodec import POINT_PATTERN, MalformedStream
+from .zwcodec import POINT_PATTERN, MalformedStream, _point_starts
 
 _FIRST_WORD = re.compile(r"\S+")
 
@@ -75,19 +78,21 @@ def weave_into_unigram(
         clusters = list(word)
     else:
         clusters = _grapheme_pattern().findall(word)
-    gaps = len(clusters)  # one gap after each cluster
+    # runs[i] goes after clusters[i]; clusters past the last run get none.
     if strategy == "after_first":
-        per_gap = [payload] + [""] * (gaps - 1)
+        runs = [payload]
+    elif len(payload) <= len(clusters):
+        # The common case: one unit after each of the first len(payload)
+        # clusters.
+        runs = payload
     else:
-        base, extra = divmod(len(payload), gaps)
-        per_gap = []
-        cursor = 0
-        for gap in range(gaps):
-            take = base + (1 if gap < extra else 0)
-            per_gap.append(payload[cursor : cursor + take])
-            cursor += take
-
-    return "".join(cluster + inserted for cluster, inserted in zip(clusters, per_gap))
+        # Contiguous runs, the first ``extra`` of them one unit longer.
+        base, extra = divmod(len(payload), len(clusters))
+        cut = extra * (base + 1)
+        runs = [payload[i : i + base + 1] for i in range(0, cut, base + 1)]
+        runs += [payload[i : i + base] for i in range(cut, len(payload), base)]
+    woven = "".join(map(operator.add, clusters, runs))
+    return woven + "".join(clusters[len(runs) :])
 
 
 def secret_units(secret: str) -> list[str]:
@@ -132,21 +137,29 @@ def embed_linewise(
 def extract_linewise(lines: list[str]) -> str:
     """Recover the secret hidden by :func:`embed_linewise`, in line order.
 
-    Each distinct line stream is decoded once.
+    The payload points of all lines are found in one pass over their join,
+    then grouped by line.  Each distinct line stream is decoded once.
     """
+    text = "".join(lines)
+    starts = _point_starts(text)
+    stream = "".join(map(text.__getitem__, starts))
+    ends = list(accumulate(map(len, lines)))  # each line's end in text
     letters = []
     decoded: dict[str, str] = {}
-    for number, line in enumerate(lines, start=1):
-        extracted = "".join(POINT_PATTERN.findall(line))
-        if not extracted:
-            continue
+    first = line = 0
+    while first < len(starts):
+        # The line holding the next point, and the points in that line.
+        line = bisect_right(ends, starts[first], line)
+        last = bisect_left(starts, ends[line], first)
+        extracted = stream[first:last]
         letter = decoded.get(extracted)
         if letter is None:
             try:
                 letter = decoded[extracted] = zwcodec.decode_stream(extracted)
             except MalformedStream as exc:
-                raise MalformedStream(f"line {number}: {exc}") from exc
+                raise MalformedStream(f"line {line + 1}: {exc}") from exc
         letters.append(letter)
+        first = last
     return "".join(letters)
 
 

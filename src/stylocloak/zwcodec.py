@@ -18,8 +18,8 @@ import json
 import re
 import string
 import warnings
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, pairwise, repeat
 
 from . import DataError
 
@@ -61,14 +61,36 @@ CODEBOOK = {
 }
 _LETTERS = {bits: letter for letter, bits in CODEBOOK.items()}
 
-#: Matches one payload code point.  Strip, line-wise extraction, weaving's
-#: contamination check and the CLI's escaping all find payload points
-#: through this pattern, so it decides what counts as payload.
+#: Matches one payload code point.  The contamination check of weaving and
+#: the CLI's escaping find payload points through this pattern; bulk reads
+#: (scan, strip, line-wise extraction) find them with :func:`_find_points`.
 POINT_PATTERN = re.compile("[" + "".join(sorted(POINTS)) + "]")
-# Its byte twin for scan_text, which must match the same points.  UTF-8 is
-# self-synchronising, so a match in the encoded text always starts at a
-# character boundary.
-_POINT_BYTES = re.compile(b"|".join(p.encode("utf-8") for p in sorted(POINTS)))
+
+
+def _find_points(text: str | bytes) -> dict[str, list[int]]:
+    """Where each payload point occurs in a str, or in its UTF-8 bytes.
+
+    Maps each point, in sorted order, to the ascending start of each of its
+    occurrences.  Each point gets one C-level ``find`` sweep; a point is one
+    code point, so no two occurrences overlap.  UTF-8 is self-synchronising,
+    so a match in bytes always starts at a character boundary.
+    """
+    encoded = isinstance(text, bytes)
+    hits = {}
+    for point in sorted(POINTS):
+        needle = point.encode("utf-8") if encoded else point
+        found = []
+        start = text.find(needle)
+        while start >= 0:
+            found.append(start)
+            start = text.find(needle, start + 1)
+        hits[point] = found
+    return hits
+
+
+def _point_starts(text: str) -> list[int]:
+    """The start of every payload point in ``text``, in text order."""
+    return sorted(chain.from_iterable(_find_points(text).values()))
 
 
 def encode_message(plaintext: str, strict: bool = True) -> str:
@@ -134,7 +156,11 @@ def strip_zero_width(text: str) -> tuple[str, str]:
     payload code points; interleaving clean and extracted at their original
     offsets reconstructs the input exactly.
     """
-    return POINT_PATTERN.sub("", text), "".join(POINT_PATTERN.findall(text))
+    starts = _point_starts(text)
+    # The text between consecutive points, joined once.
+    cuts = [-1, *starts, len(text)]
+    clean = "".join([text[a + 1 : b] for a, b in pairwise(cuts)])
+    return clean, "".join(map(text.__getitem__, starts))
 
 
 @dataclass(frozen=True)
@@ -160,13 +186,12 @@ def scan_text(text: str) -> ScanReport:
     The text is encoded once and searched as bytes.  A lone surrogate
     cannot be encoded and raises :class:`UnicodeEncodeError`.
     """
-    offsets = [
-        (match.start(), match.group().decode("utf-8"))
-        for match in _POINT_BYTES.finditer(text.encode("utf-8"))
-    ]
-    counts = Counter(point for _, point in offsets)
+    hits = _find_points(text.encode("utf-8"))
+    offsets = sorted(
+        chain.from_iterable(zip(found, repeat(point)) for point, found in hits.items())
+    )
     return ScanReport(
-        counts={p: counts[p] for p in sorted(POINTS)},
+        counts={point: len(found) for point, found in hits.items()},
         offsets=offsets,
         verdict=bool(offsets),
     )

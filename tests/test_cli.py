@@ -884,6 +884,65 @@ def test_deeply_nested_backend_reply_is_backend_error(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["--stage", "imitation", "--imitation-ratio", "1e308"], "1e+308"),
+        (["--stage", "imitation", "--imitation-ratio", "1e6"], "1000000.0"),
+        (["--stage", "imitation", "--imitation-ratio", "-0.5"], "-0.5"),
+        (["--config-id", "15", "--imitation-ratio", "1.01"], "1.01"),
+    ],
+    ids=["1e308", "1e6", "negative", "config-15"],
+)
+def test_transform_imitation_ratio_outside_0_1_is_data_error(
+    capsys, tmp_path, argv, shown
+):
+    (tmp_path / "t.txt").write_text(SAMPLE_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, "transform", str(tmp_path / "t.txt"), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: imitation_ratio must be in [0, 1], got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "ratio, shown", [(2, "2"), (-1, "-1"), (1e308, "1e+308")],
+    ids=["2", "negative", "1e308"],
+)
+def test_run_file_imitation_ratio_outside_0_1_is_data_error(
+    capsys, tmp_path, ratio, shown
+):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [1],
+        "options": {"imitation_ratio": ratio},
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: imitation_ratio must be in [0, 1], got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config_id",
+    [
+        (["--stage", "obfuscation"], 3),
+        (["--stage", "imitation"], 1),
+        (["--config-id", "8", "--payload", "A"], 8),
+    ],
+    ids=["obfuscation", "imitation", "config-8"],
+)
+def test_transform_backend_without_the_translation_stage_is_data_error(
+    capsys, tmp_path, argv, config_id
+):
+    (tmp_path / "t.txt").write_text(SAMPLE_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, "transform", str(tmp_path / "t.txt"), *argv,
+                         "--backend", "cmd:false")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --backend applies only to the translation stage, which config "
+        f"{config_id} does not run\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["matrix", "transform"])
 def test_a_bug_in_a_stage_propagates(capsys, tmp_path, monkeypatch, command):
     def broken(*args):

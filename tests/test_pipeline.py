@@ -169,6 +169,18 @@ def test_stage_options_refuse_a_non_finite_rate(field, value):
         StageOptions(**{field: value})
 
 
+@pytest.mark.parametrize("value", [-1e308, -0.01, 1.01, 1e6, 1e308])
+def test_stage_options_refuse_an_imitation_ratio_outside_0_1(value):
+    with pytest.raises(DataError) as exc:
+        StageOptions(imitation_ratio=value)
+    assert str(exc.value) == f"imitation_ratio must be in [0, 1], got {value}"
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 0.25, 1, 1.0])
+def test_stage_options_accept_an_imitation_ratio_in_0_1(value):
+    assert StageOptions(imitation_ratio=value).imitation_ratio == value
+
+
 def test_imitation_appends_styled_text():
     config = PipelineConfig(id=1, seed=7)
     out = apply_config(SAMPLE, config)

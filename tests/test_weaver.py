@@ -265,6 +265,55 @@ def test_malformed_stream_line_number_counts_every_line_boundary():
         extract_from_text(cover)
 
 
+# multi-line texts drawn like test_zwcodec's unicode_with_noise, with whole
+# letter streams, point runs at both ends of the text and adjacent point runs
+point_run = st.text(alphabet=st.sampled_from(BIT0 + BIT1 + SEP + END), min_size=1,
+                    max_size=6)
+noisy_lines = st.tuples(
+    st.one_of(st.just(""), point_run),
+    st.lists(
+        st.one_of(
+            st.characters(blacklist_categories=("Cs",)),
+            point_run,
+            st.sampled_from([zwcodec.encode_message(letter) for letter in "AQZ"]),
+            st.sampled_from(LINE_BOUNDARIES),
+            st.sampled_from(["\U0001F600", "\U0001F468" + SEP + "\U0001F469",
+                             "\u6f22\u5b57", "\u0915\u094D\u0937"]),
+        ),
+        max_size=60,
+    ).map("".join),
+    st.one_of(st.just(""), point_run),
+).map("".join)
+
+
+def extract_per_line(text):
+    """Reference extraction: filter each splitlines line, decode its stream."""
+    letters = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        stream = "".join(char for char in line if char in zwcodec.POINTS)
+        if stream:
+            try:
+                letters.append(zwcodec.decode_stream(stream))
+            except MalformedStream as exc:
+                return "error", f"line {number}: {exc}"
+    return "letters", "".join(letters)
+
+
+@given(noisy_lines)
+def test_extraction_matches_per_line_reference(text):
+    expected = extract_per_line(text)
+    for extract, given_as in [
+        (extract_from_text, text),
+        (extract_linewise, text.splitlines(keepends=True)),
+        (extract_linewise, text.splitlines()),
+    ]:
+        try:
+            got = "letters", extract(given_as)
+        except MalformedStream as exc:
+            got = "error", str(exc)
+        assert got == expected
+
+
 def test_secret_units_encode_each_distinct_letter_once(monkeypatch):
     calls = []
     encode = zwcodec.encode_message

@@ -268,6 +268,20 @@ def test_scan_lone_surrogate_raises_encode_error():
         scan_text("a" + BIT0 + "\ud800")
 
 
+@pytest.mark.parametrize(
+    "text, index",
+    [
+        ("a" + BIT0 + "\ud800", 2),
+        ("\udfff", 0),
+        ("\U0001F600" + BIT0 + "x\udc80" + END, 3),
+    ],
+)
+def test_scan_lone_surrogate_error_reports_its_character_index(text, index):
+    with pytest.raises(UnicodeEncodeError) as exc:
+        scan_text(text)
+    assert (exc.value.start, exc.value.end) == (index, index + 1)
+
+
 def test_write_refuses_leading_bom(tmp_path):
     target = tmp_path / "out.txt"
     with pytest.raises(MalformedStream, match="byte-order mark"):
