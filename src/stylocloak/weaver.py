@@ -16,6 +16,7 @@ import operator
 import re
 import warnings
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from functools import cache
 from itertools import accumulate
 
@@ -82,8 +83,9 @@ def weave_into_unigram(
     if strategy == "after_first":
         runs = [payload]
     elif len(payload) <= len(clusters):
-        # The common case: one unit after each of the first len(payload)
-        # clusters.
+        # One unit after each of the first len(payload) clusters.  About
+        # half the words of a line-wise embed are long enough for their
+        # letter, and this skips two slice comprehensions for them.
         runs = payload
     else:
         # Contiguous runs, the first ``extra`` of them one unit longer.
@@ -134,16 +136,15 @@ def embed_linewise(
     return output, len(units) - position
 
 
-def extract_linewise(lines: list[str]) -> str:
-    """Recover the secret hidden by :func:`embed_linewise`, in line order.
+def _extract(text: str, ends: list[int]) -> str:
+    """Decode the payload points of ``text`` line by line, in line order.
 
-    The payload points of all lines are found in one pass over their join,
-    then grouped by line.  Each distinct line stream is decoded once.
+    ``ends`` holds the end offset of each line in ``text``.  The points are
+    found in one pass, then grouped by line with two bisects per carrying
+    line.  Each distinct line stream is decoded once.
     """
-    text = "".join(lines)
     starts = _point_starts(text)
     stream = "".join(map(text.__getitem__, starts))
-    ends = list(accumulate(map(len, lines)))  # each line's end in text
     letters = []
     decoded: dict[str, str] = {}
     first = line = 0
@@ -163,6 +164,12 @@ def extract_linewise(lines: list[str]) -> str:
     return "".join(letters)
 
 
+def extract_linewise(lines: Iterable[str]) -> str:
+    """Recover the secret hidden by :func:`embed_linewise`, in line order."""
+    lines = list(lines)
+    return _extract("".join(lines), list(accumulate(map(len, lines))))
+
+
 def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> str:
     """Line-wise embedding over a whole document, terminators preserved.
 
@@ -175,5 +182,9 @@ def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> st
 
 
 def extract_from_text(text: str) -> str:
-    """Inverse of :func:`embed_into_text`."""
-    return extract_linewise(text.splitlines(keepends=True))
+    """Inverse of :func:`embed_into_text`.
+
+    The lines are split off only for their lengths: the points are found
+    in ``text`` itself.
+    """
+    return _extract(text, list(accumulate(map(len, text.splitlines(keepends=True)))))

@@ -74,6 +74,10 @@ def _find_points(text: str | bytes) -> dict[str, list[int]]:
     occurrences.  Each point gets one C-level ``find`` sweep; a point is one
     code point, so no two occurrences overlap.  UTF-8 is self-synchronising,
     so a match in bytes always starts at a character boundary.
+
+    Each hit costs a Python-level step, where a regex pass costs per
+    character: callers are faster than a regex pass on texts whose points
+    are sparse (carriers), and slower on point-dense ones (bare streams).
     """
     encoded = isinstance(text, bytes)
     hits = {}

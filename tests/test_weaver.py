@@ -188,6 +188,13 @@ def test_extract_round_trip():
     assert (extract_linewise(lines), dropped) == ("AB", 0)
 
 
+def test_extract_takes_lines_from_any_iterable():
+    lines, _ = embed_linewise(["x\n", "plain\n", "y"], "AB")
+    assert extract_linewise(iter(lines)) == "AB"
+    with pytest.raises(MalformedStream, match="line 2"):
+        extract_linewise(line for line in ["fine", "bro" + BIT0 + "ken"])
+
+
 def test_extract_clean_carrier_is_empty():
     assert extract_linewise(["plain", "text"]) == ""
 
