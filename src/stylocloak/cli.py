@@ -330,7 +330,10 @@ def build_parser() -> _Parser:
     p.add_argument("--stage", choices=("translation", "imitation", "obfuscation"))
     p.add_argument("--config-id", type=int, help="run pipeline config 1..15 instead")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rate", type=float, default=0.3, help="obfuscation synonym rate")
+    p.add_argument(
+        "--rate", type=float, default=0.3,
+        help="chance that a word with a synonym is replaced, in [0, 1]",
+    )
     p.add_argument("--jitter", action="store_true", help="punctuation spacing jitter")
     p.add_argument(
         "--imitation-ratio", type=float, default=0.25,

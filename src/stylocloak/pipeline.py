@@ -90,15 +90,14 @@ class StageOptions:
     chain: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # The rate is a chance per word, and imitation appends round(ratio *
+        # len(text)) characters: bound both.
         for name in ("substitution_rate", "imitation_ratio"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value}")
-        # Imitation appends round(ratio * len(text)) characters: bound it.
-        if not 0 <= self.imitation_ratio <= 1:
-            raise DataError(
-                f"imitation_ratio must be in [0, 1], got {self.imitation_ratio}"
-            )
+            if not 0 <= value <= 1:
+                raise DataError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)

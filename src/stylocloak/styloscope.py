@@ -130,7 +130,7 @@ def load_corpus(root) -> Corpus:
 
 
 def _tfidf(
-    per_doc_counts: dict[str, Counter], n_docs: int
+    per_doc_counts: dict[str, dict[str, int]], n_docs: int
 ) -> Iterator[tuple[str, dict[str, float]]]:
     """count(term, doc) * ln(N / df(term)), one document at a time.
 
@@ -148,7 +148,17 @@ def _tfidf(
         yield doc_id, {t: c * idf[t] for t, c in counts.items() if t in idf}
 
 
-def _char_ngram_counts(corpus: Corpus, n_min: int, n_max: int) -> dict[str, Counter]:
+def _char_ngram_counts(
+    corpus: Corpus, n_min: int, n_max: int
+) -> dict[str, dict[str, int]]:
+    """Each document's n-gram counts, every n in [n_min, n_max] in one dict.
+
+    Only the ``n_max``-grams are sliced from the text.  Every shorter
+    n-gram but the last is the ``n``-prefix of the (n+1)-gram that starts
+    where it does, so each shorter level is folded from the level above it,
+    plus one for the n-gram at ``len(text) - n``, which starts no longer
+    gram.
+    """
     if n_min < 1 or n_max < n_min:
         raise InvalidRange(f"invalid n-gram range [{n_min}, {n_max}]")
     if not corpus.documents:
@@ -156,10 +166,21 @@ def _char_ngram_counts(corpus: Corpus, n_min: int, n_max: int) -> dict[str, Coun
     per_doc = {}
     for doc in corpus.documents:
         text = doc.text.lower()
-        counts: Counter = Counter()
-        for n in range(n_min, n_max + 1):
-            slices = map(slice, range(len(text) - n + 1), range(n, len(text) + 1))
-            counts.update(map(text.__getitem__, slices))
+        size = len(text)
+        slices = map(slice, range(size - n_max + 1), range(n_max, size + 1))
+        level = Counter(map(text.__getitem__, slices))
+        counts = dict(level)
+        for n in range(n_max - 1, n_min - 1, -1):
+            shorter = {}
+            get = shorter.get
+            for gram, count in level.items():
+                prefix = gram[:n]
+                shorter[prefix] = get(prefix, 0) + count
+            if size >= n:
+                last = text[size - n :]
+                shorter[last] = get(last, 0) + 1
+            counts.update(shorter)
+            level = shorter
         per_doc[doc.id] = counts
     return per_doc
 
@@ -206,10 +227,10 @@ def token_length_stats(doc: Document) -> tuple[float, dict[int, float]]:
     tokens = doc.tokens()
     if not tokens:
         return 0.0, {}
-    lengths = Counter(len(t) for t in tokens)
+    lengths = Counter(map(len, tokens))
     total = len(tokens)
     histogram = {n: c / total for n, c in sorted(lengths.items())}
-    avg = sum(len(t) for t in tokens) / total
+    avg = sum(n * c for n, c in lengths.items()) / total
     return avg, histogram
 
 

@@ -18,7 +18,7 @@ import json
 import re
 import string
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, pairwise, repeat
 
 from . import DataError
@@ -167,13 +167,17 @@ def strip_zero_width(text: str) -> tuple[str, str]:
     return clean, "".join(map(text.__getitem__, starts))
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """Occurrence report for zero-width code points in a text."""
+class ScanReport(namedtuple("ScanReport", "counts offsets verdict")):
+    """Occurrence report for zero-width code points in a text.
 
-    counts: dict[str, int]
-    offsets: list[tuple[int, str]]
-    verdict: bool
+    ``counts`` maps each point to its occurrences, ``offsets`` lists
+    ``(byte offset, point)`` pairs in text order, and ``verdict`` says
+    whether any point was found.  A named tuple, not a dataclass: codec
+    commands then never import :mod:`dataclasses` and the :mod:`inspect`
+    machinery behind it.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         payload = {

@@ -922,6 +922,41 @@ def test_run_file_imitation_ratio_outside_0_1_is_data_error(
 
 
 @pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["--stage", "obfuscation", "--rate", "5"], "5.0"),
+        (["--stage", "obfuscation", "--rate", "1e308"], "1e+308"),
+        (["--stage", "obfuscation", "--rate", "-1"], "-1.0"),
+        (["--config-id", "13", "--rate", "1.01"], "1.01"),
+    ],
+    ids=["5", "1e308", "negative", "config-13"],
+)
+def test_transform_rate_outside_0_1_is_data_error(capsys, tmp_path, argv, shown):
+    (tmp_path / "t.txt").write_text(SAMPLE_TEXT, encoding="utf-8")
+    code, out, err = run(capsys, "transform", str(tmp_path / "t.txt"), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: substitution_rate must be in [0, 1], got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "rate, shown", [(5, "5"), (-1, "-1"), (1e308, "1e+308")],
+    ids=["5", "negative", "1e308"],
+)
+def test_run_file_substitution_rate_outside_0_1_is_data_error(
+    capsys, tmp_path, rate, shown
+):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [3],
+        "options": {"substitution_rate": rate},
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: substitution_rate must be in [0, 1], got {shown}\n"
+
+
+@pytest.mark.parametrize(
     "argv, config_id",
     [
         (["--stage", "obfuscation"], 3),
@@ -1007,6 +1042,8 @@ HEAVY_MODULES = (
     "regex",
     "urllib.request",
     "subprocess",
+    "dataclasses",
+    "inspect",
 )
 
 
@@ -1050,6 +1087,8 @@ def test_importing_the_pipeline_loads_no_backend_client(tmp_path):
         ["decode", "stream.txt"],
         ["extract-lines", "stego.txt"],
         ["embed-lines", "carrier.txt", "--message", "KEY"],
+        ["encode", "--message", "KEY"],
+        ["weave", "--word", "alpha", "--message", "KEY"],
     ],
     ids=lambda argv: argv[0],
 )

@@ -181,6 +181,18 @@ def test_stage_options_accept_an_imitation_ratio_in_0_1(value):
     assert StageOptions(imitation_ratio=value).imitation_ratio == value
 
 
+@pytest.mark.parametrize("value", [-1e308, -1, -0.01, 1.01, 5, 1e308])
+def test_stage_options_refuse_a_substitution_rate_outside_0_1(value):
+    with pytest.raises(DataError) as exc:
+        StageOptions(substitution_rate=value)
+    assert str(exc.value) == f"substitution_rate must be in [0, 1], got {value}"
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 0.3, 1, 1.0])
+def test_stage_options_accept_a_substitution_rate_in_0_1(value):
+    assert StageOptions(substitution_rate=value).substitution_rate == value
+
+
 def test_imitation_appends_styled_text():
     config = PipelineConfig(id=1, seed=7)
     out = apply_config(SAMPLE, config)

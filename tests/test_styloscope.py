@@ -15,6 +15,7 @@ from stylocloak.styloscope import (
     Document,
     InsufficientCorpus,
     InvalidRange,
+    _char_ngram_counts,
     author_probabilities,
     burrows_delta,
     char_ngram_tfidf,
@@ -169,6 +170,32 @@ def test_tfidf_matches_naive_oracle(docs, n_min, span):
     for doc_id, vector in vectors:
         assert vector.char_ngram_tfidf == expected_ngrams[doc_id]
         assert vector.special_char_tfidf == expected_specials[doc_id]
+
+
+@given(
+    st.lists(st.text(alphabet="abAB !.\néİΔж😀", max_size=7), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=4),
+)
+@example(["İ", "aİ", "", "abcab"], 1, 4)
+@example(["İİ", "ab", "a"], 2, 0)
+@example(["abcde", "abcdef", "abcd"], 5, 0)
+def test_folded_ngram_counts_match_direct_slicing(texts, n_min, span):
+    # Only the n_max-grams are sliced; shorter levels are folded from
+    # prefixes.  "İ" lowercases to two code points, so the lowered text is
+    # longer than the drawn one.
+    n_max = min(n_min + span, 5)
+    reference = corpus(*texts)
+    counts = _char_ngram_counts(reference, n_min, n_max)
+    for document in reference.documents:
+        t = document.text.lower()
+        expected = Counter(
+            t[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(t) - n + 1)
+        )
+        assert counts[document.id] == dict(expected)
+    assert char_ngram_tfidf(reference, n_min, n_max) == oracle_tfidf(
+        reference.documents, oracle_ngrams(n_min, n_max)
+    )
 
 
 def test_repeated_id_keeps_its_first_place_and_last_document():

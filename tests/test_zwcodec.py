@@ -201,6 +201,21 @@ def test_scan_json_shape():
     assert payload["counts"]["U+200B"] == 1
 
 
+def test_scan_report_fields_json_bytes_and_immutability():
+    # "é" is two bytes in UTF-8, so the BIT1 after it starts at byte 3
+    report = scan_text("hé" + BIT1 + "y" + END + "\n")
+    assert report.counts == {BIT0: 0, BIT1: 1, SEP: 0, END: 1}
+    assert report.offsets == [(3, BIT1), (7, END)]
+    assert report.verdict is True
+    assert report.to_json() == (
+        '{"counts": {"U+200B": 0, "U+200C": 1, "U+200D": 0, "U+FEFF": 1}, '
+        '"offsets": [[3, "U+200C"], [7, "U+FEFF"]], "verdict": true}'
+    )
+    for name in ("counts", "offsets", "verdict", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+
+
 text_with_noise = st.text(
     alphabet=st.sampled_from(string.printable + BIT0 + BIT1 + SEP + END),
     max_size=200,
