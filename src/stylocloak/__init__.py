@@ -25,3 +25,45 @@ class StylocloakError(Exception):
 
 class DataError(StylocloakError, ValueError):
     """Malformed stream, bad corpus, bad run file or bad option (exit 2)."""
+
+
+#: How a message names each JSON type.
+_JSON_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+    list: "a list", dict: "an object", type(None): "null",
+}
+
+
+def check_json_object(raw: dict, types: dict, where: str) -> None:
+    """Refuse a key missing from ``types`` or a value of another JSON type.
+
+    A type is a Python type, a tuple of them (as ``isinstance`` takes it) or
+    ``list[T]``; ``float`` takes any number, and a boolean is never a number.  The DataError reads
+    ``unknown <where> key 'k' in run file`` or ``<where> key 'k' in run file
+    must be <type>, got <type>``.
+    """
+
+    def fits(value, expected) -> bool:
+        if getattr(expected, "__origin__", None) is list:
+            (item,) = expected.__args__
+            return isinstance(value, list) and all(fits(v, item) for v in value)
+        if isinstance(value, bool):
+            return expected is bool
+        return isinstance(value, (int, float) if expected is float else expected)
+
+    def name(expected) -> str:
+        if isinstance(expected, tuple):
+            return " or ".join(map(name, expected))
+        if getattr(expected, "__origin__", None) is list:
+            return f"a list of {name(expected.__args__[0]).split()[-1]}s"
+        return _JSON_NAMES[expected]
+
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise DataError(f"unknown {where} key {unknown[0]!r} in run file")
+    for key, value in raw.items():
+        if not fits(value, types[key]):
+            raise DataError(
+                f"{where} key {key!r} in run file must be "
+                f"{name(types[key])}, got {name(type(value))}"
+            )

@@ -149,19 +149,15 @@ def cmd_transform(args) -> int:
         model_order=args.order,
         chain=tuple(args.chain.split(",")) if args.chain else (),
     )
-    backends = (
-        {"translation": transforms.BackendSpec.parse(args.backend)}
-        if args.backend
-        else {}
-    )
+    backend = transforms.BackendSpec.parse(args.backend) if args.backend else None
     config = pipeline.PipelineConfig(
         id=config_id,
         seed=args.seed,
         payload=args.payload or "",
-        backends=backends,
+        translation_backend=backend,
         options=options,
     )
-    if backends and "translation" not in config.stages:
+    if backend and "translation" not in config.stages:
         raise DataError(
             f"--backend applies only to the translation stage, "
             f"which config {config_id} does not run"
@@ -384,7 +380,7 @@ def dispatch(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always", zwcodec.DroppedCharacters)
             warnings.simplefilter("always", weaver.SecretOverflow)
             return args.handler(args)
-    except (StylocloakError, OSError, UnicodeError, json.JSONDecodeError) as exc:
+    except (StylocloakError, OSError, UnicodeError) as exc:
         # Faults in the input, and files or text that cannot be read,
         # decoded or encoded; anything else is a bug and propagates.
         code = getattr(exc, "exit_code", 2)

@@ -34,12 +34,11 @@ import hashlib
 import io
 import json
 import math
-import types
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from . import DataError, StylocloakError, transforms, weaver
+from . import DataError, StylocloakError, check_json_object, transforms, weaver
 from .styloscope import Corpus, Document, fit_delta_reference, load_corpus, score_delta
 from .transforms import BackendSpec, StyleModel
 from .zwcodec import read_text_file, strip_zero_width
@@ -107,7 +106,7 @@ class PipelineConfig:
     id: int
     seed: int = 0
     payload: str = ""
-    backends: dict[str, BackendSpec] = field(default_factory=dict)
+    translation_backend: BackendSpec | None = None
     options: StageOptions = StageOptions()
 
     def __post_init__(self):
@@ -165,7 +164,7 @@ def _run_stages(
         try:
             if stage == "translation":
                 text = transforms.round_trip_translate(
-                    text, opts.chain, config.backends.get(stage), seed
+                    text, opts.chain, config.translation_backend, seed
                 )
             elif stage == "imitation":
                 key = (source, opts.model_order)
@@ -281,9 +280,9 @@ def run_matrix(
         "seeds": {str(c.id): c.seed for c in configs},
         "payload": configs[0].payload if configs else "",
         "backends": {
-            str(c.id): {s: f"{b.kind}:{b.target}" for s, b in sorted(c.backends.items())}
+            str(c.id): {"translation": f"{b.kind}:{b.target}"}
             for c in configs
-            if c.backends
+            if (b := c.translation_backend)
         },
         "k": k,
         "strip": strip,
@@ -373,52 +372,12 @@ _RUN_TYPES = {
     "options": dict,
     "imitation_source": str,
 }
-#: Each ``options`` key (every StageOptions field except chain) and its type.
+#: Each ``options`` key: every StageOptions field except chain, typed by its default.
 _OPTION_TYPES = {
-    "substitution_rate": float,
-    "punctuation_jitter": bool,
-    "imitation_ratio": float,
-    "model_order": int,
+    f.name: type(f.default) for f in fields(StageOptions) if f.name != "chain"
 }
 #: The one ``backends`` key: only the translation stage calls a backend.
 _BACKEND_TYPES = {"translation": (str, dict)}
-_TYPE_NAMES = {
-    str: "a string",
-    int: "an integer",
-    float: "a number",
-    bool: "a boolean",
-    list: "a list",
-    dict: "an object",
-    type(None): "null",
-    list[int]: "a list of integers",
-    list[str]: "a list of strings",
-    (str, dict): "a string or an object",
-}
-
-
-def _has_type(value, expected) -> bool:
-    """JSON type check: a number may be an integer, a boolean is never one."""
-    if isinstance(expected, types.GenericAlias):
-        (item,) = expected.__args__
-        return isinstance(value, list) and all(_has_type(v, item) for v in value)
-    if isinstance(value, bool):
-        return expected is bool
-    if expected is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, expected)
-
-
-def _check_keys(raw: dict, known: dict, where: str) -> None:
-    """Reject a key missing from ``known`` or a value of the wrong type."""
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise DataError(f"unknown {where} key {unknown[0]!r} in run file")
-    for key, value in raw.items():
-        if not _has_type(value, known[key]):
-            raise DataError(
-                f"{where} key {key!r} in run file must be "
-                f"{_TYPE_NAMES[known[key]]}, got {_TYPE_NAMES[type(value)]}"
-            )
 
 
 def _finite(token: str) -> float:
@@ -435,11 +394,12 @@ def load_matrix_spec(path) -> MatrixSpec:
     Recognized keys: corpus (directory), candidate (file), configs (list of
     ids), seed, payload, k, strip, chain (pivot languages), backends (only
     translation -> spec), options (StageOptions fields except chain),
-    imitation_source (file).  Any other key, at the top level, in options,
-    backends or a backend dict, or a value of another JSON type than the
-    ``_*_TYPES`` tables give, raises DataError; so do a missing corpus or
-    candidate, a number that is not finite (``NaN``, ``Infinity``,
-    ``1e999``) and nesting deeper than the JSON parser's recursion limit.
+    imitation_source (file).  :func:`stylocloak.check_json_object` checks
+    every object: any other key, at the top level, in options, backends or
+    a backend object, or a value of another JSON type, raises DataError.  So
+    do a missing corpus or candidate, text that is not JSON, a number that
+    is not finite (``NaN``, ``Infinity``, ``1e999``), an integer too long to
+    convert and nesting deeper than the JSON parser's recursion limit.
     """
     path = Path(path)
     text = read_text_file(path)
@@ -447,14 +407,16 @@ def load_matrix_spec(path) -> MatrixSpec:
         raw = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except RecursionError:
         raise DataError("run file nests deeper than the JSON parser allows") from None
+    except ValueError as exc:  # not JSON, a refused number or too long an integer
+        raise DataError(str(exc)) from None
     if not isinstance(raw, dict):
         raise DataError("run file must hold a JSON object")
-    _check_keys(raw, _RUN_TYPES, "top-level")
+    check_json_object(raw, _RUN_TYPES, "top-level")
     for key in ("corpus", "candidate"):
         if key not in raw:
             raise DataError(f"run file lacks the top-level key {key!r}")
-    _check_keys(raw.get("options", {}), _OPTION_TYPES, "options")
-    _check_keys(raw.get("backends", {}), _BACKEND_TYPES, "backends")
+    check_json_object(raw.get("options", {}), _OPTION_TYPES, "options")
+    check_json_object(raw.get("backends", {}), _BACKEND_TYPES, "backends")
     base = path.parent
 
     def resolve(p) -> Path:
@@ -469,9 +431,8 @@ def load_matrix_spec(path) -> MatrixSpec:
         id=candidate_path.name,
         text=read_text_file(candidate_path),
     )
-    backends = {
-        stage: BackendSpec.parse(spec) for stage, spec in raw.get("backends", {}).items()
-    }
+    backends = raw.get("backends", {})
+    backend = BackendSpec.parse(backends["translation"]) if backends else None
     options = StageOptions(
         **{**raw.get("options", {}), "chain": tuple(raw.get("chain", ()))}
     )
@@ -482,7 +443,7 @@ def load_matrix_spec(path) -> MatrixSpec:
             id=cid,
             seed=seed,
             payload=payload,
-            backends=backends,
+            translation_backend=backend,
             options=options,
         )
         for cid in raw.get("configs", sorted(CONFIG_STAGES))

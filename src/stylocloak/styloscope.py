@@ -329,6 +329,15 @@ class DeltaReport:
         )
 
 
+def _sum_left(values) -> float:
+    """Add floats left to right, as ``sum()`` did before 3.12 made it
+    compensated (gh-100425), so that Delta's digits never depend on Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _per_1000(counts: Counter, total: int, word: str) -> float:
     if total == 0:
         return 0.0
@@ -393,9 +402,9 @@ def fit_delta_reference(reference: Corpus, k: int = 50) -> DeltaReference:
             _per_1000(counts, len(tokens), w)
             for counts, tokens in zip(doc_counts, doc_tokens)
         ]
-        mean = sum(freqs) / n_docs
+        mean = _sum_left(freqs) / n_docs
         # population std: duplicating docs is a no-op
-        std = math.sqrt(sum((f - mean) * (f - mean) for f in freqs) / n_docs)
+        std = math.sqrt(_sum_left((f - mean) * (f - mean) for f in freqs) / n_docs)
         if std > 0.0:
             kept.append(w)
             means.append(mean)
@@ -423,7 +432,8 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
     deltas = {}
     z_scores = {"candidate": dict(zip(fitted.words, cand_z))}
     for author, author_z in fitted.author_z.items():
-        deltas[author] = sum(abs(a - c) for a, c in zip(author_z, cand_z)) / n_words
+        gaps = (abs(a - c) for a, c in zip(author_z, cand_z))
+        deltas[author] = _sum_left(gaps) / n_words
         z_scores[author] = dict(zip(fitted.words, author_z))
     return DeltaReport(
         deltas=deltas,
@@ -450,5 +460,5 @@ def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:
         raise ValueError("deltas must be finite")
     top = max(-d for d in deltas.values())
     weights = {a: math.exp(-d - top) for a, d in deltas.items()}
-    norm = sum(weights.values())
+    norm = _sum_left(weights.values())
     return {a: w / norm for a, w in weights.items()}

@@ -19,12 +19,12 @@ import random
 import re
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from itertools import accumulate, groupby
 
-from . import DataError, StylocloakError
+from . import DataError, StylocloakError, check_json_object
 from .styloscope import default_function_words
 
 # Captured, so that split() keeps the words at the odd indices.
@@ -35,15 +35,6 @@ _SENTENCE_BOUNDARY = re.compile(r"(?<=[.?!])\s+")
 _JITTER_TARGET = re.compile(r"([,;:]) ")
 
 BACKEND_KINDS = ("builtin", "external-command", "http")
-
-# The JSON type of each BackendSpec field in its dict form; a boolean is
-# never a number.
-_SPEC_FIELD_TYPES = {
-    "kind": (str, "a string"),
-    "target": (str, "a string"),
-    "timeout": ((int, float), "a number"),
-}
-
 
 class BackendUnavailable(StylocloakError, RuntimeError):
     """The external transform backend failed or returned garbage."""
@@ -75,18 +66,13 @@ class BackendSpec:
 
     @classmethod
     def parse(cls, value) -> "BackendSpec":
-        """Read a spec: a dict of fields, ``builtin``, ``cmd:<command>`` or a URL.
+        """Read a spec: ``builtin``, ``cmd:<command>``, a URL or a run-file object.
 
-        A dict field of the wrong JSON type raises DataError naming the key.
+        The object's keys are the fields, each typed by its default.
         """
         if isinstance(value, dict):
-            unknown = sorted(set(value) - set(_SPEC_FIELD_TYPES))
-            if unknown:
-                raise DataError(f"unknown backend key {unknown[0]!r}")
-            for key, item in value.items():
-                expected, name = _SPEC_FIELD_TYPES[key]
-                if isinstance(item, bool) or not isinstance(item, expected):
-                    raise DataError(f"backend key {key!r} must be {name}, got {item!r}")
+            types = {f.name: type(f.default) for f in fields(cls)}
+            check_json_object(value, types, "backend")
             return cls(**value)
         if value == "builtin":
             return cls()

@@ -742,6 +742,20 @@ def test_usage_error_exits_1(capsys):
 
 #: A command backend that answers a JSON list instead of an object.
 LIST_REPLY = f'cmd:{sys.executable} -c "print([1])"'
+#: An integer with more digits than ``int`` converts.
+LONG_INTEGER = "1" + "0" * 5000
+
+
+def conversion_error(digits: str) -> str:
+    """Python's own message for an integer ``int`` will not convert.
+
+    Python 3.10 words the limit differently from later versions.
+    """
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    return "no error"
 
 
 # Each case gives a command, its run file (a dict over a config-2 run, or raw
@@ -796,13 +810,16 @@ LIST_REPLY = f'cmd:{sys.executable} -c "print([1])"'
           "--backend", LIST_REPLY, "--chain", "de"], None, 3,
          "backend error: stage 'translation' failed: backend reply is not "
          "{'text': ...}: list indices must be integers or slices, not str", None),
+        (["matrix", "--config", "run.json"],
+         '{"corpus": "corpus", "candidate": "candidate.txt", "seed": '
+         + LONG_INTEGER + "}", 2, "error: " + conversion_error(LONG_INTEGER), None),
     ],
     ids=[
         "run-file-without-corpus", "run-file-without-candidate", "run-file-not-json",
         "non-utf8-input", "delta-k-0", "config-id-99", "unbalanced-quote", "http-notaurl",
         "nul-in-command", "unencodable-word", "malformed-ngrams",
         "weave-strategy-key", "nan-in-run-file", "infinite-imitation-ratio",
-        "empty-command", "list-reply",
+        "empty-command", "list-reply", "integer-too-long",
     ],
 )
 def test_exit_code_and_message(

@@ -4,6 +4,8 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stylocloak import DataError, pipeline, transforms, weaver, zwcodec
 from stylocloak.pipeline import (
@@ -141,7 +143,7 @@ def test_config_15_runs_all_stages_in_canonical_order(monkeypatch):
 def test_stage_error_carries_stage_name():
     backend = BackendSpec(kind="external-command", target="false")
     config = PipelineConfig(
-        id=2, seed=1, backends={"translation": backend},
+        id=2, seed=1, translation_backend=backend,
         options=StageOptions(chain=("de",)),
     )
     with pytest.raises(StageError) as exc:
@@ -233,7 +235,7 @@ def test_matrix_records_aborted_configs_and_continues():
     backend = BackendSpec(kind="external-command", target="false")
     configs = [
         PipelineConfig(
-            id=2, seed=1, backends={"translation": backend},
+            id=2, seed=1, translation_backend=backend,
             options=StageOptions(chain=("de",)),
         ),
         PipelineConfig(id=3, seed=1),
@@ -400,11 +402,25 @@ def test_matrix_passes_other_warnings_through(monkeypatch):
     assert report.warnings == ()
 
 
+def test_config_names_one_translation_backend_and_the_report_records_it():
+    backend = BackendSpec("http", "http://127.0.0.1:9/x")
+    with pytest.raises(TypeError):
+        PipelineConfig(id=3, backends={"imitation": backend})
+    configs = [PipelineConfig(id=3, seed=1, translation_backend=backend),
+               PipelineConfig(id=8, seed=1)]
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(candidate, small_reference(), configs, k=30)
+    assert report.errors == ()
+    assert report.metadata["backends"] == {
+        "3": {"translation": "http:http://127.0.0.1:9/x"}
+    }
+
+
 def test_matrix_translation_failure_reported_before_imitation(monkeypatch):
     trained = count_calls(monkeypatch, transforms, "train_style_model")
     backend = BackendSpec(kind="external-command", target="false")
     config = PipelineConfig(
-        id=4, seed=1, backends={"translation": backend},
+        id=4, seed=1, translation_backend=backend,
         options=StageOptions(chain=("de",)),
     )
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
@@ -497,7 +513,7 @@ def test_load_matrix_spec_parses_backends(tmp_path):
     raw["backends"] = {"translation": "cmd:my-translator --fast"}
     run_file.write_text(json.dumps(raw), encoding="utf-8")
     spec = load_matrix_spec(run_file)
-    backend = spec.configs[0].backends["translation"]
+    backend = spec.configs[0].translation_backend
     assert backend.kind == "external-command"
     assert backend.target == "my-translator --fast"
 
@@ -556,6 +572,133 @@ def test_load_matrix_spec_refuses_a_non_finite_number(tmp_path, number):
 def test_run_file_options_are_the_stage_options_except_chain():
     names = {f.name for f in dataclasses.fields(StageOptions)} - {"chain"}
     assert set(pipeline._OPTION_TYPES) == names
+
+
+def test_run_file_key_messages_share_one_shape(tmp_path):
+    run_file = write_run_dir(tmp_path)
+    raw = json.loads(run_file.read_text())
+    cases = [
+        ({"options": {"model_order": "3"}},
+         "options key 'model_order' in run file must be an integer, got a string"),
+        ({"backends": {"translation": {"kind": "http", "timeout": "5"}}},
+         "backend key 'timeout' in run file must be a number, got a string"),
+        ({"backends": {"translation": {"kind": "http", "url": "x"}}},
+         "unknown backend key 'url' in run file"),
+        ({"configs": [3, "8"]},
+         "top-level key 'configs' in run file must be a list of integers, "
+         "got a list"),
+    ]
+    for change, message in cases:
+        run_file.write_text(json.dumps({**raw, **change}), encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_matrix_spec(run_file)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", ["k", "timeout"])
+def test_run_file_integer_too_long_to_convert_is_data_error(tmp_path, key):
+    run_file = write_run_dir(tmp_path)
+    raw = json.loads(run_file.read_text())
+    raw["backends"] = {
+        "translation": {"kind": "http", "target": "http://x", "timeout": 30}
+    }
+    text = json.dumps(raw).replace(f'"{key}": 30', f'"{key}": -{"9" * 5000}')
+    run_file.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match="^Exceeds the limit"):
+        load_matrix_spec(run_file)
+
+
+# --- run files from outside -------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(st.characters(), max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_objects(values_by_key):
+    """Objects with some of the given keys, each valued by its strategy; half
+    of them also get one key, known or junk, set to any JSON value."""
+    drawn = st.fixed_dictionaries({}, optional=values_by_key)
+    keys = st.sampled_from(sorted(values_by_key)) | st.text(max_size=4)
+    tweak = st.dictionaries(keys, JSON_VALUES, min_size=1, max_size=1)
+    return drawn | st.builds(lambda base, extra: {**base, **extra}, drawn, tweak)
+
+
+BACKEND_OBJECTS = json_objects({
+    "kind": st.sampled_from(transforms.BACKEND_KINDS),
+    "target": st.sampled_from(["", "cat", "http://127.0.0.1:9/x"]),
+    "timeout": st.floats(0, 60),
+})
+RUN_KEYS = json_objects({
+    "corpus": st.just("corpus"),
+    "candidate": st.just("candidate.txt"),
+    "configs": st.lists(st.integers(1, 16), max_size=3),
+    "seed": st.integers(),
+    "payload": st.text("AZ", max_size=3),
+    "k": st.integers(1, 60),
+    "strip": st.booleans(),
+    "chain": st.lists(st.sampled_from(["de", "fr"]), max_size=2),
+    "backends": json_objects({
+        "translation": st.sampled_from(["builtin", "cmd:cat", "ftp://x"])
+        | BACKEND_OBJECTS,
+    }),
+    "options": json_objects({
+        "substitution_rate": st.floats(0, 1.5),
+        "punctuation_jitter": st.booleans(),
+        "imitation_ratio": st.floats(0, 1.5),
+        "model_order": st.integers(1, 5),
+    }),
+    "imitation_source": st.sampled_from(["candidate.txt", "corpus"]),
+})
+# Half the run files start from a corpus and a candidate that exist, so that
+# more of them reach the options, the configs and the backend.
+RUN_FILES = st.builds(
+    lambda base, drawn: {**base, **drawn},
+    st.sampled_from([{}, {"corpus": "corpus", "candidate": "candidate.txt"}]),
+    RUN_KEYS,
+)
+
+
+@pytest.fixture(scope="module")
+def run_workspace(tmp_path_factory):
+    workspace = tmp_path_factory.mktemp("workspace")
+    for author in ("a", "b"):
+        (workspace / "corpus" / author).mkdir(parents=True)
+        for n in (1, 2):
+            text = f"The {author} and the {n} of it, as it was.\n" * n
+            (workspace / "corpus" / author / f"{n}.txt").write_text(text)
+    (workspace / "candidate.txt").write_text("It was the one and the other.\n")
+    return workspace
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=RUN_FILES | JSON_VALUES)
+def test_any_run_file_loads_or_is_refused(run_workspace, raw):
+    run_file = run_workspace / "run.json"
+    run_file.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        load_matrix_spec(run_file)
+    except DataError:
+        pass
+    except OSError as exc:  # a path that names no readable file
+        assert exc.filename is not None
+    except UnicodeEncodeError as exc:  # a path no file system can hold
+        assert exc.reason == "surrogates not allowed"
+
+
+@given(value=JSON_VALUES | BACKEND_OBJECTS)
+def test_any_backend_spec_parses_or_is_refused(value):
+    try:
+        assert isinstance(BackendSpec.parse(value), BackendSpec)
+    except DataError:
+        pass
 
 
 # --- golden reports ----------------------------------------------------------

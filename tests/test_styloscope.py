@@ -16,6 +16,7 @@ from stylocloak.styloscope import (
     InsufficientCorpus,
     InvalidRange,
     _char_ngram_counts,
+    _sum_left,
     author_probabilities,
     burrows_delta,
     char_ngram_tfidf,
@@ -351,6 +352,13 @@ def test_delta_report_fields():
 
 
 # --- probabilities -----------------------------------------------------------
+
+def test_delta_sums_add_left_to_right_on_every_python():
+    # A compensated sum, as ``sum()`` is from Python 3.12 on, gives 1.0 here.
+    values = [1e16, 1.0, -1e16]
+    assert math.fsum(values) == 1.0
+    assert _sum_left(values) == 0.0
+
 
 def test_probabilities_single_author():
     assert author_probabilities({"solo": 3.2}) == {"solo": 1.0}
