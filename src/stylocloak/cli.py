@@ -30,8 +30,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_ESCAPES = str.maketrans({point: f"U+{ord(point):04X}" for point in zwcodec.POINTS})
+
+
 def _escape(stream: str) -> str:
-    return zwcodec.POINT_PATTERN.sub(lambda m: f"U+{ord(m.group()):04X}", stream)
+    return stream.translate(_ESCAPES)
 
 
 def _read_input(path: str) -> str:
@@ -82,9 +85,16 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    text = _read_input(args.input)
-    _, extracted = zwcodec.strip_zero_width(text)
+    _, extracted = zwcodec.strip_zero_width(_read_input(args.input))
     print(zwcodec.decode_stream(extracted))
+    # decode_stream stops at the first end marker; say what it left unread.
+    rest = extracted.partition(zwcodec.END)[2]
+    if rest:
+        skipped = rest.count(zwcodec.END) + (not rest.endswith(zwcodec.END))
+        _warn(
+            f"{skipped} stream(s) after the first were not decoded; "
+            "extract-lines decodes one stream per line"
+        )
     return 0
 
 
@@ -169,19 +179,9 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _feature_json(doc_id: str, vec) -> str:
+def _feature_json(doc_id: str, vector: dict) -> str:
     """One ``"doc id": {vector}`` member of the ``features`` JSON object."""
-    payload = {
-        "char_ngram_tfidf": vec.char_ngram_tfidf,
-        "special_char_tfidf": vec.special_char_tfidf,
-        "function_word_freq": vec.function_word_freq,
-        "avg_chars_per_token": vec.avg_chars_per_token,
-        "token_length_histogram": {
-            str(k): v for k, v in vec.token_length_histogram.items()
-        },
-        "vocab_richness": vec.vocab_richness,
-    }
-    return json.dumps(doc_id) + ": " + json.dumps(payload, sort_keys=True)
+    return json.dumps(doc_id) + ": " + json.dumps(vector, sort_keys=True)
 
 
 def cmd_features(args) -> int:

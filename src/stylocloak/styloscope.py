@@ -1,10 +1,13 @@
 """Lexical stylometry: feature extraction and Burrows' Delta attribution.
 
-The feature battery covers character n-gram TF-IDF, special-character
-TF-IDF, function-word frequencies per 1000 tokens, token-length statistics,
-and a hapax/dis legomena vocabulary-richness ratio.  Burrows' Delta ranks
-candidate authorship by the mean absolute difference of function-word
-frequency z-scores; low values suggest the same author.
+Each measurement has one entry point.  :func:`iter_feature_vectors` yields
+the feature battery of each document: character n-gram TF-IDF,
+special-character TF-IDF, function-word frequencies per 1000 tokens,
+token-length statistics, and a hapax/dis legomena vocabulary-richness
+ratio.  Burrows' Delta ranks candidate authorship by the mean absolute
+difference of function-word frequency z-scores; low values suggest the
+same author.  :func:`fit_delta_reference` fits a reference corpus once, and
+:func:`score_delta` scores each candidate against it.
 
 Every measurement reads the text it is given.  Zero-width payloads are
 therefore visible: the tokenizer treats invisible code points as token
@@ -192,25 +195,6 @@ def _special_char_counts(corpus: Corpus) -> dict[str, Counter]:
     }
 
 
-def char_ngram_tfidf(
-    corpus: Corpus,
-    n_min: int = 2,
-    n_max: int = 4,
-) -> dict[str, dict[str, float]]:
-    """TF-IDF weighted character n-grams over raw lowercased text.
-
-    N-grams are drawn from the unsegmented text, spaces included, so they
-    capture spelling quirks and inter-word transitions alike.
-    """
-    counts = _char_ngram_counts(corpus, n_min, n_max)
-    return dict(_tfidf(counts, len(corpus.documents)))
-
-
-def special_char_tfidf(corpus: Corpus) -> dict[str, dict[str, float]]:
-    """TF-IDF over single characters from :data:`SPECIAL_CHARS`."""
-    return dict(_tfidf(_special_char_counts(corpus), len(corpus.documents)))
-
-
 def function_word_frequencies(doc: Document) -> dict[str, float]:
     """Occurrences per 1000 tokens for every word on the function-word list."""
     words = default_function_words()
@@ -249,36 +233,31 @@ def vocabulary_richness(doc: Document) -> float:
     return (hapax / (dis or 1)) / len(tokens)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The per-document lexical feature bundle."""
-
-    char_ngram_tfidf: dict[str, float]
-    special_char_tfidf: dict[str, float]
-    function_word_freq: dict[str, float]
-    avg_chars_per_token: float
-    token_length_histogram: dict[int, float]
-    vocab_richness: float
-
-
-def _feature_vector(doc: Document, ngram_vec, special_vec) -> FeatureVector:
+def _feature_vector(doc: Document, ngram_vec, special_vec) -> dict:
     avg, histogram = token_length_stats(doc)
-    return FeatureVector(
-        char_ngram_tfidf=ngram_vec,
-        special_char_tfidf=special_vec,
-        function_word_freq=function_word_frequencies(doc),
-        avg_chars_per_token=avg,
-        token_length_histogram=histogram,
-        vocab_richness=vocabulary_richness(doc),
-    )
+    return {
+        "char_ngram_tfidf": ngram_vec,
+        "special_char_tfidf": special_vec,
+        "function_word_freq": function_word_frequencies(doc),
+        "avg_chars_per_token": avg,
+        "token_length_histogram": {str(n): share for n, share in histogram.items()},
+        "vocab_richness": vocabulary_richness(doc),
+    }
 
 
 def iter_feature_vectors(
     corpus: Corpus,
     n_min: int = 2,
     n_max: int = 4,
-) -> Iterator[tuple[str, FeatureVector]]:
+) -> Iterator[tuple[str, dict]]:
     """The full feature battery, one ``(doc id, vector)`` at a time.
+
+    A vector is the dict that ``stylocloak features`` prints for the
+    document: TF-IDF weighted character n-grams of every n in
+    ``[n_min, n_max]`` over the raw lowercased text (spaces included),
+    TF-IDF weighted :data:`SPECIAL_CHARS`, function-word frequencies, the
+    mean token length, the token-length histogram keyed by ``str(length)``,
+    and the vocabulary richness.
 
     Every document is counted before this returns, so a bad range raises
     here.  Each vector is weighted only when it is asked for, so a consumer
@@ -297,15 +276,6 @@ def iter_feature_vectors(
     )
 
 
-def extract_feature_vectors(
-    corpus: Corpus,
-    n_min: int = 2,
-    n_max: int = 4,
-) -> dict[str, FeatureVector]:
-    """Compute the full feature battery for every document in the corpus."""
-    return dict(iter_feature_vectors(corpus, n_min, n_max))
-
-
 @dataclass(frozen=True)
 class DeltaReport:
     """Burrows' Delta per author, with the derived probability ranking."""
@@ -313,10 +283,6 @@ class DeltaReport:
     deltas: dict[str, float]
     probabilities: dict[str, float]
     function_words_used: list[str]
-    z_scores: dict[str, dict[str, float]]
-
-    def best_author(self) -> str:
-        return min(self.deltas, key=lambda a: (self.deltas[a], a))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -430,26 +396,14 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
     cand_z = _z_profile(candidate.tokens(), fitted.words, fitted.means, fitted.stds)
     n_words = len(fitted.words)
     deltas = {}
-    z_scores = {"candidate": dict(zip(fitted.words, cand_z))}
     for author, author_z in fitted.author_z.items():
         gaps = (abs(a - c) for a, c in zip(author_z, cand_z))
         deltas[author] = _sum_left(gaps) / n_words
-        z_scores[author] = dict(zip(fitted.words, author_z))
     return DeltaReport(
         deltas=deltas,
         probabilities=author_probabilities(deltas),
         function_words_used=list(fitted.words),
-        z_scores=z_scores,
     )
-
-
-def burrows_delta(reference: Corpus, candidate: Document, k: int = 50) -> DeltaReport:
-    """Burrows' Delta of the candidate against each reference author.
-
-    One :func:`fit_delta_reference` followed by one :func:`score_delta`;
-    fit once and score many when several candidates share a reference.
-    """
-    return score_delta(fit_delta_reference(reference, k), candidate)
 
 
 def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:

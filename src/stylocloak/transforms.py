@@ -15,6 +15,7 @@ on entry, and its style-model source once at training, before any stage runs.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from bisect import bisect
@@ -63,6 +64,11 @@ class BackendSpec:
             raise DataError(f"unknown backend kind {self.kind!r}")
         if self.kind != "builtin" and not self.target.strip():
             raise DataError(f"backend kind {self.kind!r} requires a target")
+        if not 0 < self.timeout < math.inf:
+            raise DataError(
+                f"backend timeout must be a positive finite number of seconds, "
+                f"got {self.timeout!r}"
+            )
 
     @classmethod
     def parse(cls, value) -> "BackendSpec":

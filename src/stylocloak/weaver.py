@@ -21,7 +21,7 @@ from functools import cache
 from itertools import accumulate
 
 from . import DataError, zwcodec
-from .zwcodec import POINT_PATTERN, MalformedStream, _point_starts
+from .zwcodec import POINTS, MalformedStream, _point_starts
 
 _FIRST_WORD = re.compile(r"\S+")
 
@@ -65,7 +65,7 @@ def weave_into_unigram(
     """
     if not word:
         raise EmptyWord("cannot weave into an empty word")
-    if POINT_PATTERN.search(word):
+    if not POINTS.isdisjoint(word):
         raise ContaminatedWord(
             "carrier word already contains zero-width alphabet code points; "
             "strip it first"

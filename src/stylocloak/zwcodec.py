@@ -15,7 +15,6 @@ sequences throughout.
 from __future__ import annotations
 
 import json
-import re
 import string
 import warnings
 from collections import namedtuple
@@ -60,11 +59,6 @@ CODEBOOK = {
     letter: format(index, "b") for index, letter in enumerate(string.ascii_uppercase)
 }
 _LETTERS = {bits: letter for letter, bits in CODEBOOK.items()}
-
-#: Matches one payload code point.  The contamination check of weaving and
-#: the CLI's escaping find payload points through this pattern; bulk reads
-#: (scan, strip, line-wise extraction) find them with :func:`_find_points`.
-POINT_PATTERN = re.compile("[" + "".join(sorted(POINTS)) + "]")
 
 
 def _find_points(text: str | bytes) -> dict[str, list[int]]:

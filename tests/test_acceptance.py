@@ -21,9 +21,10 @@ from stylocloak.styloscope import (
     Document,
     InsufficientCorpus,
     author_probabilities,
-    burrows_delta,
     default_function_words,
-    extract_feature_vectors,
+    fit_delta_reference,
+    iter_feature_vectors,
+    score_delta,
 )
 from stylocloak.synthcorpus import STYLE_A, STYLE_B, candidate_for, two_author_corpus
 from stylocloak.weaver import embed_linewise, weave_into_unigram
@@ -157,12 +158,12 @@ def test_criterion_04_delta_oracle_equivalence():
         expected = oracle_burrows_delta(author_docs, candidate_tokens, 12, words)
         if expected is None:
             try:
-                burrows_delta(Corpus(documents), candidate, k=12)
+                score_delta(fit_delta_reference(Corpus(documents), 12), candidate)
                 mismatches += 1
             except InsufficientCorpus:
                 pass
             continue
-        report = burrows_delta(Corpus(documents), candidate, k=12)
+        report = score_delta(fit_delta_reference(Corpus(documents), 12), candidate)
         for author, value in expected.items():
             if abs(report.deltas[author] - value) > 1e-9:
                 mismatches += 1
@@ -180,7 +181,7 @@ def test_criterion_05_delta_discrimination_at_desk_scale():
         reference = two_author_corpus(seed=split, n_docs=8, chars_per_doc=6250)
         for style, other in ((STYLE_A, STYLE_B), (STYLE_B, STYLE_A)):
             candidate = candidate_for(style, seed=split, n_chars=5000)
-            report = burrows_delta(reference, candidate, k=50)
+            report = score_delta(fit_delta_reference(reference, 50), candidate)
             if report.deltas[style.name] < report.deltas[other.name]:
                 wins[style.name] += 1
     _verdict(
@@ -198,20 +199,21 @@ def test_criterion_06_steganography_only_neutrality():
     stego_text = pipeline.apply_config(candidate.text, config)
     assert stego_text != candidate.text
 
-    baseline = burrows_delta(reference, candidate, k=50)
-    stripped = burrows_delta(
-        reference, Document(id="stego", text=stego_text).stripped(), k=50
-    )
+    fitted = fit_delta_reference(reference, 50)
+    baseline = score_delta(fitted, candidate)
+    stripped = score_delta(fitted, Document(id="stego", text=stego_text).stripped())
     neutral = all(
         abs(stripped.deltas[a] - baseline.deltas[a]) <= 1e-12 for a in baseline.deltas
     )
 
     helper = Document(id="helper", text=candidate_for(STYLE_B, seed=2).text)
-    raw_vectors = extract_feature_vectors(
-        Corpus([Document(id="probe", text=stego_text), helper])
+    raw_vectors = dict(
+        iter_feature_vectors(Corpus([Document(id="probe", text=stego_text), helper]))
     )
-    clean_vectors = extract_feature_vectors(
-        Corpus([Document(id="probe", text=candidate.text), helper])
+    clean_vectors = dict(
+        iter_feature_vectors(
+            Corpus([Document(id="probe", text=candidate.text), helper])
+        )
     )
     registers = raw_vectors["probe"] != clean_vectors["probe"]
     _verdict(
@@ -256,7 +258,8 @@ def test_criterion_07_matrix_reproducibility():
 def test_criterion_08_obfuscation_effect_direction():
     reference = two_author_corpus(seed=4, n_docs=8, chars_per_doc=6250)
     candidate = candidate_for(STYLE_A, seed=4, n_chars=5000)
-    baseline = burrows_delta(reference, candidate, k=50).deltas[STYLE_A.name]
+    fitted = fit_delta_reference(reference, 50)
+    baseline = score_delta(fitted, candidate).deltas[STYLE_A.name]
 
     nonzero = 0
     arithmetic_exact = True

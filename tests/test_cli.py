@@ -48,12 +48,10 @@ OPERATION_SURFACE = {
     "transforms.imitate": "transform",
     "transforms.obfuscate": "transform",
     "styloscope.tokenize": "features",
-    "styloscope.char_ngram_tfidf": "features",
-    "styloscope.special_char_tfidf": "features",
+    "styloscope.iter_feature_vectors": "features",
     "styloscope.function_word_frequencies": "features",
     "styloscope.token_length_stats": "features",
     "styloscope.vocabulary_richness": "features",
-    "styloscope.burrows_delta": "delta",
     "styloscope.fit_delta_reference": "delta",
     "styloscope.score_delta": "delta",
     "styloscope.author_probabilities": "delta",
@@ -65,6 +63,8 @@ OPERATION_SURFACE = {
 
 def test_every_operation_reachable_via_exactly_one_subcommand():
     import argparse
+    import importlib
+    import inspect
 
     parser = build_parser()
     subparsers = next(
@@ -78,6 +78,13 @@ def test_every_operation_reachable_via_exactly_one_subcommand():
     assert registered == expected
     for operation, subcommand in OPERATION_SURFACE.items():
         assert subcommand in registered, operation
+        # a deleted or renamed function fails here, not just a lost command
+        module_name, _, name = operation.partition(".")
+        module = importlib.import_module(f"stylocloak.{module_name}")
+        function = getattr(module, name, None)
+        assert not name.startswith("_"), operation
+        assert inspect.isfunction(function), operation
+        assert function.__module__ == module.__name__, operation
 
 
 # --- codec surface -----------------------------------------------------------
@@ -96,6 +103,35 @@ def test_encode_escaped_output(capsys):
     code, out, _ = run(capsys, "encode", "--message", "A", "--escaped")
     assert code == 0
     assert out.strip() == "U+200BU+FEFF"
+
+
+def test_decode_warns_about_the_streams_after_the_first(capsys, tmp_path):
+    target = tmp_path / "stego.txt"
+    target.write_text(
+        weaver.embed_into_text("one line\ntwo line\nred line\n", "MEE"),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "decode", str(target))
+    assert (code, out) == (0, "M\n")
+    assert err == (
+        "warning: 2 stream(s) after the first were not decoded; "
+        "extract-lines decodes one stream per line\n"
+    )
+    assert run(capsys, "extract-lines", str(target)) == (0, "MEE\n", "")
+
+
+def test_decode_counts_an_unterminated_tail_as_a_stream(capsys, tmp_path):
+    target = tmp_path / "stego.txt"
+    target.write_text("a" + zwcodec.encode_message("AB") + "b" + BIT0, encoding="utf-8")
+    code, out, err = run(capsys, "decode", str(target))
+    assert (code, out) == (0, "AB\n")
+    assert err.startswith("warning: 1 stream(s) after the first")
+
+
+def test_decode_of_one_stream_warns_nothing(capsys, tmp_path):
+    target = tmp_path / "stego.txt"
+    target.write_text("a" + zwcodec.encode_message("AB") + "b", encoding="utf-8")
+    assert run(capsys, "decode", str(target)) == (0, "AB\n", "")
 
 
 def test_decode_clean_text_is_data_error(capsys, tmp_path):
@@ -443,21 +479,8 @@ def test_features_writes_the_json_of_every_vector_a_repeated_id_last(
     reference = styloscope.load_corpus(".")
     twin = reference.documents[0]
     reference.documents.append(styloscope.Document(twin.id, twin.text))
-    vectors = styloscope.extract_feature_vectors(reference, 1, 2)
-    assert len(vectors) == len(reference.documents) - 1
-    payload = {
-        doc_id: {
-            "char_ngram_tfidf": vec.char_ngram_tfidf,
-            "special_char_tfidf": vec.special_char_tfidf,
-            "function_word_freq": vec.function_word_freq,
-            "avg_chars_per_token": vec.avg_chars_per_token,
-            "token_length_histogram": {
-                str(k): v for k, v in vec.token_length_histogram.items()
-            },
-            "vocab_richness": vec.vocab_richness,
-        }
-        for doc_id, vec in vectors.items()
-    }
+    payload = dict(styloscope.iter_feature_vectors(reference, 1, 2))
+    assert len(payload) == len(reference.documents) - 1
     assert out == json.dumps(payload, sort_keys=True) + "\n"
 
 
@@ -510,10 +533,9 @@ def test_delta_with_reference_fits_the_corpus_once(capsys, tmp_path, monkeypatch
     corpus = styloscope.load_corpus(corpus_dir)
     expected = {
         name: json.loads(
-            styloscope.burrows_delta(
-                corpus,
+            styloscope.score_delta(
+                real_fit(corpus, 30),
                 styloscope.Document(id=str(path), text=zwcodec.read_text_file(path)),
-                k=30,
             ).to_json()
         )
         for name, path in (("candidate", candidate), ("reference", reference_text))
@@ -883,6 +905,34 @@ def test_run_file_backend_of_the_wrong_type_is_data_error(capsys, tmp_path):
         "error: backends key 'translation' in run file must be a string or an "
         "object, got an integer\n"
     )
+
+
+TIMEOUT_MESSAGE = "backend timeout must be a positive finite number of seconds, got "
+
+
+@pytest.mark.parametrize(
+    "timeout, message",
+    [
+        ("0", TIMEOUT_MESSAGE + "0"),
+        ("-1", TIMEOUT_MESSAGE + "-1"),
+        # the run-file reader refuses a number that is not finite first
+        ("Infinity", "run file number Infinity is not finite"),
+    ],
+)
+def test_run_file_backend_timeout_must_be_positive_and_finite(
+    capsys, tmp_path, timeout, message
+):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    backend = '{"kind": "external-command", "target": "cat", "timeout": %s}' % timeout
+    run_file.write_text(
+        '{"corpus": "corpus", "candidate": "candidate.txt", "configs": [1], '
+        '"k": 30, "backends": {"translation": %s}}' % backend,
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_deeply_nested_backend_reply_is_backend_error(capsys, tmp_path):

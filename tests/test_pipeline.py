@@ -22,7 +22,7 @@ from stylocloak.pipeline import (
     run_matrix,
     stage_seed,
 )
-from stylocloak.styloscope import Document, burrows_delta
+from stylocloak.styloscope import Document, fit_delta_reference, score_delta
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.transforms import BackendSpec
 from stylocloak.zwcodec import strip_zero_width
@@ -312,11 +312,12 @@ def test_matrix_rows_equal_fresh_burrows_delta_per_config():
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     configs = grid_configs()
     report = run_matrix(candidate, reference, configs, k=30)
-    base = burrows_delta(reference, candidate, k=30)
+    fitted = fit_delta_reference(reference, 30)
+    base = score_delta(fitted, candidate)
     rows = {(row.config, row.author): row for row in report.rows}
     for config in configs:
         transformed = apply_config(candidate.text, config, imitation_source=candidate.text)
-        fresh = burrows_delta(reference, Document(id="fresh", text=transformed), k=30)
+        fresh = score_delta(fitted, Document(id="fresh", text=transformed))
         for author in reference.authors:
             row = rows[config.id, author]
             assert row.delta_adversarial == fresh.deltas[author]

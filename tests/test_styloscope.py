@@ -18,14 +18,12 @@ from stylocloak.styloscope import (
     _char_ngram_counts,
     _sum_left,
     author_probabilities,
-    burrows_delta,
-    char_ngram_tfidf,
     default_function_words,
-    extract_feature_vectors,
+    fit_delta_reference,
     function_word_frequencies,
     iter_feature_vectors,
     load_corpus,
-    special_char_tfidf,
+    score_delta,
     token_length_stats,
     tokenize,
     vocabulary_richness,
@@ -38,6 +36,18 @@ def doc(text, author=None, doc_id="d"):
 
 def corpus(*texts):
     return Corpus([doc(t, doc_id=f"d{i}") for i, t in enumerate(texts)])
+
+
+def feature(name, reference, n_min=2, n_max=4):
+    """One member of every document's feature vector, by document id."""
+    return {
+        doc_id: vector[name]
+        for doc_id, vector in iter_feature_vectors(reference, n_min, n_max)
+    }
+
+
+def delta(reference, candidate, k=50):
+    return score_delta(fit_delta_reference(reference, k), candidate)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -61,46 +71,46 @@ def test_tokenize_splits_on_zero_width_code_points():
 # --- tf-idf ------------------------------------------------------------------
 
 def test_char_ngram_tfidf_single_document_all_zero():
-    vectors = char_ngram_tfidf(corpus("abcd"), 2, 2)
+    vectors = feature("char_ngram_tfidf", corpus("abcd"), 2, 2)
     assert vectors["d0"] == {}
 
 
 def test_char_ngram_tfidf_hand_values():
-    vectors = char_ngram_tfidf(corpus("abab", "cdcd"), 2, 2)
+    vectors = feature("char_ngram_tfidf", corpus("abab", "cdcd"), 2, 2)
     # "ab" occurs twice in d0 only: weight 2 * ln(2/1)
     assert vectors["d0"]["ab"] == pytest.approx(2 * math.log(2))
     assert "ab" not in vectors["d1"]
 
 
 def test_char_ngram_tfidf_shared_gram_weighs_zero():
-    vectors = char_ngram_tfidf(corpus("xy ab", "xy cd"), 2, 2)
+    vectors = feature("char_ngram_tfidf", corpus("xy ab", "xy cd"), 2, 2)
     assert "xy" not in vectors["d0"] and "xy" not in vectors["d1"]
 
 
 def test_char_ngram_tfidf_lowercases_and_keeps_spaces():
-    vectors = char_ngram_tfidf(corpus("A b", "zz"), 2, 2)
+    vectors = feature("char_ngram_tfidf", corpus("A b", "zz"), 2, 2)
     assert vectors["d0"]["a "] == pytest.approx(math.log(2))
 
 
 def test_char_ngram_invalid_range():
     with pytest.raises(InvalidRange):
-        char_ngram_tfidf(corpus("ab"), 0, 2)
+        feature("char_ngram_tfidf", corpus("ab"), 0, 2)
     with pytest.raises(InvalidRange):
-        char_ngram_tfidf(corpus("ab"), 3, 2)
+        feature("char_ngram_tfidf", corpus("ab"), 3, 2)
 
 
 def test_special_char_tfidf_no_symbols():
-    vectors = special_char_tfidf(corpus("plain words", "more words"))
+    vectors = feature("special_char_tfidf", corpus("plain words", "more words"))
     assert vectors["d0"] == {} and vectors["d1"] == {}
 
 
 def test_special_char_tfidf_hand_value():
-    vectors = special_char_tfidf(corpus("hey!!", "calm"))
+    vectors = feature("special_char_tfidf", corpus("hey!!", "calm"))
     assert vectors["d0"]["!"] == pytest.approx(2 * math.log(2))
 
 
 def test_special_char_in_every_document_weighs_zero():
-    vectors = special_char_tfidf(corpus("a!", "b!"))
+    vectors = feature("special_char_tfidf", corpus("a!", "b!"))
     assert vectors["d0"] == {} and vectors["d1"] == {}
 
 
@@ -160,17 +170,14 @@ def test_tfidf_matches_naive_oracle(docs, n_min, span):
     n_max = min(n_min + span, 5)
     documents = [Document(doc_id, text) for doc_id, text in docs]
     reference = Corpus(documents)
-    ngrams = char_ngram_tfidf(reference, n_min, n_max)
-    specials = special_char_tfidf(reference)
+    vectors = list(iter_feature_vectors(reference, n_min, n_max))
+    ngrams = {doc_id: vector["char_ngram_tfidf"] for doc_id, vector in vectors}
+    specials = {doc_id: vector["special_char_tfidf"] for doc_id, vector in vectors}
     expected_ngrams = oracle_tfidf(documents, oracle_ngrams(n_min, n_max))
     expected_specials = oracle_tfidf(documents, oracle_specials)
     assert ngrams == expected_ngrams and list(ngrams) == list(expected_ngrams)
     assert specials == expected_specials
-    vectors = list(iter_feature_vectors(reference, n_min, n_max))
     assert [doc_id for doc_id, _ in vectors] == list(expected_ngrams)
-    for doc_id, vector in vectors:
-        assert vector.char_ngram_tfidf == expected_ngrams[doc_id]
-        assert vector.special_char_tfidf == expected_specials[doc_id]
 
 
 @given(
@@ -194,7 +201,7 @@ def test_folded_ngram_counts_match_direct_slicing(texts, n_min, span):
             t[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(t) - n + 1)
         )
         assert counts[document.id] == dict(expected)
-    assert char_ngram_tfidf(reference, n_min, n_max) == oracle_tfidf(
+    assert feature("char_ngram_tfidf", reference, n_min, n_max) == oracle_tfidf(
         reference.documents, oracle_ngrams(n_min, n_max)
     )
 
@@ -202,10 +209,10 @@ def test_folded_ngram_counts_match_direct_slicing(texts, n_min, span):
 def test_repeated_id_keeps_its_first_place_and_last_document():
     last = doc("The cat sat; the mat!", doc_id="a/1.txt")
     reference = Corpus([doc("of of of", doc_id="a/1.txt"), doc("b b", doc_id="b"), last])
-    vectors = extract_feature_vectors(reference, 1, 3)
+    vectors = dict(iter_feature_vectors(reference, 1, 3))
     assert list(vectors) == ["a/1.txt", "b"]
-    assert vectors["a/1.txt"].function_word_freq == function_word_frequencies(last)
-    assert vectors["a/1.txt"].char_ngram_tfidf == oracle_tfidf(
+    assert vectors["a/1.txt"]["function_word_freq"] == function_word_frequencies(last)
+    assert vectors["a/1.txt"]["char_ngram_tfidf"] == oracle_tfidf(
         reference.documents, oracle_ngrams(1, 3)
     )["a/1.txt"]
 
@@ -290,7 +297,7 @@ def two_author_reference():
 def test_delta_self_match_is_zero():
     ref = two_author_reference()
     merged = " ".join(d.text for d in ref.documents if d.author == "amy")
-    report = burrows_delta(ref, doc(merged), k=10)
+    report = delta(ref, doc(merged), k=10)
     assert report.deltas["amy"] == 0.0
 
 
@@ -298,7 +305,7 @@ def test_delta_matches_brute_force_oracle():
     ref = two_author_reference()
     candidate = doc("the cat and the dog sat on the mat again")
     words = default_function_words()
-    report = burrows_delta(ref, candidate, k=10)
+    report = delta(ref, candidate, k=10)
     expected = oracle_burrows_delta(
         {
             "amy": [d.tokens() for d in ref.documents if d.author == "amy"],
@@ -315,25 +322,26 @@ def test_delta_matches_brute_force_oracle():
 def test_delta_invariant_under_document_duplication():
     ref = two_author_reference()
     candidate = doc("the cat and you")
-    report = burrows_delta(ref, candidate, k=10)
+    report = delta(ref, candidate, k=10)
     doubled = Corpus(
         ref.documents
         + [Document(id=d.id + "+", text=d.text, author=d.author) for d in ref.documents]
     )
-    report2 = burrows_delta(doubled, candidate, k=10)
+    report2 = delta(doubled, candidate, k=10)
     for author in report.deltas:
         assert report2.deltas[author] == pytest.approx(report.deltas[author], abs=1e-12)
-    assert report.best_author() == report2.best_author()
+    argmin = min(report.deltas, key=report.deltas.get)
+    assert argmin == min(report2.deltas, key=report2.deltas.get)
 
 
 def test_delta_requires_labeled_multi_document_reference():
     with pytest.raises(InsufficientCorpus):
-        burrows_delta(Corpus([doc("just one", "amy")]), doc("x"))
+        delta(Corpus([doc("just one", "amy")]), doc("x"))
     with pytest.raises(InsufficientCorpus):
-        burrows_delta(corpus("a b", "c d"), doc("x"))  # unlabeled
+        delta(corpus("a b", "c d"), doc("x"))  # unlabeled
     with pytest.raises(InsufficientCorpus):
         # identical docs: zero variance everywhere
-        burrows_delta(
+        delta(
             Corpus([doc("the end", "amy", "a1"), doc("the end", "amy", "a2")]),
             doc("the end"),
         )
@@ -341,13 +349,12 @@ def test_delta_requires_labeled_multi_document_reference():
 
 def test_delta_rejects_bad_k():
     with pytest.raises(ValueError):
-        burrows_delta(two_author_reference(), doc("x"), k=0)
+        delta(two_author_reference(), doc("x"), k=0)
 
 
 def test_delta_report_fields():
-    report = burrows_delta(two_author_reference(), doc("the cat"), k=5)
-    assert set(report.z_scores) == {"amy", "ben", "candidate"}
-    assert list(report.z_scores["amy"]) == report.function_words_used
+    report = delta(two_author_reference(), doc("the cat"), k=5)
+    assert list(vars(report)) == ["deltas", "probabilities", "function_words_used"]
     assert sum(report.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -413,12 +420,12 @@ def test_feature_vectors_see_payload_unless_stripped():
     dirty = Corpus([doc(contaminated, doc_id="t"), doc(helper, doc_id="h")])
     clean_corpus = Corpus([doc(clean, doc_id="t"), doc(helper, doc_id="h")])
 
-    raw_dirty = extract_feature_vectors(dirty)["t"]
-    raw_clean = extract_feature_vectors(clean_corpus)["t"]
+    raw_dirty = dict(iter_feature_vectors(dirty))["t"]
+    raw_clean = dict(iter_feature_vectors(clean_corpus))["t"]
     assert raw_dirty != raw_clean
 
-    stripped_dirty = extract_feature_vectors(dirty.stripped())["t"]
-    stripped_clean = extract_feature_vectors(clean_corpus.stripped())["t"]
+    stripped_dirty = dict(iter_feature_vectors(dirty.stripped()))["t"]
+    stripped_clean = dict(iter_feature_vectors(clean_corpus.stripped()))["t"]
     assert stripped_dirty == stripped_clean
 
 
@@ -427,9 +434,9 @@ def test_delta_strip_toggle_restores_original_scores():
     original = doc("the cat sat and you ran but the dog stayed")
     # payload lands inside the first word, splitting "the" for the tokenizer
     stego_text = original.text[:2] + zwcodec.encode_message("SECRET") + original.text[2:]
-    raw = burrows_delta(ref, doc(stego_text), k=10)
-    stripped = burrows_delta(ref, doc(stego_text).stripped(), k=10)
-    baseline = burrows_delta(ref, original, k=10)
+    raw = delta(ref, doc(stego_text), k=10)
+    stripped = delta(ref, doc(stego_text).stripped(), k=10)
+    baseline = delta(ref, original, k=10)
     assert stripped.deltas == baseline.deltas
     assert raw.deltas != baseline.deltas
 
@@ -501,8 +508,8 @@ def test_delta_oracle_equivalence_randomized_smoke():
         cand = Document(id="cand", text=" ".join(candidate_tokens))
         if expected is None:
             with pytest.raises(InsufficientCorpus):
-                burrows_delta(ref, cand, k=8)
+                delta(ref, cand, k=8)
             continue
-        report = burrows_delta(ref, cand, k=8)
+        report = delta(ref, cand, k=8)
         for author, value in expected.items():
             assert report.deltas[author] == pytest.approx(value, abs=1e-9)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import threading
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stylocloak import zwcodec
+from stylocloak import DataError, zwcodec
 from stylocloak.pipeline import PipelineConfig, apply_config
 from stylocloak.styloscope import tokenize
 from stylocloak.transforms import (
@@ -413,6 +414,15 @@ def test_backend_spec_validation():
         BackendSpec(kind="carrier-pigeon")
     with pytest.raises(ValueError):
         BackendSpec(kind="http")  # no target
+
+
+@pytest.mark.parametrize("timeout", [0, 0.0, -1, -0.5, math.inf, -math.inf, math.nan])
+def test_backend_timeout_must_be_positive_and_finite(timeout):
+    message = "backend timeout must be a positive finite number of seconds"
+    with pytest.raises(DataError, match=message):
+        BackendSpec(kind="http", target="http://x", timeout=timeout)
+    with pytest.raises(DataError, match=message):
+        BackendSpec.parse({"kind": "http", "target": "http://x", "timeout": timeout})
 
 
 @pytest.mark.parametrize(
