@@ -21,7 +21,8 @@ Zero-width content is handled once, where text enters: :func:`apply_config`
 strips the text it transforms on entry, :func:`run_matrix` strips the
 candidate once for all its configs, and the imitation source is stripped
 when a style model is first trained.  So no stage sees a stray code point,
-and the steganography stage always writes into a clean carrier.
+and the steganography stage always writes into a clean carrier, through
+:func:`~stylocloak.weaver.embed_linewise`, so the weaver alone cuts it into lines.
 ``run_matrix`` with ``strip=True`` also measures stripped copies of the
 candidate, the reference and every transformed text, modelling an analyst
 who sanitizes input first.
@@ -182,10 +183,7 @@ def _run_stages(
                     text, seed, opts.substitution_rate, opts.punctuation_jitter
                 )
             elif stage == "steganography":
-                lines, dropped = weaver.embed_linewise(
-                    text.splitlines(keepends=True), config.payload
-                )
-                text = "".join(lines)
+                text, dropped = weaver.embed_linewise(text, config.payload)
         except StylocloakError as exc:
             raise StageError(stage, exc) from exc
     return text, dropped

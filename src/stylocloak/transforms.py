@@ -69,6 +69,11 @@ class BackendSpec:
                 f"backend timeout must be a positive finite number of seconds, "
                 f"got {self.timeout!r}"
             )
+        if self.timeout > 86400:
+            raise DataError(
+                f"backend timeout must be at most 86400 seconds (one day), "
+                f"got {self.timeout!r}"
+            )
 
     @classmethod
     def parse(cls, value) -> "BackendSpec":

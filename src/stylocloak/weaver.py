@@ -3,7 +3,8 @@
 Payload code points go *between* a word's grapheme clusters, never before
 the first one, so whitespace canonicalization (trimming, collapsing) cannot
 dislodge them.  Line-wise embedding spreads a secret across a document one
-letter per non-blank line, leaving surplus lines untouched.
+letter per non-blank line, leaving surplus lines untouched.  Embedding and
+extraction cut lines in one place, :func:`_line_ends`: a line ends after LF.
 
 Carrier text is expected to be clean of the four alphabet code points;
 weaving into an already-contaminated word cannot satisfy the strip
@@ -16,14 +17,13 @@ import operator
 import re
 import warnings
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
 from functools import cache
-from itertools import accumulate
 
 from . import DataError, zwcodec
 from .zwcodec import POINTS, MalformedStream, _point_starts
 
 _FIRST_WORD = re.compile(r"\S+")
+_LINE = re.compile(r".*\n|.+")  # without DOTALL, "." is anything but LF
 
 STRATEGIES = ("round_robin", "after_first")
 
@@ -109,41 +109,59 @@ def secret_units(secret: str) -> list[str]:
     return [streams[letter] for letter in secret]
 
 
+def _line_ends(text: str) -> list[int]:
+    r"""The end offset of each carrier line of ``text``: a line ends after LF.
+
+    So CRLF is one ending, and lone CR, VT, FF, ``\x1c``-``\x1e``, U+0085,
+    U+2028 and U+2029 are characters inside a line.  Text after the last LF
+    is one more line.
+    """
+    return [line.end() for line in _LINE.finditer(text)]
+
+
 def embed_linewise(
-    lines: list[str], secret: str, strategy: str = "round_robin"
-) -> tuple[list[str], int]:
+    text: str, secret: str, strategy: str = "round_robin"
+) -> tuple[str, int]:
     """Hide one secret letter per carrier line, inside the line's first word.
 
     Lines beyond the secret's length pass through byte-identical.  Blank or
     whitespace-only lines are skipped and consume no secret letter.  If the
-    secret outlives the carrier, the surplus is dropped.  Returns the lines
+    secret outlives the carrier, the surplus is dropped.  Returns the text
     and the number of letters dropped.
     """
     units = secret_units(secret)
-    output = []
-    position = 0
-    for line in lines:
-        if position >= len(units):
-            output.append(line)
-            continue
-        match = _FIRST_WORD.search(line)
-        if match is None:
-            output.append(line)
-            continue
-        woven = weave_into_unigram(match.group(), units[position], strategy)
-        output.append(line[: match.start()] + woven + line[match.end() :])
-        position += 1
-    return output, len(units) - position
+    pieces = []
+    done = start = position = 0
+    for end in _line_ends(text):
+        if position == len(units):
+            break
+        match = _FIRST_WORD.search(text, start, end)
+        if match:
+            woven = weave_into_unigram(match.group(), units[position], strategy)
+            pieces += text[done : match.start()], woven
+            done = match.end()
+            position += 1
+        start = end
+    pieces.append(text[done:])
+    return "".join(pieces), len(units) - position
 
 
-def _extract(text: str, ends: list[int]) -> str:
-    """Decode the payload points of ``text`` line by line, in line order.
+def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> str:
+    """:func:`embed_linewise`, with a SecretOverflow warning for dropped letters."""
+    text, dropped = embed_linewise(text, secret, strategy)
+    if dropped:
+        warnings.warn(SecretOverflow(dropped), stacklevel=2)
+    return text
 
-    ``ends`` holds the end offset of each line in ``text``.  The points are
-    found in one pass, then grouped by line with two bisects per carrying
-    line.  Each distinct line stream is decoded once.
+
+def extract_from_text(text: str) -> str:
+    """Recover the secret hidden by :func:`embed_linewise`, in line order.
+
+    The points are found in one pass, then grouped by line with two bisects
+    per carrying line.  Each distinct line stream is decoded once.
     """
     starts = _point_starts(text)
+    ends = _line_ends(text)
     stream = "".join(map(text.__getitem__, starts))
     letters = []
     decoded: dict[str, str] = {}
@@ -162,29 +180,3 @@ def _extract(text: str, ends: list[int]) -> str:
         letters.append(letter)
         first = last
     return "".join(letters)
-
-
-def extract_linewise(lines: Iterable[str]) -> str:
-    """Recover the secret hidden by :func:`embed_linewise`, in line order."""
-    lines = list(lines)
-    return _extract("".join(lines), list(accumulate(map(len, lines))))
-
-
-def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> str:
-    """Line-wise embedding over a whole document, terminators preserved.
-
-    Letters beyond the carrier's lines are dropped with a SecretOverflow warning.
-    """
-    lines, dropped = embed_linewise(text.splitlines(keepends=True), secret, strategy)
-    if dropped:
-        warnings.warn(SecretOverflow(dropped), stacklevel=2)
-    return "".join(lines)
-
-
-def extract_from_text(text: str) -> str:
-    """Inverse of :func:`embed_into_text`.
-
-    The lines are split off only for their lengths: the points are found
-    in ``text`` itself.
-    """
-    return _extract(text, list(accumulate(map(len, text.splitlines(keepends=True)))))

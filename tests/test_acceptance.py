@@ -14,6 +14,7 @@ import time
 import pytest
 
 from oracle_delta import oracle_burrows_delta
+from oracle_lines import carrier_lines
 from stylocloak import pipeline, styloscope, synthcorpus, weaver, zwcodec
 from stylocloak.pipeline import PipelineConfig, emit_report, run_matrix
 from stylocloak.styloscope import (
@@ -93,8 +94,8 @@ def test_criterion_02_invisibility_invariant():
         secret = "".join(
             rng.choice(string.ascii_uppercase) for _ in range(rng.randint(0, 8))
         )
-        out, _ = embed_linewise(lines, secret)
-        if [strip_zero_width(l)[0] for l in out] != lines:
+        out, _ = embed_linewise("\n".join(lines), secret)
+        if [strip_zero_width(l)[0] for l in carrier_lines(out)] != lines:
             failures += 1
     _verdict(
         2,
@@ -109,7 +110,8 @@ def test_criterion_03_linewise_conformance_exhaustive():
         for n_lines in range(6):
             secret = string.ascii_uppercase[:n_secret]
             lines = [f"line{i} word tail" for i in range(n_lines)]
-            out, dropped = embed_linewise(lines, secret)
+            out, dropped = embed_linewise("\n".join(lines), secret)
+            out = carrier_lines(out)
             modified = sum(1 for before, after in zip(lines, out) if before != after)
             expected = min(n_secret, n_lines)
             trailing_ok = out[expected:] == lines[expected:]

@@ -41,8 +41,8 @@ OPERATION_SURFACE = {
     "zwcodec.strip_zero_width": "strip",
     "zwcodec.scan_text": "scan",
     "weaver.weave_into_unigram": "weave",
-    "weaver.embed_linewise": "embed-lines",
-    "weaver.extract_linewise": "extract-lines",
+    "weaver.embed_into_text": "embed-lines",  # runs weaver.embed_linewise
+    "weaver.extract_from_text": "extract-lines",
     "transforms.round_trip_translate": "transform",
     "transforms.train_style_model": "transform",
     "transforms.imitate": "transform",
@@ -933,6 +933,26 @@ def test_run_file_backend_timeout_must_be_positive_and_finite(
     code, out, err = run(capsys, "matrix", "--config", str(run_file))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("timeout", ["1e300", "1" + "0" * 300], ids=["1e300", "10**300"])
+def test_run_file_backend_timeout_above_one_day_is_refused_as_it_loads(
+    capsys, tmp_path, timeout
+):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    backend = '{"kind": "external-command", "target": "cat", "timeout": %s}' % timeout
+    run_file.write_text(
+        '{"corpus": "corpus", "candidate": "candidate.txt", "chain": ["fr"], '
+        '"k": 30, "backends": {"translation": %s}}' % backend,
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "matrix", "--config", str(run_file))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: backend timeout must be at most 86400 seconds (one day), "
+        f"got {json.loads(timeout)!r}\n"
+    )
 
 
 def test_deeply_nested_backend_reply_is_backend_error(capsys, tmp_path):

@@ -390,6 +390,7 @@ def http_backend_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_round_trip(http_backend_server):
@@ -423,6 +424,19 @@ def test_backend_timeout_must_be_positive_and_finite(timeout):
         BackendSpec(kind="http", target="http://x", timeout=timeout)
     with pytest.raises(DataError, match=message):
         BackendSpec.parse({"kind": "http", "target": "http://x", "timeout": timeout})
+
+
+@pytest.mark.parametrize(
+    "timeout", [1e300, 10**300, 86400.5], ids=["1e300", "10**300", "86400.5"]
+)
+def test_backend_timeout_must_be_at_most_one_day(timeout):
+    # the clients refuse such timeouts only when called, in their own words
+    message = r"^backend timeout must be at most 86400 seconds \(one day\), got "
+    with pytest.raises(DataError, match=message):
+        BackendSpec(kind="http", target="http://x", timeout=timeout)
+    with pytest.raises(DataError, match=message):
+        BackendSpec.parse({"kind": "http", "target": "http://x", "timeout": timeout})
+    assert BackendSpec(kind="http", target="http://x", timeout=86400).timeout == 86400
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ import regex
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stylocloak import weaver, zwcodec
+from oracle_lines import carrier_lines
+from stylocloak import pipeline, weaver, zwcodec
 from stylocloak.zwcodec import BIT0, BIT1, END, SEP, MalformedStream, strip_zero_width
 from stylocloak.weaver import (
     ContaminatedWord,
@@ -14,7 +15,6 @@ from stylocloak.weaver import (
     embed_linewise,
     embed_into_text,
     extract_from_text,
-    extract_linewise,
     secret_units,
     weave_into_unigram,
 )
@@ -26,6 +26,8 @@ clean_char = st.characters(
 clean_word = st.text(alphabet=clean_char, min_size=1, max_size=12).filter(
     lambda w: w.strip() == w and w
 )
+# one carrier line: only LF ends a line, so a line holds none
+clean_line = clean_word.filter(lambda w: "\n" not in w)
 payloads = st.text(alphabet=st.sampled_from(BIT0 + BIT1 + SEP), max_size=20).map(
     lambda body: body + END
 )
@@ -145,30 +147,30 @@ def test_secret_units_are_single_letter_streams():
 
 
 def test_embed_no_lines_reports_overflow():
-    assert embed_linewise([], "ABC") == ([], 3)
+    assert embed_linewise("", "ABC") == ("", 3)
 
 
 def test_embed_one_letter_into_first_line():
-    out, dropped = embed_linewise(["x", "y"], "A")
-    assert out == ["x" + BIT0 + END, "y"]
+    out, dropped = embed_linewise("x\ny", "A")
+    assert carrier_lines(out) == ["x" + BIT0 + END, "y"]
     assert dropped == 0
 
 
 def test_embed_empty_secret_is_identity():
-    lines = ["alpha beta", "", "gamma"]
-    assert embed_linewise(lines, "") == (lines, 0)
+    cover = "\n".join(["alpha beta", "", "gamma"])
+    assert embed_linewise(cover, "") == (cover, 0)
 
 
 def test_embed_targets_first_word_only():
-    out, _ = embed_linewise(["  hello world  "], "A")
+    out, _ = embed_linewise("  hello world  ", "A")
     # unit "A" = BIT0+END spread over the gaps of "hello"
-    assert out == ["  h" + BIT0 + "e" + END + "llo world  "]
-    clean, _ = strip_zero_width(out[0])
+    assert out == "  h" + BIT0 + "e" + END + "llo world  "
+    clean, _ = strip_zero_width(out)
     assert clean == "  hello world  "
 
 
 def test_embed_skips_blank_lines_without_consuming():
-    out, _ = embed_linewise(["", "   ", "word"], "A")
+    out = carrier_lines(embed_linewise("\n".join(["", "   ", "word"]), "A")[0])
     assert out[0] == ""
     assert out[1] == "   "
     clean, extracted = strip_zero_width(out[2])
@@ -177,61 +179,57 @@ def test_embed_skips_blank_lines_without_consuming():
 
 
 def test_embed_preserves_line_terminators():
-    lines = ["one\r\n", "two\n", "three"]
-    out, _ = embed_linewise(lines, "AB")
-    assert out[0].endswith("\r\n") and out[1].endswith("\n")
-    assert [strip_zero_width(l)[0] for l in out] == lines
+    cover = "one\r\ntwo\nthree"
+    out, _ = embed_linewise(cover, "AB")
+    first, second, third = carrier_lines(out)
+    assert first.endswith("\r") and out.count("\n") == 2
+    assert [strip_zero_width(line)[0] for line in (first, second, third)] == [
+        "one\r", "two", "three"
+    ]
 
 
 def test_extract_round_trip():
-    lines, dropped = embed_linewise(["x", "y"], "AB")
-    assert (extract_linewise(lines), dropped) == ("AB", 0)
-
-
-def test_extract_takes_lines_from_any_iterable():
-    lines, _ = embed_linewise(["x\n", "plain\n", "y"], "AB")
-    assert extract_linewise(iter(lines)) == "AB"
-    with pytest.raises(MalformedStream, match="line 2"):
-        extract_linewise(line for line in ["fine", "bro" + BIT0 + "ken"])
+    out, dropped = embed_linewise("x\ny", "AB")
+    assert (extract_from_text(out), dropped) == ("AB", 0)
 
 
 def test_extract_clean_carrier_is_empty():
-    assert extract_linewise(["plain", "text"]) == ""
+    assert extract_from_text("plain\ntext") == ""
 
 
 def test_extract_after_truncation():
-    lines, dropped = embed_linewise(["x"], "AB")
+    out, dropped = embed_linewise("x", "AB")
     assert dropped == 1
-    assert extract_linewise(lines) == "A"
+    assert extract_from_text(out) == "A"
 
 
 def test_extract_reports_line_number_on_malformed_stream():
     with pytest.raises(MalformedStream, match="line 2"):
-        extract_linewise(["fine", "bro" + BIT0 + "ken"])  # no end marker
+        extract_from_text("fine\nbro" + BIT0 + "ken")  # no end marker
 
 
-@given(st.lists(clean_word, max_size=6), secrets)
+@given(st.lists(clean_line, max_size=6), secrets)
 def test_line_count_and_visible_invariance(lines, secret):
-    out, _ = embed_linewise(lines, secret)
-    assert len(out) == len(lines)
-    assert [strip_zero_width(l)[0] for l in out] == lines
+    out, _ = embed_linewise("\n".join(lines), secret)
+    assert len(carrier_lines(out)) == len(lines)
+    assert [strip_zero_width(l)[0] for l in carrier_lines(out)] == lines
 
 
-@given(st.lists(clean_word, max_size=6), secrets)
+@given(st.lists(clean_line, max_size=6), secrets)
 def test_payload_conservation(lines, secret):
-    out, dropped = embed_linewise(lines, secret)
-    recovered = extract_linewise(out)
+    out, dropped = embed_linewise("\n".join(lines), secret)
+    recovered = extract_from_text(out)
     assert recovered == secret[: len(recovered)]
     assert len(recovered) == min(len(secret), len(lines))
     assert dropped == len(secret) - len(recovered)
 
 
-@given(st.lists(clean_word, max_size=5), secrets)
+@given(st.lists(clean_line, max_size=5), secrets)
 def test_idempotent_cleanliness(lines, secret):
-    embedded, _ = embed_linewise(lines, secret)
-    stripped = [strip_zero_width(l)[0] for l in embedded]
-    re_embedded, _ = embed_linewise(stripped, secret)
-    assert [strip_zero_width(l)[0] for l in re_embedded] == lines
+    embedded, _ = embed_linewise("\n".join(lines), secret)
+    stripped = [strip_zero_width(l)[0] for l in carrier_lines(embedded)]
+    re_embedded, _ = embed_linewise("\n".join(stripped), secret)
+    assert [strip_zero_width(l)[0] for l in carrier_lines(re_embedded)] == lines
 
 
 def test_text_level_embedding_round_trip():
@@ -248,7 +246,8 @@ def test_text_level_embedding_warns_overflow():
     assert extract_from_text(stego) == "A"
 
 
-# every boundary str.splitlines breaks at, CRLF included
+# every boundary str.splitlines breaks at, CRLF included; of these only LF,
+# alone or in CRLF, ends a carrier line
 LINE_BOUNDARIES = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                    "\u2028", "\u2029"]
 cover_line = st.text(alphabet=st.sampled_from("ab é漢 \t"), max_size=8)
@@ -260,7 +259,7 @@ cover_line = st.text(alphabet=st.sampled_from("ab é漢 \t"), max_size=8)
 )
 def test_text_round_trip_over_every_line_boundary(lines, secret):
     cover = "".join(text + boundary for text, boundary in lines)
-    carrying = sum(1 for line in cover.splitlines() if line.strip())
+    carrying = sum(1 for line in carrier_lines(cover) if line.strip())
     stego = embed_into_text(cover, secret)
     assert strip_zero_width(stego)[0] == cover
     assert extract_from_text(stego) == secret[:carrying]
@@ -268,8 +267,33 @@ def test_text_round_trip_over_every_line_boundary(lines, secret):
 
 def test_malformed_stream_line_number_counts_every_line_boundary():
     cover = "a\r\nb\x0bc\x1cd\x85e\u2028bro" + BIT0 + "ken\u2029last"
-    with pytest.raises(MalformedStream, match="^line 6: "):
+    with pytest.raises(MalformedStream, match="^line 2: "):
         extract_from_text(cover)
+
+
+# The line rule at the three places that read carrier lines: VT, FF and
+# the other separators str.splitlines breaks at sit inside a line.
+FORM_FEED_COVER = "alpha\x0cbeta\ngamma delta\n"
+
+
+def test_extraction_counts_a_form_feed_line_as_one_line():
+    with pytest.raises(MalformedStream, match="^line 1: "):
+        extract_from_text("ok\x0cbad" + BIT0 + " here\n")
+
+
+def test_embedding_counts_a_form_feed_line_as_one_line():
+    with pytest.warns(SecretOverflow) as caught:
+        stego = embed_into_text(FORM_FEED_COVER, "MEET")
+    assert [w.message.dropped for w in caught] == [2]
+    assert extract_from_text(stego) == "ME"
+
+
+def test_grid_steganography_counts_a_form_feed_line_as_one_line():
+    config = pipeline.PipelineConfig(id=8, payload="MEET")
+    with pytest.warns(SecretOverflow) as caught:
+        stego = pipeline.apply_config(FORM_FEED_COVER, config)
+    assert [w.message.dropped for w in caught] == [2]
+    assert stego == embed_into_text(FORM_FEED_COVER, "ME")
 
 
 # multi-line texts drawn like test_zwcodec's unicode_with_noise, with whole
@@ -294,9 +318,9 @@ noisy_lines = st.tuples(
 
 
 def extract_per_line(text):
-    """Reference extraction: filter each splitlines line, decode its stream."""
+    """Reference extraction: filter each carrier line, decode its stream."""
     letters = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(carrier_lines(text), start=1):
         stream = "".join(char for char in line if char in zwcodec.POINTS)
         if stream:
             try:
@@ -308,17 +332,11 @@ def extract_per_line(text):
 
 @given(noisy_lines)
 def test_extraction_matches_per_line_reference(text):
-    expected = extract_per_line(text)
-    for extract, given_as in [
-        (extract_from_text, text),
-        (extract_linewise, text.splitlines(keepends=True)),
-        (extract_linewise, text.splitlines()),
-    ]:
-        try:
-            got = "letters", extract(given_as)
-        except MalformedStream as exc:
-            got = "error", str(exc)
-        assert got == expected
+    try:
+        got = "letters", extract_from_text(text)
+    except MalformedStream as exc:
+        got = "error", str(exc)
+    assert got == extract_per_line(text)
 
 
 def test_secret_units_encode_each_distinct_letter_once(monkeypatch):
