@@ -10,7 +10,19 @@ Subpackages by job:
 - :mod:`stylocloak.cli` -- the ``stylocloak`` command
 """
 
+import os
+
 __version__ = "0.1.0"
+
+
+def _bundled_text(name: str) -> str:
+    """A UTF-8 file of the package's ``data`` directory, read by its loader.
+
+    Not :mod:`importlib.resources`: on Python 3.12 and later that loads
+    :mod:`inspect` and :mod:`typing` into every command that reads a list.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 class StylocloakError(Exception):

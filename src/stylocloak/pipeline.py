@@ -36,7 +36,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 from . import DataError, StylocloakError, check_json_object, transforms, weaver
@@ -79,17 +79,22 @@ class StageError(StylocloakError, RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-@dataclass(frozen=True)
-class StageOptions:
-    """Tunables shared by the transform stages."""
+class StageOptions(
+    namedtuple(
+        "StageOptions",
+        "substitution_rate punctuation_jitter imitation_ratio model_order chain",
+        defaults=(0.3, False, 0.25, 3, ()),
+    )
+):
+    """Tunables shared by the transform stages.
 
-    substitution_rate: float = 0.3
-    punctuation_jitter: bool = False
-    imitation_ratio: float = 0.25
-    model_order: int = 3
-    chain: tuple[str, ...] = ()
+    ``chain`` names the pivot languages of the translation stage.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # The rate is a chance per word, and imitation appends round(ratio *
         # len(text)) characters: bound both.
         for name in ("substitution_rate", "imitation_ratio"):
@@ -98,21 +103,39 @@ class StageOptions:
                 raise DataError(f"{name} must be finite, got {value}")
             if not 0 <= value <= 1:
                 raise DataError(f"{name} must be in [0, 1], got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """One cell of the experiment grid: a config id plus its knobs."""
+class PipelineConfig(
+    namedtuple(
+        "PipelineConfig",
+        "id seed payload translation_backend options",
+        defaults=(0, "", None, StageOptions()),
+    )
+):
+    """One cell of the experiment grid: a config id plus its knobs.
 
-    id: int
-    seed: int = 0
-    payload: str = ""
-    translation_backend: BackendSpec | None = None
-    options: StageOptions = StageOptions()
+    ``translation_backend`` is a :class:`~stylocloak.transforms.BackendSpec`,
+    or None for the builtin one.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.id not in CONFIG_STAGES:
             raise DataError(f"config id must be 1..15, got {self.id}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def stages(self) -> tuple[str, ...]:
@@ -189,25 +212,28 @@ def _run_stages(
     return text, dropped
 
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(
+    namedtuple(
+        "MatrixRow",
+        "config author delta_adversarial delta_reference"
+        " probability_adversarial probability_reference delta_change",
+    )
+):
     """One (config, author) cell of the comparison matrix."""
 
-    config: int
-    author: str
-    delta_adversarial: float
-    delta_reference: float
-    probability_adversarial: float
-    probability_reference: float
-    delta_change: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MatrixReport:
-    rows: tuple[MatrixRow, ...]
-    errors: tuple[dict, ...]
-    metadata: dict
-    warnings: tuple[dict, ...] = ()
+class MatrixReport(
+    namedtuple("MatrixReport", "rows errors metadata warnings", defaults=((),))
+):
+    """A grid's rows, with the facts that replay the run (``metadata``).
+
+    ``errors`` holds a dict per aborted config, and ``warnings`` one per
+    payload cut short by a carrier with too few lines.
+    """
+
+    __slots__ = ()
 
 
 def run_matrix(
@@ -336,24 +362,24 @@ def emit_report(report: MatrixReport, fmt: str = "json") -> str:
     if fmt == "json":
         payload = {
             "metadata": report.metadata,
-            "rows": [asdict(row) for row in report.rows],
+            "rows": [row._asdict() for row in report.rows],
             "errors": list(report.errors),
             "warnings": list(report.warnings),
         }
         return json.dumps(payload, sort_keys=True, indent=2)
-    return render_table(fmt, _MATRIX_COLUMNS, [asdict(row) for row in report.rows])
+    return render_table(fmt, _MATRIX_COLUMNS, [row._asdict() for row in report.rows])
 
 
-@dataclass(frozen=True)
-class MatrixSpec:
+class MatrixSpec(
+    namedtuple(
+        "MatrixSpec",
+        "candidate reference configs k strip imitation_source",
+        defaults=(50, False, None),
+    )
+):
     """Parsed matrix run description: corpora, grid, and options."""
 
-    candidate: Document
-    reference: Corpus
-    configs: tuple[PipelineConfig, ...]
-    k: int = 50
-    strip: bool = False
-    imitation_source: str | None = None
+    __slots__ = ()
 
 
 #: Each run-file key and the JSON type of its value.
@@ -372,7 +398,9 @@ _RUN_TYPES = {
 }
 #: Each ``options`` key: every StageOptions field except chain, typed by its default.
 _OPTION_TYPES = {
-    f.name: type(f.default) for f in fields(StageOptions) if f.name != "chain"
+    name: type(default)
+    for name, default in StageOptions._field_defaults.items()
+    if name != "chain"
 }
 #: The one ``backends`` key: only the translation stage calls a backend.
 _BACKEND_TYPES = {"translation": (str, dict)}

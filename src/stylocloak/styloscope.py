@@ -22,14 +22,12 @@ import json
 import math
 import re
 import string
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
-from . import DataError
+from . import DataError, _bundled_text
 from .zwcodec import read_text_file, strip_zero_width
 
 _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
@@ -55,20 +53,31 @@ def tokenize(text: str) -> list[str]:
 @lru_cache(maxsize=1)
 def default_function_words() -> tuple[str, ...]:
     """The bundled 175-word English function-word list, in file order."""
-    data = resources.files("stylocloak").joinpath("data/function_words.txt")
-    return tuple(w for w in data.read_text(encoding="utf-8").splitlines() if w)
+    return tuple(w for w in _bundled_text("function_words.txt").splitlines() if w)
 
 
-@dataclass
 class Document:
-    """A text unit with an optional author label and a cached tokenization."""
+    """A text unit with an optional author label and a cached tokenization.
 
-    id: str
-    text: str
-    author: str | None = None
-    _tokens: list[str] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    Documents compare equal by id, text and author, and leave the token
+    cache out of comparison and ``repr``.  They are mutable, so unhashable.
+    """
+
+    __slots__ = ("id", "text", "author", "_tokens")
+
+    def __init__(self, id: str, text: str, author: str | None = None):
+        self.id = id
+        self.text = text
+        self.author = author
+        self._tokens: list[str] | None = None
+
+    def __repr__(self) -> str:
+        return f"Document(id={self.id!r}, text={self.text!r}, author={self.author!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.text, self.author) == (other.id, other.text, other.author)
 
     def tokens(self) -> list[str]:
         if self._tokens is None:
@@ -80,11 +89,21 @@ class Document:
         return Document(self.id, strip_zero_width(self.text)[0], self.author)
 
 
-@dataclass
 class Corpus:
     """A collection of documents, grouped by author label on demand."""
 
-    documents: list[Document]
+    __slots__ = ("documents",)
+
+    def __init__(self, documents: list[Document]):
+        self.documents = documents
+
+    def __repr__(self) -> str:
+        return f"Corpus(documents={self.documents!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.documents == other.documents
 
     @property
     def authors(self) -> list[str]:
@@ -276,13 +295,14 @@ def iter_feature_vectors(
     )
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    """Burrows' Delta per author, with the derived probability ranking."""
+class DeltaReport(namedtuple("DeltaReport", "deltas probabilities function_words_used")):
+    """Burrows' Delta per author, with the derived probability ranking.
 
-    deltas: dict[str, float]
-    probabilities: dict[str, float]
-    function_words_used: list[str]
+    ``deltas`` and ``probabilities`` map each author to a float, and
+    ``function_words_used`` lists the axis words in order.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -310,8 +330,7 @@ def _per_1000(counts: Counter, total: int, word: str) -> float:
     return counts.get(word, 0) * 1000.0 / total
 
 
-@dataclass(frozen=True)
-class DeltaReference:
+class DeltaReference(namedtuple("DeltaReference", "words means stds author_z")):
     """A reference corpus fitted for Delta: the axis and each author's place on it.
 
     ``words`` are the axis words with non-zero variance, ``means`` and
@@ -319,10 +338,7 @@ class DeltaReference:
     ``author_z`` one z-profile per author, in sorted author order.
     """
 
-    words: tuple[str, ...]
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-    author_z: dict[str, tuple[float, ...]]
+    __slots__ = ()
 
 
 def _z_profile(tokens: list[str], words, means, stds) -> tuple[float, ...]:

@@ -12,7 +12,7 @@ Everything is a pure function of its seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .styloscope import Corpus, Document
@@ -23,18 +23,25 @@ def _weighted(pairs: list[tuple[str, int]]) -> tuple[str, ...]:
     return tuple(word for word, weight in pairs for _ in range(weight))
 
 
-@dataclass(frozen=True)
-class AuthorStyle:
-    name: str
-    connectors: tuple[str, ...]   # function words, repetition encodes weight
-    adverbs: tuple[str, ...]      # favorite sentence adverbs
-    content_offset: int           # where this author's vocabulary slice starts
-    min_words: int
-    max_words: int
-    terminators: str
-    comma_rate: float
-    function_rate: float
-    adverb_rate: float = 0.10
+class AuthorStyle(
+    namedtuple(
+        "AuthorStyle",
+        [
+            "name",
+            "connectors",      # function words, repetition encodes weight
+            "adverbs",         # favorite sentence adverbs
+            "content_offset",  # where this author's vocabulary slice starts
+            "min_words",
+            "max_words",
+            "terminators",
+            "comma_rate",
+            "function_rate",
+            "adverb_rate",
+        ],
+        defaults=(0.10,),
+    )
+):
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

@@ -19,13 +19,11 @@ import math
 import random
 import re
 from bisect import bisect
-from collections import Counter
-from dataclasses import dataclass, field, fields
+from collections import Counter, namedtuple
 from functools import lru_cache
-from importlib import resources
 from itertools import accumulate, groupby
 
-from . import DataError, StylocloakError, check_json_object
+from . import DataError, StylocloakError, _bundled_text, check_json_object
 from .styloscope import default_function_words
 
 # Captured, so that split() keeps the words at the odd indices.
@@ -51,15 +49,15 @@ class CorpusTooSmall(DataError):
     """Style-model training text is not longer than the context order."""
 
 
-@dataclass(frozen=True)
-class BackendSpec:
+class BackendSpec(
+    namedtuple("BackendSpec", "kind target timeout", defaults=("builtin", "", 30.0))
+):
     """Where a transform stage runs: in process, a command, or an endpoint."""
 
-    kind: str = "builtin"
-    target: str = ""
-    timeout: float = 30.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in BACKEND_KINDS:
             raise DataError(f"unknown backend kind {self.kind!r}")
         if self.kind != "builtin" and not self.target.strip():
@@ -74,6 +72,12 @@ class BackendSpec:
                 f"backend timeout must be at most 86400 seconds (one day), "
                 f"got {self.timeout!r}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, value) -> "BackendSpec":
@@ -82,7 +86,7 @@ class BackendSpec:
         The object's keys are the fields, each typed by its default.
         """
         if isinstance(value, dict):
-            types = {f.name: type(f.default) for f in fields(cls)}
+            types = {name: type(v) for name, v in cls._field_defaults.items()}
             check_json_object(value, types, "backend")
             return cls(**value)
         if value == "builtin":
@@ -102,9 +106,8 @@ def load_synonyms() -> dict[str, tuple[str, ...]]:
     of its group (two-word phrases appear only as substitutions).  The first
     group to claim a word wins.
     """
-    data = resources.files("stylocloak").joinpath("data/synonyms.txt")
     table: dict[str, tuple[str, ...]] = {}
-    for line in data.read_text(encoding="utf-8").splitlines():
+    for line in _bundled_text("synonyms.txt").splitlines():
         members = [m.strip() for m in line.split(",") if m.strip()]
         for member in members:
             if " " in member or member in table:
@@ -266,22 +269,19 @@ def call_backend(
     return result
 
 
-@dataclass(frozen=True)
-class StyleModel:
+class StyleModel(namedtuple("StyleModel", "order transitions tables")):
     """Character Markov chain over a training corpus.
 
-    ``tables`` maps each context to its sampling table ``(followers,
-    cumulative weights, total, n - 1)``, built once at training time.
-    :func:`imitate` draws from it exactly as ``random.choices`` draws on its
-    ``weights`` path, so sampling reproduces ``random.choices`` draw for draw
-    (pinned by ``test_table_draw_matches_random_choices``).
+    ``transitions`` maps each context of ``order`` characters to its
+    followers' probabilities.  ``tables`` maps each context to its sampling
+    table ``(followers, cumulative weights, total, n - 1)``, built from
+    ``transitions`` once at training time.  :func:`imitate` draws from it
+    exactly as ``random.choices`` draws on its ``weights`` path, so sampling
+    reproduces ``random.choices`` draw for draw (pinned by
+    ``test_table_draw_matches_random_choices``).
     """
 
-    order: int
-    transitions: dict[str, dict[str, float]]
-    tables: dict[str, tuple[tuple[str, ...], list[float], float, int]] = field(
-        compare=False, repr=False
-    )
+    __slots__ = ()
 
 
 def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:

@@ -166,9 +166,9 @@ class ScanReport(namedtuple("ScanReport", "counts offsets verdict")):
 
     ``counts`` maps each point to its occurrences, ``offsets`` lists
     ``(byte offset, point)`` pairs in text order, and ``verdict`` says
-    whether any point was found.  A named tuple, not a dataclass: codec
-    commands then never import :mod:`dataclasses` and the :mod:`inspect`
-    machinery behind it.
+    whether any point was found.  A named tuple, not a dataclass, like the
+    package's other frozen value types: no command imports
+    :mod:`dataclasses` and the :mod:`inspect` machinery behind it.
     """
 
     __slots__ = ()

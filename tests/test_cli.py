@@ -178,9 +178,12 @@ FOREIGN_LOCALES = {
 @pytest.mark.parametrize("locale_env", FOREIGN_LOCALES.values(), ids=FOREIGN_LOCALES)
 def test_stdin_is_read_like_a_file(tmp_path, locale_env):
     src = Path(__file__).resolve().parents[1] / "src"
+    # Only the locale and encoding settings: PYTHONDONTWRITEBYTECODE stays.
     env = {
         key: value for key, value in os.environ.items()
-        if not key.startswith(("PYTHON", "LC_", "LANG"))
+        if not key.startswith(
+            ("PYTHONIOENCODING", "PYTHONUTF8", "PYTHONCOERCECLOCALE", "LC_", "LANG")
+        )
     }
     env.update(locale_env, PYTHONPATH=str(src))
     for command, data in (("scan", "a\u200bb\n"), ("strip", "a\u200bb\r\nc\r\n")):
@@ -1212,8 +1215,32 @@ def test_scoring_commands_load_neither_pipeline_nor_hashlib(tmp_path, argv):
         f"    code = dispatch({argv!r})\n"
         "if code != 0: raise SystemExit('command failed')"
     )
-    heavy = ("stylocloak.pipeline", "stylocloak.transforms", "hashlib")
+    heavy = (
+        "stylocloak.pipeline", "stylocloak.transforms", "hashlib", "dataclasses", "inspect"
+    )
     assert modules_loaded_by(statement, tmp_path, heavy) == []
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import stylocloak.pipeline",
+        "import stylocloak.synthcorpus",
+        "import contextlib, io\n"
+        "from stylocloak.cli import dispatch\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = dispatch(['matrix', '--config', 'run.json', '--format', 'json'])\n"
+        "if code != 0: raise SystemExit('command failed')",
+    ],
+    ids=["import-pipeline", "import-synthcorpus", "matrix"],
+)
+def test_grid_code_loads_no_dataclasses(tmp_path, statement):
+    write_corpus(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt",
+        "configs": [15], "seed": 1, "payload": "KEY", "k": 30,
+    }), encoding="utf-8")
+    assert modules_loaded_by(statement, tmp_path, ("dataclasses", "inspect")) == []
 
 
 # --- documentation -------------------------------------------------------------

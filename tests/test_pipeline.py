@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import warnings
@@ -571,8 +570,26 @@ def test_load_matrix_spec_refuses_a_non_finite_number(tmp_path, number):
 
 
 def test_run_file_options_are_the_stage_options_except_chain():
-    names = {f.name for f in dataclasses.fields(StageOptions)} - {"chain"}
+    names = set(StageOptions._fields) - {"chain"}
     assert set(pipeline._OPTION_TYPES) == names
+
+
+@pytest.mark.parametrize(
+    "value, changes",
+    [
+        (StageOptions(), {"imitation_ratio": 2}),
+        (PipelineConfig(1), {"id": 99}),
+        (transforms.BackendSpec(), {"timeout": -1}),
+    ],
+    ids=["StageOptions", "PipelineConfig", "BackendSpec"],
+)
+def test_replace_is_checked_like_the_constructor(value, changes):
+    with pytest.raises(DataError) as built:
+        type(value)(**{**value._asdict(), **changes})
+    with pytest.raises(DataError) as replaced:
+        value._replace(**changes)
+    assert type(replaced.value) is type(built.value)
+    assert str(replaced.value) == str(built.value)
 
 
 def test_run_file_key_messages_share_one_shape(tmp_path):

@@ -352,9 +352,21 @@ def test_delta_rejects_bad_k():
         delta(two_author_reference(), doc("x"), k=0)
 
 
+def test_documents_compare_by_id_text_and_author_and_are_unhashable():
+    cached = doc("the cat", "amy", "d")
+    cached.tokens()
+    assert cached == doc("the cat", "amy", "d")
+    assert cached != doc("the cat", "bob", "d")
+    assert Corpus([cached]) == Corpus([doc("the cat", "amy", "d")])
+    assert repr(cached) == "Document(id='d', text='the cat', author='amy')"
+    for value in (cached, Corpus([cached])):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_delta_report_fields():
     report = delta(two_author_reference(), doc("the cat"), k=5)
-    assert list(vars(report)) == ["deltas", "probabilities", "function_words_used"]
+    assert list(report._fields) == ["deltas", "probabilities", "function_words_used"]
     assert sum(report.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
 
 
