@@ -32,10 +32,10 @@ def main():
     for doc in corpus.documents:
         path = dest / "corpus" / doc.id
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(doc.text, encoding="utf-8")
+        path.write_text(doc.text, encoding="utf-8", newline="")
 
     candidate = candidate_for(STYLE_A, seed=args.seed, n_chars=5000)
-    (dest / "candidate.txt").write_text(candidate.text, encoding="utf-8")
+    (dest / "candidate.txt").write_text(candidate.text, encoding="utf-8", newline="")
 
     run = {
         "corpus": "corpus",
@@ -46,7 +46,9 @@ def main():
         "k": 50,
         "strip": False,
     }
-    (dest / "run.json").write_text(json.dumps(run, indent=2), encoding="utf-8")
+    (dest / "run.json").write_text(
+        json.dumps(run, indent=2), encoding="utf-8", newline=""
+    )
     print(f"demo workspace written to {dest}/ ({len(corpus.documents)} reference docs)")
     print(f"next: stylocloak matrix --config {dest}/run.json --format markdown")
 

@@ -225,15 +225,11 @@ def cmd_delta(args) -> int:
         name: styloscope.score_delta(fitted, doc) for name, doc in documents.items()
     }
     if args.format == "json":
-        if len(reports) == 1:
-            print(reports["candidate"].to_json())
-        else:
-            print(
-                json.dumps(
-                    {name: json.loads(r.to_json()) for name, r in reports.items()},
-                    sort_keys=True,
-                )
-            )
+        # One report prints as DeltaReport.to_json does, two keyed by name.
+        payload = {name: report._asdict() for name, report in reports.items()}
+        if len(payload) == 1:
+            payload = payload["candidate"]
+        print(json.dumps(payload, sort_keys=True))
         return 0
     from . import pipeline  # only the table formats need render_table
 

@@ -305,14 +305,7 @@ class DeltaReport(namedtuple("DeltaReport", "deltas probabilities function_words
     __slots__ = ()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "deltas": self.deltas,
-                "probabilities": self.probabilities,
-                "function_words_used": self.function_words_used,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
 def _sum_left(values) -> float:

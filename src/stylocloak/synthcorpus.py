@@ -6,7 +6,11 @@ is exactly the signal Burrows' Delta keys on, which makes the pair a useful
 desk-scale stand-in for an attribution study.  Content vocabulary is drawn
 from the bundled synonym table so the drift transforms always find targets.
 
-Everything is a pure function of its seed.
+Everything is a pure function of its seed, and the draw sequence is part
+of that contract: :func:`make_sentence` takes its picks straight from
+``random.Random.getrandbits``, in exactly the order and number that
+``randint`` and ``choice`` would draw them, so the text for a seed is the
+one those calls give on every supported Python.
 """
 
 from __future__ import annotations
@@ -96,23 +100,76 @@ STYLE_B = AuthorStyle(
 )
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform int in ``range(n)``, 0 for ``n == 0``: exactly
+    ``random.Random._randbelow_with_getrandbits``, which draws
+    ``n.bit_length()`` bits until they fall below ``n``."""
+    if not n:
+        return 0
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def make_sentence(style: AuthorStyle, rng: random.Random) -> str:
+    """One sentence in ``style``, drawn from ``rng``.
+
+    It draws exactly what ``rng.randint`` and ``rng.choice`` would: the word
+    count, then per word one ``rng.random()`` and one pick from its pool,
+    then the comma roll and cut, then the terminator.  Picks are taken
+    straight from ``rng.getrandbits`` as ``random.Random`` takes them, so
+    this holds for ``random.Random``, the only generator this package
+    creates.  ``tests/test_synthcorpus.py`` pins it against a reference
+    written with ``randint``, ``random`` and ``choice``.
+    """
+    random = rng.random
+    getrandbits = rng.getrandbits
+    low, high = style.min_words, style.max_words
+    if high < low:
+        raise ValueError(f"empty range for randint({low}, {high})")
+    count = low + _randbelow(getrandbits, high - low + 1)
+    # Each pool's bit count and length.  A style's empty pool draws 0 bits
+    # against length 1, so its pick draws nothing and fails on the index,
+    # as choice fails on an empty sequence.
+    connectors, adverbs = style.connectors, style.adverbs
     content = _content_pool(style.content_offset)
-    count = rng.randint(style.min_words, style.max_words)
+    k_connectors = len(connectors).bit_length()
+    k_adverbs = len(adverbs).bit_length()
+    k_content = len(content).bit_length()
+    n_connectors = len(connectors) or 1
+    n_adverbs = len(adverbs) or 1
+    n_content = len(content)
+    function_rate = style.function_rate
+    adverb_top = function_rate + style.adverb_rate
     words = []
+    append = words.append
     for _ in range(count):
-        roll = rng.random()
-        if roll < style.function_rate:
-            words.append(rng.choice(style.connectors))
-        elif roll < style.function_rate + style.adverb_rate:
-            words.append(rng.choice(style.adverbs))
+        roll = random()
+        if roll < function_rate:
+            r = getrandbits(k_connectors)
+            while r >= n_connectors:
+                r = getrandbits(k_connectors)
+            append(connectors[r])
+        elif roll < adverb_top:
+            r = getrandbits(k_adverbs)
+            while r >= n_adverbs:
+                r = getrandbits(k_adverbs)
+            append(adverbs[r])
         else:
-            words.append(rng.choice(content))
-    if count >= 6 and rng.random() < style.comma_rate:
-        cut = rng.randint(2, count - 2)
+            r = getrandbits(k_content)
+            while r >= n_content:
+                r = getrandbits(k_content)
+            append(content[r])
+    if count >= 6 and random() < style.comma_rate:
+        cut = 2 + _randbelow(getrandbits, count - 3)
         words[cut] = words[cut] + ","
     sentence = " ".join(words)
-    return sentence[0].upper() + sentence[1:] + rng.choice(style.terminators)
+    terminators = style.terminators
+    return sentence[0].upper() + sentence[1:] + terminators[
+        _randbelow(getrandbits, len(terminators))
+    ]
 
 
 def make_text(style: AuthorStyle, seed: int, n_chars: int) -> str:

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -9,6 +11,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stylocloak import (
     StylocloakError,
@@ -545,6 +549,23 @@ def test_delta_with_reference_fits_the_corpus_once(capsys, tmp_path, monkeypatch
     }
     assert out == json.dumps(expected, sort_keys=True) + "\n"
 
+
+
+def test_delta_with_reference_prints_each_file_as_delta_alone_would(capsys, tmp_path):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    reference_text = tmp_path / "original.txt"
+    reference_text.write_text(
+        candidate_for(STYLE_A, seed=6, n_chars=800).text, encoding="utf-8"
+    )
+    common = ("delta", "--corpus", str(corpus_dir), "--k", "30")
+    code, out, _ = run(capsys, *common, "--candidate", str(candidate),
+                       "--reference", str(reference_text))
+    assert code == 0
+    payload = json.loads(out)
+    for name, path in (("candidate", candidate), ("reference", reference_text)):
+        code, alone, _ = run(capsys, *common, "--candidate", str(path))
+        assert code == 0
+        assert json.dumps(payload[name], sort_keys=True) + "\n" == alone
 
 def test_delta_markdown_output(capsys, tmp_path):
     corpus_dir, candidate = write_corpus(tmp_path)
@@ -1120,6 +1141,41 @@ def test_every_exception_class_is_a_stylocloak_error_or_warning():
     for cls in classes:
         assert issubclass(cls, (StylocloakError, Warning)), cls
 
+
+
+#: Text the codec commands meet in real files: line breaks of three kinds,
+#: multi-byte letters, an emoji, the four payload points and whole streams.
+CODEC_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "b", " ", "\n", "\r", "\x0c", "é", "漢", "👨", *zwcodec.POINTS,
+         zwcodec.encode_message("A"), zwcodec.encode_message("ZQ")]
+    ),
+    max_size=40,
+).map(lambda parts: "".join(parts).encode("utf-8"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.binary(max_size=40) | CODEC_TEXT)
+def test_codec_commands_exit_with_a_documented_code_on_any_input(
+    tmp_path_factory, data
+):
+    folder = tmp_path_factory.mktemp("codec")
+    source = folder / "in.txt"
+    source.write_bytes(data)
+    for argv in (
+        ["scan"],
+        ["strip"],
+        ["strip", "--output", str(folder / "out.txt")],
+        ["decode"],
+        ["extract-lines"],
+        ["embed-lines", "--message", "AB"],
+        ["embed-lines", "--message", "AB", "--strategy", "after_first"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = dispatch([*argv, str(source)])
+        assert code in (0, 1, 2, 3), argv
 
 # --- import budget: a command loads only the modules it runs -----------------
 
