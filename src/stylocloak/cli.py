@@ -189,7 +189,7 @@ def cmd_features(args) -> int:
 
     corpus = styloscope.load_corpus(args.corpus)
     if args.candidate:
-        text = zwcodec.read_text_file(args.candidate)
+        text = _read_input(args.candidate)
         corpus.documents.append(styloscope.Document(id=args.candidate, text=text))
     if args.strip:
         corpus = corpus.stripped()
@@ -209,12 +209,16 @@ def cmd_features(args) -> int:
 def cmd_delta(args) -> int:
     from . import styloscope
 
+    if args.candidate == args.reference == "-":
+        raise DataError(
+            "--candidate and --reference cannot both be '-': stdin is read once"
+        )
     corpus = styloscope.load_corpus(args.corpus)
     paths = {"candidate": args.candidate}
     if args.reference:
         paths["reference"] = args.reference
     documents = {
-        name: styloscope.Document(id=path, text=zwcodec.read_text_file(path))
+        name: styloscope.Document(id=path, text=_read_input(path))
         for name, path in paths.items()
     }
     if args.strip:

@@ -15,7 +15,9 @@ discussion of, say, "config 3" always means obfuscation-only:
 
 A config's stage set follows from its id alone, and its stages always
 execute in the fixed order translation -> imitation -> obfuscation ->
-steganography.
+steganography.  A stage is seeded by the stages run so far
+(:func:`stage_seed`), so the configs are the 15 nodes of a trie of stage
+prefixes: stripped, config x + 8 is config x, and config 8 the candidate.
 
 Zero-width content is handled once, where text enters: :func:`apply_config`
 strips the text it transforms on entry, :func:`run_matrix` strips the
@@ -143,9 +145,9 @@ class PipelineConfig(
         return CONFIG_STAGES[self.id]
 
 
-def stage_seed(base_seed: int, config_id: int, stage: str) -> int:
-    """Stable per-stage seed so grid cells never share RNG streams."""
-    digest = hashlib.sha256(f"{base_seed}:{config_id}:{stage}".encode()).digest()
+def stage_seed(base_seed: int, prefix: tuple[str, ...]) -> int:
+    """Stable seed of the stage ``prefix[-1]``, run after ``prefix[:-1]``."""
+    digest = hashlib.sha256(f"{base_seed}:{'+'.join(prefix)}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -160,7 +162,8 @@ def apply_config(
     strips and changes nothing else.  Payload letters beyond the carrier's
     lines are dropped with a :class:`~stylocloak.weaver.SecretOverflow`
     warning.  A stage that fails on its input raises :class:`StageError`;
-    any other exception is a bug and propagates as is.
+    any other exception is a bug and propagates as is.  The text is the one
+    :func:`run_matrix` scores for the config.
     """
     text, _ = strip_zero_width(text)
     text, dropped = _run_stages(text, config, imitation_source, {})
@@ -169,46 +172,79 @@ def apply_config(
     return text
 
 
+def _translation(text, config, seed, model):
+    backend = config.translation_backend
+    return transforms.round_trip_translate(text, config.options.chain, backend, seed), 0
+
+
+def _imitation(text, config, seed, model):
+    opts = config.options
+    generated = transforms.imitate(
+        model(opts.model_order), round(len(text) * opts.imitation_ratio), seed
+    )
+    if generated:
+        text = f"{text} {generated}" if text else generated
+    return text, 0
+
+
+def _obfuscation(text, config, seed, model):
+    opts = config.options
+    rate, jitter = opts.substitution_rate, opts.punctuation_jitter
+    return transforms.obfuscate(text, seed, rate, jitter), 0
+
+
+def _steganography(text, config, seed, model):
+    return weaver.embed_linewise(text, config.payload)
+
+
+#: Each stage's run: (text, config, seed, the style model of an order) ->
+#: (text, payload letters dropped).
+_STAGES = {
+    "translation": _translation,
+    "imitation": _imitation,
+    "obfuscation": _obfuscation,
+    "steganography": _steganography,
+}
+
+
 def _run_stages(
-    text: str,
-    config: PipelineConfig,
-    imitation_source: str | None,
-    models: dict[tuple[str, int], StyleModel],
+    text: str, config: PipelineConfig, imitation_source: str | None, memo: dict
 ) -> tuple[str, int]:
     """:func:`apply_config` on a stripped text, returned with the letters dropped.
 
-    ``models`` caches each (source, order) style model across calls; a
-    failed training is not stored.
+    The 15 configs are the nodes of a trie of stage prefixes.  ``memo``, kept
+    for one input text and imitation source, maps each node that another
+    config can extend to its ``(text, dropped)``, or to the StylocloakError
+    its stage raised, keyed by the prefix and the config fields a node's
+    text depends on.  It also holds each style model by (source, order); a
+    failed training is not stored apart from its node.
     """
-    opts = config.options
-    dropped = 0
     source = text if imitation_source is None else imitation_source
-    for stage in config.stages:
-        seed = stage_seed(config.seed, config.id, stage)
-        try:
-            if stage == "translation":
-                text = transforms.round_trip_translate(
-                    text, opts.chain, config.translation_backend, seed
-                )
-            elif stage == "imitation":
-                key = (source, opts.model_order)
-                if key not in models:
-                    models[key] = transforms.train_style_model(
-                        strip_zero_width(source)[0], opts.model_order
-                    )
-                generated = transforms.imitate(
-                    models[key], round(len(text) * opts.imitation_ratio), seed
-                )
-                if generated:
-                    text = f"{text} {generated}" if text else generated
-            elif stage == "obfuscation":
-                text = transforms.obfuscate(
-                    text, seed, opts.substitution_rate, opts.punctuation_jitter
-                )
-            elif stage == "steganography":
-                text, dropped = weaver.embed_linewise(text, config.payload)
-        except StylocloakError as exc:
-            raise StageError(stage, exc) from exc
+
+    def model(order: int) -> StyleModel:
+        key = (source, order)
+        if key not in memo:
+            memo[key] = transforms.train_style_model(strip_zero_width(source)[0], order)
+        return memo[key]
+
+    fields = (config.seed, config.payload, config.translation_backend, config.options)
+    dropped = 0
+    for depth, stage in enumerate(config.stages, 1):
+        prefix = config.stages[:depth]
+        key = (prefix, fields)
+        node = memo.get(key)
+        if node is None:
+            seed = stage_seed(config.seed, prefix)
+            try:
+                node = _STAGES[stage](text, config, seed, model)
+            except StylocloakError as exc:
+                node = exc
+            # Steganography runs last, so no config extends its node.
+            if stage != CANONICAL_ORDER[-1]:
+                memo[key] = node
+        if isinstance(node, StylocloakError):
+            raise StageError(stage, node) from node
+        text, dropped = node
     return text, dropped
 
 
@@ -250,25 +286,25 @@ def run_matrix(
     constant across configs for each author.  With ``strip`` the candidate,
     the reference and each transformed text are measured as stripped copies;
     without it the caller's own documents are scored, token caches and all.
-    The reference is fitted once and every style model is trained at most
-    once per call.  A config whose stage fails is recorded under ``errors``
-    (status "aborted") and the rest of the grid still runs; a failed
-    external backend is never silently replaced by the builtin fallback.  A
-    payload cut short by a carrier with too few lines is recorded under
-    ``warnings``.
+    The reference is fitted once, and each style model and stage prefix
+    runs at most once per call.  A config whose stage fails is recorded
+    under ``errors`` (status "aborted") and the rest of the grid still runs;
+    a failed external backend is never silently replaced by the builtin
+    fallback.  A payload cut short by a carrier with too few lines is
+    recorded under ``warnings``.
     """
     measured = candidate.stripped() if strip else candidate
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
     base_report = score_delta(fitted, measured)
     clean_text, _ = strip_zero_width(candidate.text)
-    style_models: dict[tuple[str, int], StyleModel] = {}
+    memo: dict = {}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
     overflows: list[dict] = []
     for config in configs:
         try:
             transformed, dropped = _run_stages(
-                clean_text, config, imitation_source, style_models
+                clean_text, config, imitation_source, memo
             )
         except StageError as exc:
             errors.append(
@@ -423,9 +459,10 @@ def load_matrix_spec(path) -> MatrixSpec:
     imitation_source (file).  :func:`stylocloak.check_json_object` checks
     every object: any other key, at the top level, in options, backends or
     a backend object, or a value of another JSON type, raises DataError.  So
-    do a missing corpus or candidate, text that is not JSON, a number that
-    is not finite (``NaN``, ``Infinity``, ``1e999``), an integer too long to
-    convert and nesting deeper than the JSON parser's recursion limit.
+    do a missing corpus or candidate, a config id listed twice, text that is
+    not JSON, a number that is not finite (``NaN``, ``Infinity``,
+    ``1e999``), an integer too long to convert and nesting deeper than the
+    JSON parser's recursion limit.
     """
     path = Path(path)
     text = read_text_file(path)
@@ -464,6 +501,12 @@ def load_matrix_spec(path) -> MatrixSpec:
     )
     seed = raw.get("seed", 0)
     payload = raw.get("payload", "")
+    config_ids = raw.get("configs", sorted(CONFIG_STAGES))
+    seen = set()
+    for cid in config_ids:
+        if cid in seen:
+            raise DataError(f"run file lists config {cid} more than once")
+        seen.add(cid)
     configs = tuple(
         PipelineConfig(
             id=cid,
@@ -472,7 +515,7 @@ def load_matrix_spec(path) -> MatrixSpec:
             translation_backend=backend,
             options=options,
         )
-        for cid in raw.get("configs", sorted(CONFIG_STAGES))
+        for cid in config_ids
     )
     imitation_source = None
     if raw.get("imitation_source"):

@@ -101,11 +101,15 @@ def secret_units(secret: str) -> list[str]:
     """Encode each secret letter as its own self-terminated stream.
 
     Each distinct letter is encoded once, in order of first occurrence, so
-    the first unsupported character is the one reported.
+    the first unsupported character is the one reported, at its index in
+    the secret.
     """
-    streams = {
-        letter: zwcodec.encode_message(letter) for letter in dict.fromkeys(secret)
-    }
+    streams = {}
+    for letter in dict.fromkeys(secret):
+        try:
+            streams[letter] = zwcodec.encode_message(letter)
+        except zwcodec.UnsupportedCharacter as exc:
+            raise zwcodec.UnsupportedCharacter(secret.index(letter), exc.char) from None
     return [streams[letter] for letter in secret]
 
 

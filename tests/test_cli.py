@@ -567,6 +567,31 @@ def test_delta_with_reference_prints_each_file_as_delta_alone_would(capsys, tmp_
         assert code == 0
         assert json.dumps(payload[name], sort_keys=True) + "\n" == alone
 
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("features", "--candidate"), ("delta", "--candidate"), ("delta", "--reference")],
+)
+def test_document_options_read_dash_as_stdin(
+    capsys, monkeypatch, tmp_path, command, option
+):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    argv = [command, "--corpus", str(corpus_dir), "--candidate", str(candidate)]
+    if option == "--reference":
+        argv += ["--reference", str(candidate)]
+    from_file = run(capsys, *argv)
+    argv[argv.index(option) + 1] = "-"
+    stdin = io.TextIOWrapper(io.BytesIO(candidate.read_bytes()))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    from_stdin = run(capsys, *argv)
+    assert from_file[0] == 0
+    if command == "features":  # a document's id is the path it was read from
+        vectors = json.loads(from_file[1])
+        vectors["-"] = vectors.pop(str(candidate))
+        from_file = (0, json.dumps(vectors, sort_keys=True) + "\n", "")
+    assert from_stdin == from_file
+
+
 def test_delta_markdown_output(capsys, tmp_path):
     corpus_dir, candidate = write_corpus(tmp_path)
     code, out, _ = run(capsys, "delta", "--corpus", str(corpus_dir),
@@ -859,13 +884,22 @@ def conversion_error(digits: str) -> str:
         (["matrix", "--config", "run.json"],
          '{"corpus": "corpus", "candidate": "candidate.txt", "seed": '
          + LONG_INTEGER + "}", 2, "error: " + conversion_error(LONG_INTEGER), None),
+        (["matrix", "--config", "run.json"], {"configs": [3, 8, 3]}, 2,
+         "error: run file lists config 3 more than once", None),
+        (["embed-lines", "candidate.txt", "--message", "ab1"], None, 2,
+         "error: unsupported character '1' (U+0031) at position 2", None),
+        (["delta", "--corpus", "corpus", "--candidate", "-", "--reference", "-"],
+         None, 2,
+         "error: --candidate and --reference cannot both be '-': stdin is read once",
+         None),
     ],
     ids=[
         "run-file-without-corpus", "run-file-without-candidate", "run-file-not-json",
         "non-utf8-input", "delta-k-0", "config-id-99", "unbalanced-quote", "http-notaurl",
         "nul-in-command", "unencodable-word", "malformed-ngrams",
         "weave-strategy-key", "nan-in-run-file", "infinite-imitation-ratio",
-        "empty-command", "list-reply", "integer-too-long",
+        "empty-command", "list-reply", "integer-too-long", "repeated-config-id",
+        "unsupported-letter-position", "stdin-twice",
     ],
 )
 def test_exit_code_and_message(

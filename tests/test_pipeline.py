@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+import sys
 import warnings
 
 import pytest
@@ -71,13 +73,16 @@ def test_config_rejects_wrong_stage_set():
 
 
 def test_stage_seeds_are_distinct_and_stable():
-    seeds = {
-        (cid, stage): stage_seed(42, cid, stage)
-        for cid in CONFIG_STAGES
-        for stage in CONFIG_STAGES[cid]
+    prefixes = {
+        stages[:depth]
+        for stages in CONFIG_STAGES.values()
+        for depth in range(1, len(stages) + 1)
     }
-    assert len(set(seeds.values())) == len(seeds)
-    assert stage_seed(42, 3, "obfuscation") == stage_seed(42, 3, "obfuscation")
+    assert len(prefixes) == 15  # the grid's trie: one node per config
+    assert len({stage_seed(42, prefix) for prefix in prefixes}) == 15
+    # sha256("42:obfuscation"), so the same on every Python and every run
+    assert stage_seed(42, ("obfuscation",)) == 7986411168106289570
+    assert stage_seed(42, CANONICAL_ORDER) == 17205009912186663134
 
 
 # --- apply_config ------------------------------------------------------------
@@ -306,6 +311,152 @@ def test_matrix_style_model_memo_lasts_one_call(monkeypatch):
     assert len(trained) == 2
 
 
+# --- the stage trie: one stage run per prefix, seeded by the prefix ------------
+
+TRANSLATION_CONFIGS = [2, 4, 6, 7, 10, 12, 14, 15]
+
+#: Words with and without synonyms, separators, a zero-width point and
+#: multi-character graphemes, so that every stage has something to do.
+TOKENS = [
+    "the", "big", "house", "quiet", "river", "You", "walked", "slowly", "old",
+    "road", "caf\u00e9", "\U0001F468\u200d\U0001F469", "a\u200bb", " ", " ",
+    ". ", "! ", "\n", "\r\n", "\n\n",
+]
+CANDIDATE_TEXTS = st.lists(st.sampled_from(TOKENS), max_size=80).map("".join) | (
+    st.builds(
+        candidate_for, st.just(STYLE_A), st.integers(0, 2**32), st.integers(0, 800)
+    )
+    .map(lambda doc: doc.text)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=CANDIDATE_TEXTS,
+    seed=st.integers(-(2**63), 2**63),
+    payload=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=12),
+)
+def test_stripped_steganography_config_is_its_twin_without_it(text, seed, payload):
+    def outcome(config_id):
+        try:
+            config = PipelineConfig(config_id, seed, payload)
+            return "text", strip_zero_width(apply_config(text, config))[0]
+        except StageError as exc:
+            return "error", exc.stage, str(exc.cause)
+
+    assert outcome(8) == ("text", strip_zero_width(text)[0])
+    for config_id in range(1, 8):
+        assert outcome(config_id + 8) == outcome(config_id)
+
+
+def test_matrix_runs_each_stage_prefix_once(monkeypatch):
+    runs = {
+        name: count_calls(monkeypatch, module, name)
+        for module, name in [
+            (transforms, "round_trip_translate"),
+            (transforms, "imitate"),
+            (transforms, "obfuscate"),
+            (weaver, "embed_linewise"),
+        ]
+    }
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(candidate, small_reference(), grid_configs(), k=30)
+    assert not report.errors
+    # one run per trie node: 1 translation, 2 imitation, 4 obfuscation and
+    # 8 steganography nodes, where seeding by config id took 32 runs
+    assert {name: len(calls) for name, calls in runs.items()} == {
+        "round_trip_translate": 1, "imitate": 2, "obfuscate": 4, "embed_linewise": 8,
+    }
+
+
+def test_apply_config_gives_the_text_run_matrix_scores(monkeypatch):
+    scored = count_calls(monkeypatch, pipeline, "score_delta")
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    configs = grid_configs()
+    report = run_matrix(candidate, small_reference(), configs, k=30)
+    assert not report.errors
+    # the first score is the untransformed candidate's
+    assert [args[1].text for args in scored[1:]] == [
+        apply_config(candidate.text, config) for config in configs
+    ]
+
+
+def logging_backend(tmp_path, answers: bool):
+    """A command backend that logs each call to a file, then answers or fails."""
+    script, log = tmp_path / "backend.py", tmp_path / "calls.log"
+    script.write_text(
+        "import json, sys\n"
+        "with open(sys.argv[1], 'a') as log:\n"
+        "    log.write('call\\n')\n"
+        + (
+            "print(json.dumps({'text': json.load(sys.stdin)['text'] + ' pivot'}))\n"
+            if answers
+            else "sys.exit('backend down')\n"
+        ),
+        encoding="utf-8",
+    )
+    target = shlex.join([sys.executable, str(script), str(log)])
+    return BackendSpec("external-command", target), log
+
+
+def backend_grid(backend):
+    options = StageOptions(chain=("de",))
+    return [
+        PipelineConfig(
+            i, seed=4, payload="KEY", translation_backend=backend, options=options
+        )
+        for i in sorted(CONFIG_STAGES)
+    ]
+
+
+def test_configs_with_other_settings_share_no_stage_run(monkeypatch, tmp_path):
+    backend, _ = logging_backend(tmp_path, answers=True)
+    scored = count_calls(monkeypatch, pipeline, "score_delta")
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    # Config 14 is config 6 plus steganography; each twin differs from the
+    # first config in one field that a shared node's text depends on.
+    base = PipelineConfig(6, seed=1, payload="KEY", options=StageOptions(chain=("de",)))
+    twins = [
+        base._replace(options=base.options._replace(substitution_rate=1.0)),
+        base._replace(seed=2),
+        base._replace(translation_backend=backend),
+    ]
+    configs = [base] + [twin._replace(id=14) for twin in twins]
+    run_matrix(candidate, small_reference(), configs, k=30)
+    texts = [strip_zero_width(args[1].text)[0] for args in scored[1:]]
+    assert texts[1:] == [apply_config(candidate.text, twin) for twin in twins]
+    assert len(set(texts)) == 4
+
+
+def test_matrix_calls_a_shared_backend_once_per_call(tmp_path):
+    backend, log = logging_backend(tmp_path, answers=True)
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    reference = small_reference()
+    for calls in (1, 2):
+        report = run_matrix(candidate, reference, backend_grid(backend), k=30)
+        assert report.errors == ()
+        assert len(report.rows) == 15 * 2
+        assert log.read_text(encoding="utf-8") == "call\n" * calls
+
+
+def test_matrix_failed_shared_translation_aborts_each_config_below_it(tmp_path):
+    backend, log = logging_backend(tmp_path, answers=False)
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(candidate, small_reference(), backend_grid(backend), k=30)
+    assert log.read_text(encoding="utf-8") == "call\n"
+    assert [e["config"] for e in report.errors] == TRANSLATION_CONFIGS
+    for error in report.errors:
+        assert error == {
+            "config": error["config"],
+            "stage": "translation",
+            "status": "aborted",
+            "error": "backend command exited 1: backend down",
+        }
+    others = set(CONFIG_STAGES) - set(TRANSLATION_CONFIGS)
+    assert {r.config for r in report.rows} == others
+    assert len(report.rows) == 2 * len(others)
+
+
 def test_matrix_rows_equal_fresh_burrows_delta_per_config():
     reference = small_reference()
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
@@ -357,7 +508,7 @@ def test_matrix_records_payload_overflow_in_config_order():
     assert report.errors == ()
     assert [w["config"] for w in report.warnings] == [8, 10, 11, 14]
     assert {w["config"]: w["dropped"] for w in report.warnings} == {
-        8: 1, 10: 1, 11: 1, 14: 2,
+        8: 1, 10: 1, 11: 1, 14: 1,
     }
     assert {w["stage"] for w in report.warnings} == {"steganography"}
     assert json.loads(emit_report(report, "json"))["warnings"] == list(report.warnings)
@@ -375,7 +526,7 @@ def test_matrix_records_payload_overflow_without_warning_state(monkeypatch):
         patched.setattr(warnings, "catch_warnings", refuse)
         report = run_matrix(candidate, reference, configs, k=50)
     assert {w["config"]: w["dropped"] for w in report.warnings} == {
-        8: 1, 10: 1, 11: 1, 14: 2,
+        8: 1, 10: 1, 11: 1, 14: 1,
     }
 
 
@@ -724,8 +875,8 @@ def test_any_backend_spec_parses_or_is_refused(value):
 # sha256 of the JSON report on the benchmark's grid inputs.  Any change to a
 # transform's output, a Delta value or the report layout changes these.
 GOLDEN_REPORT_SHA256 = {
-    1: "389e7785bd64db37d1404f0f023b209d7d9ea9eabe64acd1f7d54c8922fe99e6",
-    7: "11fdbeb9d7cd56f9a16b03c7a371b3664270969a38a85a8e7f307013923fd5a8",
+    1: "4ea812ee521521cb8ee307f56783e46820386de6c54522e4705dbd7a1a8e4db4",
+    7: "adda8c1371d43eae1d447c723cec6474e15ba301cae44e01e599c6ca99f3d0ad",
 }
 
 

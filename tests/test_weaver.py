@@ -350,4 +350,4 @@ def test_secret_units_encode_each_distinct_letter_once(monkeypatch):
 def test_secret_units_report_first_unsupported_character():
     with pytest.raises(zwcodec.UnsupportedCharacter) as exc:
         secret_units("AB?C!?")
-    assert (exc.value.position, exc.value.char) == (0, "?")
+    assert (exc.value.position, exc.value.char) == (2, "?")
