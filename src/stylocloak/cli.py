@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-import warnings
 
 # pipeline, styloscope and transforms are imported by the handlers that run
 # them, so that a command loads only the modules it uses.
@@ -52,10 +51,11 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _warn(message, *_) -> None:
+def _warn(message) -> None:
     """The one way a command reports something it did not stop for.
 
-    It is ``warnings.showwarning`` while :func:`dispatch` runs a handler.
+    The library returns what it dropped as a value, and the command prints
+    it here as one ``warning:`` line on stderr.
     """
     print(f"warning: {message}", file=sys.stderr)
 
@@ -68,6 +68,17 @@ def _message_from(args) -> str:
     raise DataError("provide --message or --payload-file")
 
 
+def _encoded_message(args) -> str:
+    """The message as a stream; ``--lenient`` first drops what has no code."""
+    message = _message_from(args)
+    if args.lenient:
+        kept = "".join(c for c in message if c.upper() in zwcodec.CODEBOOK)
+        if len(kept) < len(message):
+            _warn(f"dropped {len(message) - len(kept)} unsupported character(s)")
+        message = kept
+    return zwcodec.encode_message(message)
+
+
 def _parse_ngrams(value: str) -> tuple[int, int]:
     low, _, high = value.partition("..")
     try:
@@ -77,8 +88,7 @@ def _parse_ngrams(value: str) -> tuple[int, int]:
 
 
 def cmd_encode(args) -> int:
-    message = _message_from(args)
-    stream = zwcodec.encode_message(message, strict=not args.lenient)
+    stream = _encoded_message(args)
     sys.stdout.write(_escape(stream) if args.escaped else stream)
     sys.stdout.write("\n")
     return 0
@@ -116,9 +126,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_weave(args) -> int:
-    message = _message_from(args)
-    stream = zwcodec.encode_message(message, strict=not args.lenient)
-    woven = weaver.weave_into_unigram(args.word, stream, args.strategy)
+    woven = weaver.weave_into_unigram(args.word, _encoded_message(args), args.strategy)
     sys.stdout.write(_escape(woven) if args.escaped else woven)
     sys.stdout.write("\n")
     return 0
@@ -126,7 +134,9 @@ def cmd_weave(args) -> int:
 
 def cmd_embed_lines(args) -> int:
     text = _read_input(args.input)
-    result = weaver.embed_into_text(text, _message_from(args), args.strategy)
+    result, dropped = weaver.embed_linewise(text, _message_from(args), args.strategy)
+    if dropped:
+        _warn(weaver.SecretOverflow(dropped))
     _write_output(args, result)
     return 0
 
@@ -175,7 +185,10 @@ def cmd_transform(args) -> int:
     source = None
     if args.style_source:
         source = zwcodec.read_text_file(args.style_source)
-    _write_output(args, pipeline.apply_config(text, config, imitation_source=source))
+    result, dropped = pipeline.apply_config(text, config, imitation_source=source)
+    if dropped:
+        _warn(weaver.SecretOverflow(dropped))
+    _write_output(args, result)
     return 0
 
 
@@ -375,11 +388,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _warn
-            warnings.simplefilter("always", zwcodec.DroppedCharacters)
-            warnings.simplefilter("always", weaver.SecretOverflow)
-            return args.handler(args)
+        return args.handler(args)
     except (StylocloakError, OSError, UnicodeError) as exc:
         # Faults in the input, and files or text that cannot be read,
         # decoded or encoded; anything else is a bug and propagates.

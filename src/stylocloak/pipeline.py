@@ -37,7 +37,6 @@ import hashlib
 import io
 import json
 import math
-import warnings
 from collections import namedtuple
 from pathlib import Path
 
@@ -90,7 +89,8 @@ class StageOptions(
 ):
     """Tunables shared by the transform stages.
 
-    ``chain`` names the pivot languages of the translation stage.
+    ``chain`` names the pivot languages of the translation stage; an empty
+    or whitespace-only one is refused, since a backend would be sent it.
     """
 
     __slots__ = ()
@@ -98,13 +98,16 @@ class StageOptions(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         # The rate is a chance per word, and imitation appends round(ratio *
-        # len(text)) characters: bound both.
+        # len(text)) characters: bound both.  An int is finite, and
+        # math.isfinite cannot take one too large for a float.
         for name in ("substitution_rate", "imitation_ratio"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if isinstance(value, float) and not math.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value}")
             if not 0 <= value <= 1:
                 raise DataError(f"{name} must be in [0, 1], got {value}")
+        if not all(pivot.strip() for pivot in self.chain):
+            raise DataError(f"chain holds an empty pivot language: {list(self.chain)}")
         return self
 
     @classmethod
@@ -153,23 +156,19 @@ def stage_seed(base_seed: int, prefix: tuple[str, ...]) -> int:
 
 def apply_config(
     text: str, config: PipelineConfig, imitation_source: str | None = None
-) -> str:
+) -> tuple[str, int]:
     """Run the configured stages over the text in canonical order.
 
     The text is stripped of zero-width content on entry.  The imitation
     stage trains on ``imitation_source``, stripped, or on the stripped
     ``text`` (not as translated) when that is None.  An empty stage set
-    strips and changes nothing else.  Payload letters beyond the carrier's
-    lines are dropped with a :class:`~stylocloak.weaver.SecretOverflow`
-    warning.  A stage that fails on its input raises :class:`StageError`;
-    any other exception is a bug and propagates as is.  The text is the one
-    :func:`run_matrix` scores for the config.
+    strips and changes nothing else.  Returns the text, the one
+    :func:`run_matrix` scores for the config, and the number of payload
+    letters dropped because the carrier ran out of lines.  A stage that
+    fails on its input raises :class:`StageError`; any other exception is
+    a bug and propagates as is.
     """
-    text, _ = strip_zero_width(text)
-    text, dropped = _run_stages(text, config, imitation_source, {})
-    if dropped:
-        warnings.warn(weaver.SecretOverflow(dropped), stacklevel=2)
-    return text
+    return _run_stages(strip_zero_width(text)[0], config, imitation_source, {})
 
 
 def _translation(text, config, seed, model):
@@ -210,7 +209,7 @@ _STAGES = {
 def _run_stages(
     text: str, config: PipelineConfig, imitation_source: str | None, memo: dict
 ) -> tuple[str, int]:
-    """:func:`apply_config` on a stripped text, returned with the letters dropped.
+    """:func:`apply_config` on a stripped text.
 
     The 15 configs are the nodes of a trie of stage prefixes.  ``memo``, kept
     for one input text and imitation source, maps each node that another

@@ -38,7 +38,7 @@ SPECIAL_CHARS = frozenset(string.punctuation) | frozenset("∃Δ∞∀∅")
 
 
 class InvalidRange(DataError):
-    """An n-gram range with n_min < 1 or n_max < n_min."""
+    """An n-gram range with n_min < 1, n_max < n_min or n_max > 8."""
 
 
 class InsufficientCorpus(DataError):
@@ -179,10 +179,12 @@ def _char_ngram_counts(
     n-gram but the last is the ``n``-prefix of the (n+1)-gram that starts
     where it does, so each shorter level is folded from the level above it,
     plus one for the n-gram at ``len(text) - n``, which starts no longer
-    gram.
+    gram.  ``n_max`` is at most 8, so memory grows linearly with the corpus.
     """
     if n_min < 1 or n_max < n_min:
         raise InvalidRange(f"invalid n-gram range [{n_min}, {n_max}]")
+    if n_max > 8:
+        raise InvalidRange(f"invalid n-gram range [{n_min}, {n_max}]: n is at most 8")
     if not corpus.documents:
         raise InsufficientCorpus("empty corpus")
     per_doc = {}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import string
-import warnings
 from collections import namedtuple
 from itertools import chain, pairwise, repeat
 
@@ -29,7 +28,7 @@ END = "﻿"   # ZERO WIDTH NO-BREAK SPACE, terminates a stream
 
 
 class UnsupportedCharacter(DataError):
-    """A character outside A-Z (after uppercasing) was given in strict mode."""
+    """A character outside A-Z (after uppercasing) was given to encode."""
 
     def __init__(self, position: int, char: str):
         self.position = position
@@ -41,14 +40,6 @@ class UnsupportedCharacter(DataError):
 
 class MalformedStream(DataError):
     """A zero-width stream could not be decoded."""
-
-
-class DroppedCharacters(UserWarning):
-    """Lenient encoding discarded characters outside A-Z."""
-
-    def __init__(self, count: int):
-        self.count = count
-        super().__init__(f"dropped {count} unsupported character(s)")
 
 
 #: The four payload code points.
@@ -91,31 +82,21 @@ def _point_starts(text: str) -> list[int]:
     return sorted(chain.from_iterable(_find_points(text).values()))
 
 
-def encode_message(plaintext: str, strict: bool = True) -> str:
+def encode_message(plaintext: str) -> str:
     """Encode a letter sequence into a pure zero-width stream.
 
     Input is uppercased first.  Each letter's bit-string is emitted as
     bit0/bit1 code points, letters are joined with the separator, and the
     stream ends with exactly one end marker.  Empty input yields a stream
-    containing only the end marker.
-
-    In strict mode a non A-Z character raises :class:`UnsupportedCharacter`;
-    in lenient mode such characters are dropped under a
-    :class:`DroppedCharacters` warning.
+    containing only the end marker.  A character that is not A-Z once
+    uppercased raises :class:`UnsupportedCharacter`.
     """
     groups = []
-    dropped = 0
     for position, char in enumerate(plaintext):
-        letter = char.upper()
-        bits = CODEBOOK.get(letter)
+        bits = CODEBOOK.get(char.upper())
         if bits is None:
-            if strict:
-                raise UnsupportedCharacter(position, char)
-            dropped += 1
-            continue
+            raise UnsupportedCharacter(position, char)
         groups.append(bits)
-    if dropped:
-        warnings.warn(DroppedCharacters(dropped), stacklevel=2)
     return SEP.join(groups).replace("0", BIT0).replace("1", BIT1) + END
 
 

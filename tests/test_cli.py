@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,6 @@ from stylocloak.pipeline import CONFIG_STAGES, PipelineConfig
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.zwcodec import BIT0, END
 
-pytestmark = pytest.mark.filterwarnings("ignore::stylocloak.weaver.SecretOverflow")
-
-
 def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
@@ -45,7 +43,7 @@ OPERATION_SURFACE = {
     "zwcodec.strip_zero_width": "strip",
     "zwcodec.scan_text": "scan",
     "weaver.weave_into_unigram": "weave",
-    "weaver.embed_into_text": "embed-lines",  # runs weaver.embed_linewise
+    "weaver.embed_linewise": "embed-lines",
     "weaver.extract_from_text": "extract-lines",
     "transforms.round_trip_translate": "transform",
     "transforms.train_style_model": "transform",
@@ -101,6 +99,14 @@ def test_encode_decode_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "decode", str(stream_file))
     assert code == 0
     assert out.strip() == "AB"
+
+
+def test_encode_lenient_drops_non_letters_with_warning(capsys):
+    code, out, err = run(capsys, "encode", "--message", "AB")
+    assert (code, err) == (0, "")
+    assert run(capsys, "encode", "--message", "A !B", "--lenient") == (
+        0, out, "warning: dropped 2 unsupported character(s)\n"
+    )
 
 
 def test_encode_escaped_output(capsys):
@@ -710,13 +716,36 @@ def test_transform_prints_payload_overflow_as_one_warning_line(tmp_path):
     assert done.stderr == "warning: 2 secret letter(s) exceeded the carrier line count\n"
 
 
-def test_dispatch_prints_any_warning_as_one_line(capsys, monkeypatch):
-    def noisy(args):
-        warnings.warn("a note from a handler", UserWarning)
-        return 0
+def test_dispatch_prints_dropped_letters_without_warning_state(
+    capsys, monkeypatch, tmp_path
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dispatch swapped the process-wide warning filters")
 
-    monkeypatch.setattr(cli, "cmd_scan", noisy)
-    assert run(capsys, "scan", "-") == (0, "", "warning: a note from a handler\n")
+    write_corpus(tmp_path)
+    (tmp_path / "short.txt").write_text("only line\n", encoding="utf-8")
+    (tmp_path / "run.json").write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt",
+        "configs": [3, 8], "seed": 1, "payload": "ABCDE", "k": 30,
+    }), encoding="utf-8")
+    overflow = "warning: 2 secret letter(s) exceeded the carrier line count\n"
+    cases = [
+        (["encode", "--message", "A !B", "--lenient"],
+         "warning: dropped 2 unsupported character(s)\n"),
+        (["weave", "--word", "hello", "--message", "A1B", "--lenient"],
+         "warning: dropped 1 unsupported character(s)\n"),
+        (["embed-lines", "short.txt", "--message", "ABC"], overflow),
+        (["transform", "short.txt", "--config-id", "8", "--payload", "ABC"], overflow),
+        (["matrix", "--config", "run.json"], "warning: config 8: " + overflow[9:]),
+    ]
+    monkeypatch.chdir(tmp_path)
+    # Undone before pytest reports, which itself calls catch_warnings.
+    with monkeypatch.context() as patched:
+        patched.setattr(warnings, "catch_warnings", refuse)
+        printed = [run(capsys, *argv) for argv, _ in cases]
+    for (argv, line), (code, out, err) in zip(cases, printed):
+        assert (code, err) == (0, line), argv
+        assert out, argv
 
 
 def test_deeply_nested_run_file_is_data_error(capsys, tmp_path):
@@ -892,6 +921,12 @@ def conversion_error(digits: str) -> str:
          None, 2,
          "error: --candidate and --reference cannot both be '-': stdin is read once",
          None),
+        (["features", "--corpus", "corpus", "--ngrams", "1..1000000"], None, 2,
+         "error: invalid n-gram range [1, 1000000]: n is at most 8", None),
+        (["transform", "candidate.txt", "--stage", "translation", "--chain", "fr,"],
+         None, 2, "error: chain holds an empty pivot language: ['fr', '']", None),
+        (["matrix", "--config", "run.json"], {"chain": ["fr", " "]}, 2,
+         "error: chain holds an empty pivot language: ['fr', ' ']", None),
     ],
     ids=[
         "run-file-without-corpus", "run-file-without-candidate", "run-file-not-json",
@@ -899,7 +934,8 @@ def conversion_error(digits: str) -> str:
         "nul-in-command", "unencodable-word", "malformed-ngrams",
         "weave-strategy-key", "nan-in-run-file", "infinite-imitation-ratio",
         "empty-command", "list-reply", "integer-too-long", "repeated-config-id",
-        "unsupported-letter-position", "stdin-twice",
+        "unsupported-letter-position", "stdin-twice", "ngrams-past-8", "empty-pivot",
+        "blank-pivot-in-run-file",
     ],
 )
 def test_exit_code_and_message(
@@ -1084,8 +1120,8 @@ def test_transform_rate_outside_0_1_is_data_error(capsys, tmp_path, argv, shown)
 
 
 @pytest.mark.parametrize(
-    "rate, shown", [(5, "5"), (-1, "-1"), (1e308, "1e+308")],
-    ids=["5", "negative", "1e308"],
+    "rate, shown", [(5, "5"), (-1, "-1"), (1e308, "1e+308"), (10**400, str(10**400))],
+    ids=["5", "negative", "1e308", "10**400"],
 )
 def test_run_file_substitution_rate_outside_0_1_is_data_error(
     capsys, tmp_path, rate, shown
@@ -1210,6 +1246,161 @@ def test_codec_commands_exit_with_a_documented_code_on_any_input(
         ):
             code = dispatch([*argv, str(source)])
         assert code in (0, 1, 2, 3), argv
+
+
+#: Odd JSON numbers: huge, tiny, negative zero, not finite, too long for ``int``.
+ODD_NUMBERS = st.sampled_from(
+    ["0", "-0", "-0.0", "-1", "1", "3", "15", "0.5", "1e308", "1e999", "-1e999",
+     "4.9e-324", "NaN", "Infinity", "-Infinity", "9007199254740993", "1" + "0" * 400,
+     LONG_INTEGER]
+) | st.integers().map(str)
+#: Run-file strings; none names a backend that starts a process.
+ODD_STRINGS = st.sampled_from(
+    ['"corpus"', '"candidate.txt"', '""', '" "', '"builtin"', '"fr"', '"de"',
+     '"AB"', '"nope"', '"\\u0000"', "true", "false", "null"]
+)
+#: Keys that nested run-file objects may hold.
+NESTED_KEYS = ["translation", "kind", "target", "timeout", "substitution_rate",
+               "punctuation_jitter", "imitation_ratio", "model_order", "x"]
+JSON_VALUES = st.recursive(
+    ODD_NUMBERS | ODD_STRINGS,
+    lambda inner: (
+        st.lists(inner, max_size=3).map(lambda items: "[" + ",".join(items) + "]")
+        | st.dictionaries(st.sampled_from(NESTED_KEYS), inner, max_size=3).map(
+            lambda d: "{" + ",".join(f'"{k}":{v}' for k, v in d.items()) + "}"
+        )
+    ),
+    max_leaves=6,
+)
+
+
+def json_list(items):
+    return st.lists(items, max_size=4).map(lambda xs: "[" + ",".join(xs) + "]")
+
+
+def json_object(members):
+    return st.fixed_dictionaries({}, optional=members).map(
+        lambda d: "{" + ",".join(f'"{k}":{v}' for k, v in d.items()) + "}"
+    )
+
+
+BOOLEANS = st.sampled_from(["true", "false"])
+#: Run-file members of the right JSON type, holding odd values.
+TYPED_MEMBERS = {
+    "seed": ODD_NUMBERS,
+    "k": ODD_NUMBERS,
+    "configs": json_list(st.integers(-1, 16).map(str) | ODD_NUMBERS),
+    "payload": ODD_STRINGS,
+    "strip": BOOLEANS,
+    "chain": json_list(ODD_STRINGS),
+    "options": json_object({
+        "substitution_rate": ODD_NUMBERS, "imitation_ratio": ODD_NUMBERS,
+        "model_order": ODD_NUMBERS, "punctuation_jitter": BOOLEANS,
+    }),
+    "backends": json_object({
+        "translation": st.just('"builtin"')
+        | json_object({"kind": st.just('"builtin"'), "timeout": ODD_NUMBERS})
+    }),
+    "imitation_source": ODD_STRINGS,
+}
+#: A run file over the tiny workspace, its members typed or drawn at random.
+RUN_FILES = (
+    st.fixed_dictionaries({}, optional=TYPED_MEMBERS)
+    | st.dictionaries(
+        st.sampled_from(sorted(pipeline._RUN_TYPES)), JSON_VALUES, max_size=4
+    )
+).map(
+    lambda d: '{"corpus": "corpus", "candidate": "candidate.txt", "k": 30'
+    + "".join(f', "{k}": {v}' for k, v in d.items())
+    + "}"
+)
+NUMBER_ARGS = st.sampled_from(
+    ["0", "1", "0.5", "-0.0", "nan", "inf", "1e308", "1e-320", "x"]
+) | st.floats().map(repr)
+DOCUMENT = st.sampled_from(["in.txt", "-", "candidate.txt"])
+
+
+def option(flag, values):
+    return values.map(lambda value: [flag, value])
+
+
+#: ``transform`` with builtin stages only: a backend would start a process.
+TRANSFORM_ARGV = st.tuples(
+    st.sampled_from(["in.txt", "-"]),
+    st.sampled_from(["translation", "imitation", "obfuscation"]).map(
+        lambda stage: ["--stage", stage]
+    )
+    | option("--config-id", st.integers(-1, 16).map(str)),
+    st.lists(
+        option("--seed", st.integers(-(2**70), 2**70).map(str))
+        | option("--rate", NUMBER_ARGS)
+        | option("--imitation-ratio", NUMBER_ARGS)
+        | option("--order", st.integers(-1, 2**70).map(str))
+        | option("--chain", st.text(",fr d\t", max_size=6))
+        | option("--payload", st.text("AB1 é", max_size=6))
+        | option("--style-source", st.sampled_from(["candidate.txt", "in.txt"]))
+        | st.just(["--backend", "builtin"])
+        | st.just(["--jitter"]),
+        max_size=4,
+    ),
+).map(lambda t: ["transform", t[0], *t[1], *sum(t[2], [])])
+#: ``--ngrams`` values on both sides of the cap of 8.
+NGRAMS = (
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).map(lambda t: f"{t[0]}..{t[1]}")
+    | st.integers(0, 12).map(str)
+    | st.sampled_from(["..", "3..", "..3", "1..1000000", "2..x", "-1..2"])
+)
+FEATURES_ARGV = st.tuples(
+    DOCUMENT, NGRAMS, st.sampled_from([[], ["--strip"]])
+).map(lambda t: ["features", "--corpus", "corpus", "--candidate", t[0],
+                 f"--ngrams={t[1]}", *t[2]])
+DELTA_ARGV = st.tuples(
+    DOCUMENT,
+    st.sampled_from([[], ["--reference", "candidate.txt"], ["--reference", "-"]]),
+    st.integers(-1, 2**70).map(str),
+    st.sampled_from(["json", "csv", "markdown"]),
+    st.sampled_from([[], ["--strip"]]),
+).map(lambda t: ["delta", "--corpus", "corpus", "--candidate", t[0], *t[1],
+                 "--k", t[2], "--format", t[3], *t[4]])
+MATRIX_ARGV = st.tuples(
+    st.sampled_from(["json", "csv", "markdown"]), st.sampled_from([[], ["--strip"]])
+).map(lambda t: ["matrix", "--config", "run.json", "--format", t[0], *t[1]])
+
+
+@pytest.fixture(scope="module")
+def tiny_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    for doc in two_author_corpus(seed=5, n_docs=2, chars_per_doc=400).documents:
+        path = root / "corpus" / doc.id
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(doc.text, encoding="utf-8")
+    candidate = candidate_for(STYLE_A, seed=5, n_chars=300).text
+    (root / "candidate.txt").write_text(candidate, encoding="utf-8")
+    return root
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.binary(max_size=40) | CODEC_TEXT,
+    argv=TRANSFORM_ARGV | FEATURES_ARGV | DELTA_ARGV | MATRIX_ARGV,
+    run_json=RUN_FILES,
+)
+def test_other_commands_exit_with_a_documented_code_on_any_input(
+    tiny_workspace, data, argv, run_json
+):
+    (tiny_workspace / "in.txt").write_bytes(data)
+    (tiny_workspace / "run.json").write_text(run_json, encoding="utf-8")
+    stdin = io.TextIOWrapper(io.BytesIO(data))
+    cwd = os.getcwd()
+    os.chdir(tiny_workspace)  # contextlib.chdir is new in Python 3.11
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ), mock.patch.object(sys, "stdin", stdin):
+            code = dispatch(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3), argv
 
 # --- import budget: a command loads only the modules it runs -----------------
 

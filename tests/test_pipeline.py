@@ -28,8 +28,6 @@ from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.transforms import BackendSpec
 from stylocloak.zwcodec import strip_zero_width
 
-pytestmark = pytest.mark.filterwarnings("ignore::stylocloak.weaver.SecretOverflow")
-
 SAMPLE = (
     "The big house stood near the quiet river. You walked there slowly.\n"
     "A small road led away from the old bridge. It was completely silent.\n"
@@ -89,7 +87,8 @@ def test_stage_seeds_are_distinct_and_stable():
 
 def test_steganography_only_preserves_visible_text():
     config = PipelineConfig(id=8, seed=1, payload="AB")
-    out = apply_config(SAMPLE, config)
+    out, dropped = apply_config(SAMPLE, config)
+    assert dropped == 0
     assert strip_zero_width(out)[0] == SAMPLE
     assert out != SAMPLE
 
@@ -103,21 +102,24 @@ DIRTY_CARRIER = SAMPLE + (
 
 def test_dirty_carrier_is_stripped_before_any_stage():
     clean = strip_zero_width(DIRTY_CARRIER)[0]
-    imitated = apply_config(DIRTY_CARRIER, PipelineConfig(id=1, seed=1))
+    imitated, _ = apply_config(DIRTY_CARRIER, PipelineConfig(id=1, seed=1))
     assert strip_zero_width(imitated) == (imitated, "")
     assert imitated.startswith(clean)
-    trained_on_dirty = apply_config(
+    trained_on_dirty, _ = apply_config(
         clean, PipelineConfig(id=1, seed=1), imitation_source=DIRTY_CARRIER
     )
     assert trained_on_dirty == imitated
     for config_id in (8, 9):  # the payload ends before line 3
         config = PipelineConfig(id=config_id, seed=1, payload="AB")
-        assert weaver.extract_from_text(apply_config(DIRTY_CARRIER, config)) == "AB"
+        stego, _ = apply_config(DIRTY_CARRIER, config)
+        assert weaver.extract_from_text(stego) == "AB"
 
 
 def test_obfuscation_only_single_sentence_rate_zero_is_identity():
     config = PipelineConfig(id=3, seed=1, options=StageOptions(substitution_rate=0.0))
-    assert apply_config("One quiet sentence here.", config) == "One quiet sentence here."
+    assert apply_config("One quiet sentence here.", config) == (
+        "One quiet sentence here.", 0
+    )
 
 
 def test_config_15_runs_all_stages_in_canonical_order(monkeypatch):
@@ -139,7 +141,7 @@ def test_config_15_runs_all_stages_in_canonical_order(monkeypatch):
     monkeypatch.setattr(transforms, "imitate", fake_imitate)
     monkeypatch.setattr(transforms, "obfuscate", fake_obfuscate)
     config = PipelineConfig(id=15, seed=1, payload="A")
-    out = apply_config(SAMPLE, config)
+    out, _ = apply_config(SAMPLE, config)
     assert calls == ["translation", "imitation", "obfuscation"]
     assert strip_zero_width(out)[1]  # steganography ran last
 
@@ -199,9 +201,24 @@ def test_stage_options_accept_a_substitution_rate_in_0_1(value):
     assert StageOptions(substitution_rate=value).substitution_rate == value
 
 
+@pytest.mark.parametrize("field", ["substitution_rate", "imitation_ratio"])
+def test_stage_options_refuse_an_integer_too_large_for_a_float(field):
+    # math.isfinite raises OverflowError on such an int
+    with pytest.raises(DataError) as exc:
+        StageOptions(**{field: 10**400})
+    assert str(exc.value) == f"{field} must be in [0, 1], got {10**400}"
+
+
+@pytest.mark.parametrize("chain", [("",), ("fr", ""), (" ",), ("de", "\t\n")])
+def test_stage_options_refuse_an_empty_pivot_language(chain):
+    with pytest.raises(DataError) as exc:
+        StageOptions(chain=chain)
+    assert str(exc.value) == f"chain holds an empty pivot language: {list(chain)}"
+
+
 def test_imitation_appends_styled_text():
     config = PipelineConfig(id=1, seed=7)
-    out = apply_config(SAMPLE, config)
+    out, _ = apply_config(SAMPLE, config)
     assert out.startswith(SAMPLE)
     assert len(out) > len(SAMPLE)
 
@@ -340,7 +357,7 @@ def test_stripped_steganography_config_is_its_twin_without_it(text, seed, payloa
     def outcome(config_id):
         try:
             config = PipelineConfig(config_id, seed, payload)
-            return "text", strip_zero_width(apply_config(text, config))[0]
+            return "text", strip_zero_width(apply_config(text, config)[0])[0]
         except StageError as exc:
             return "error", exc.stage, str(exc.cause)
 
@@ -377,7 +394,7 @@ def test_apply_config_gives_the_text_run_matrix_scores(monkeypatch):
     assert not report.errors
     # the first score is the untransformed candidate's
     assert [args[1].text for args in scored[1:]] == [
-        apply_config(candidate.text, config) for config in configs
+        apply_config(candidate.text, config)[0] for config in configs
     ]
 
 
@@ -424,7 +441,7 @@ def test_configs_with_other_settings_share_no_stage_run(monkeypatch, tmp_path):
     configs = [base] + [twin._replace(id=14) for twin in twins]
     run_matrix(candidate, small_reference(), configs, k=30)
     texts = [strip_zero_width(args[1].text)[0] for args in scored[1:]]
-    assert texts[1:] == [apply_config(candidate.text, twin) for twin in twins]
+    assert texts[1:] == [apply_config(candidate.text, twin)[0] for twin in twins]
     assert len(set(texts)) == 4
 
 
@@ -466,7 +483,9 @@ def test_matrix_rows_equal_fresh_burrows_delta_per_config():
     base = score_delta(fitted, candidate)
     rows = {(row.config, row.author): row for row in report.rows}
     for config in configs:
-        transformed = apply_config(candidate.text, config, imitation_source=candidate.text)
+        transformed, _ = apply_config(
+            candidate.text, config, imitation_source=candidate.text
+        )
         fresh = score_delta(fitted, Document(id="fresh", text=transformed))
         for author in reference.authors:
             row = rows[config.id, author]
@@ -530,10 +549,9 @@ def test_matrix_records_payload_overflow_without_warning_state(monkeypatch):
     }
 
 
-def test_apply_config_warns_payload_overflow():
-    with pytest.warns(weaver.SecretOverflow) as caught:
-        out = apply_config("only line\n", PipelineConfig(id=8, payload="ABC"))
-    assert [w.message.dropped for w in caught] == [2]
+def test_apply_config_returns_payload_overflow():
+    out, dropped = apply_config("only line\n", PipelineConfig(id=8, payload="ABC"))
+    assert dropped == 2
     assert weaver.extract_from_text(out) == "A"
 
 

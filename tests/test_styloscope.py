@@ -99,6 +99,13 @@ def test_char_ngram_invalid_range():
         feature("char_ngram_tfidf", corpus("ab"), 3, 2)
 
 
+def test_char_ngram_range_ends_at_8():
+    assert feature("char_ngram_tfidf", corpus("abcdefghi", "x"), 8, 8)["d0"]
+    for n_min, n_max in [(1, 9), (9, 9), (1, 10**9)]:
+        with pytest.raises(InvalidRange, match="n is at most 8"):
+            feature("char_ngram_tfidf", corpus("ab"), n_min, n_max)
+
+
 def test_special_char_tfidf_no_symbols():
     vectors = feature("special_char_tfidf", corpus("plain words", "more words"))
     assert vectors["d0"] == {} and vectors["d1"] == {}

@@ -93,7 +93,7 @@ def test_translate_preserves_capitalization():
 
 def test_translate_strips_preexisting_zero_width():
     text = "zorblatt" + zwcodec.BIT0 + zwcodec.END
-    assert apply_config(text, PipelineConfig(id=2)) == "zorblatt"
+    assert apply_config(text, PipelineConfig(id=2)) == ("zorblatt", 0)
 
 
 def test_translate_external_requires_chain():

@@ -290,9 +290,8 @@ def test_embedding_counts_a_form_feed_line_as_one_line():
 
 def test_grid_steganography_counts_a_form_feed_line_as_one_line():
     config = pipeline.PipelineConfig(id=8, payload="MEET")
-    with pytest.warns(SecretOverflow) as caught:
-        stego = pipeline.apply_config(FORM_FEED_COVER, config)
-    assert [w.message.dropped for w in caught] == [2]
+    stego, dropped = pipeline.apply_config(FORM_FEED_COVER, config)
+    assert dropped == 2
     assert stego == embed_into_text(FORM_FEED_COVER, "ME")
 
 

@@ -79,12 +79,6 @@ def test_encode_strict_rejects_non_letters():
     assert exc.value.char == "!"
 
 
-def test_encode_lenient_drops_non_letters_with_warning():
-    with pytest.warns(zwcodec.DroppedCharacters) as caught:
-        assert encode_message("A !B", strict=False) == encode_message("AB")
-    assert caught[0].message.count == 2
-
-
 def test_decode_examples():
     assert decode_stream(BIT0 + END) == "A"
     assert decode_stream(BIT0 + SEP + BIT1 + END) == "AB"
