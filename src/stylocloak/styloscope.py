@@ -25,6 +25,7 @@ import string
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 from . import DataError, _bundled_text
@@ -90,7 +91,7 @@ class Document:
 
 
 class Corpus:
-    """A collection of documents, grouped by author label on demand."""
+    """A collection of documents, each with an optional author label."""
 
     __slots__ = ("documents",)
 
@@ -109,13 +110,6 @@ class Corpus:
     def authors(self) -> list[str]:
         return sorted({d.author for d in self.documents if d.author is not None})
 
-    def by_author(self) -> dict[str, list[Document]]:
-        grouped: dict[str, list[Document]] = {}
-        for doc in self.documents:
-            if doc.author is not None:
-                grouped.setdefault(doc.author, []).append(doc)
-        return grouped
-
     def stripped(self) -> Corpus:
         """A copy of this corpus with every document's zero-width content removed."""
         return Corpus([doc.stripped() for doc in self.documents])
@@ -126,7 +120,8 @@ class Corpus:
 
         digest = hashlib.sha256()
         for doc in sorted(self.documents, key=lambda d: d.id):
-            digest.update(doc.id.encode("utf-8"))
+            # an id made from a file name that is not UTF-8 hashes as its bytes
+            digest.update(doc.id.encode("utf-8", "surrogateescape"))
             digest.update(b"\x00")
             digest.update(doc.text.encode("utf-8"))
             digest.update(b"\x00")
@@ -319,83 +314,92 @@ def _sum_left(values) -> float:
     return total
 
 
-def _per_1000(counts: Counter, total: int, word: str) -> float:
-    if total == 0:
-        return 0.0
-    return counts.get(word, 0) * 1000.0 / total
-
-
 class DeltaReference(namedtuple("DeltaReference", "words means stds author_z")):
     """A reference corpus fitted for Delta: the axis and each author's place on it.
 
-    ``words`` are the axis words with non-zero variance, ``means`` and
-    ``stds`` their population statistics over the reference documents, and
-    ``author_z`` one z-profile per author, in sorted author order.
+    ``words`` are the axis words whose frequency differs between reference
+    documents, ``means`` and ``stds`` their population statistics over those
+    documents, and ``author_z`` one z-profile per author, in sorted author
+    order.
     """
 
     __slots__ = ()
 
 
-def _z_profile(tokens: list[str], words, means, stds) -> tuple[float, ...]:
-    counts = Counter(tokens)
-    return tuple(
-        (_per_1000(counts, len(tokens), w) - mean) / std
-        for w, mean, std in zip(words, means, stds)
-    )
+def _frequencies(counts: list[int], total: int) -> list[float]:
+    """Occurrences per 1000 tokens; a text with no tokens has none of any word."""
+    if total == 0:
+        return [0.0] * len(counts)
+    return [count * 1000.0 / total for count in counts]
+
+
+def _z_scores(counts: list[int], total: int, means, stds) -> tuple[float, ...]:
+    """The z-scores of a text's axis-word counts, given its token count."""
+    freqs = _frequencies(counts, total)
+    return tuple((f - mean) / std for f, mean, std in zip(freqs, means, stds))
 
 
 def fit_delta_reference(reference: Corpus, k: int = 50) -> DeltaReference:
     """Fit the reference side of Burrows' Delta once, for any number of scores.
 
-    The k most frequent function words across the whole reference corpus
-    form the word axis.  Each word's per-1000 frequency is measured in every
-    reference document to obtain a corpus-wide mean and population standard
-    deviation; words with zero variance are dropped.  Author profiles
-    (concatenated subcorpora) are z-scored against those statistics.
+    Each reference document's function words are counted once, as a row of
+    counts.  The k words with the largest column sums (ties broken by the
+    word) form the axis.  Each axis word's per-1000 frequency in every
+    document gives a corpus-wide mean and population standard deviation; a
+    word whose frequency is the same in every document is dropped.  An
+    author's profile is the frequencies of its concatenated documents, from
+    the sums of their rows and token counts, z-scored against those
+    statistics.
     """
     if k < 1:
         raise DataError("k must be >= 1")
-    grouped = reference.by_author()
-    if not grouped:
+    authors = [doc.author for doc in reference.documents]
+    if all(author is None for author in authors):
         raise InsufficientCorpus("reference corpus has no labeled authors")
-    if len(reference.documents) < 2:
+    if len(authors) < 2:
         raise InsufficientCorpus("reference corpus needs at least 2 documents")
-    if any(doc.author is None for doc in reference.documents):
+    if None in authors:
         raise InsufficientCorpus("every reference document needs an author label")
 
-    doc_tokens = [doc.tokens() for doc in reference.documents]
-    doc_counts = [Counter(tokens) for tokens in doc_tokens]
-    total_counts: Counter = Counter()
-    for counts in doc_counts:
-        total_counts.update(counts)
-
-    ranked = sorted(
-        default_function_words(), key=lambda w: (-total_counts.get(w, 0), w)
-    )
-    n_docs = len(doc_tokens)
+    words = default_function_words()
+    rows = []
+    sizes = []
+    for doc in reference.documents:
+        tokens = doc.tokens()
+        rows.append(list(map(Counter(tokens).get, words, repeat(0))))
+        sizes.append(len(tokens))
+    totals = list(map(sum, zip(*rows)))
+    axis = sorted(range(len(words)), key=lambda i: (-totals[i], words[i]))[:k]
+    doc_freqs = [
+        _frequencies([row[i] for i in axis], size) for row, size in zip(rows, sizes)
+    ]
+    n_docs = len(rows)
     kept, means, stds = [], [], []
-    for w in ranked[:k]:
-        freqs = [
-            _per_1000(counts, len(tokens), w)
-            for counts, tokens in zip(doc_counts, doc_tokens)
-        ]
+    for i, freqs in zip(axis, zip(*doc_freqs)):
+        # Compared, not taken from the std: a frequency every document shares
+        # can leave a rounding residue in the mean, and so a tiny std.
+        if min(freqs) == max(freqs):
+            continue
         mean = _sum_left(freqs) / n_docs
         # population std: duplicating docs is a no-op
         std = math.sqrt(_sum_left((f - mean) * (f - mean) for f in freqs) / n_docs)
-        if std > 0.0:
-            kept.append(w)
-            means.append(mean)
-            stds.append(std)
+        kept.append(i)
+        means.append(mean)
+        stds.append(std)
     if not kept:
         raise InsufficientCorpus("no function-word variation across documents")
 
-    author_z = {
-        author: _z_profile(
-            [t for doc in docs for t in doc.tokens()], kept, means, stds
-        )
-        for author, docs in sorted(grouped.items())
-    }
-    return DeltaReference(tuple(kept), tuple(means), tuple(stds), author_z)
+    members: dict[str, list[int]] = {}
+    for n, author in enumerate(authors):
+        members.setdefault(author, []).append(n)
+    author_z = {}
+    for author in sorted(members):
+        summed = list(map(sum, zip(*(rows[n] for n in members[author]))))
+        total = sum(sizes[n] for n in members[author])
+        author_z[author] = _z_scores([summed[i] for i in kept], total, means, stds)
+    return DeltaReference(
+        tuple(words[i] for i in kept), tuple(means), tuple(stds), author_z
+    )
 
 
 def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
@@ -404,7 +408,9 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
     Delta(author) is the mean absolute difference between the author's and
     the candidate's z-scores over the fitted words.
     """
-    cand_z = _z_profile(candidate.tokens(), fitted.words, fitted.means, fitted.stds)
+    tokens = candidate.tokens()
+    counts = list(map(Counter(tokens).get, fitted.words, repeat(0)))
+    cand_z = _z_scores(counts, len(tokens), fitted.means, fitted.stds)
     n_words = len(fitted.words)
     deltas = {}
     for author, author_z in fitted.author_z.items():

@@ -21,7 +21,8 @@ import re
 from bisect import bisect
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, repeat
+from operator import itemgetter, truediv
 
 from . import DataError, StylocloakError, _bundled_text, check_json_object
 from .styloscope import default_function_words
@@ -294,19 +295,30 @@ def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
             f"training text has {size} characters, need more than {order}"
         )
     counts = Counter(corpus_text[i : i + order + 1] for i in range(size - order))
+    # Windows of one length sort by context, then by follower, so each
+    # context's windows are one index range, as long as its window count.
+    windows = sorted(counts)
+    followers = list(map(itemgetter(order), windows))
+    contexts = Counter(map(itemgetter(slice(order)), windows))
     transitions: dict[str, dict[str, float]] = {}
     tables = {}
-    # Windows of one length sort by context, then by follower.
-    for context, group in groupby(
-        sorted(counts.items()), key=lambda item: item[0][:order]
-    ):
-        windows = list(group)
-        total = sum(n for _, n in windows)
-        followers = transitions[context] = {
-            window[order]: n / total for window, n in windows
-        }
-        cum = list(accumulate(followers.values()))
-        tables[context] = (tuple(followers), cum, cum[-1] + 0.0, len(cum) - 1)
+    start = 0
+    for context, end in zip(contexts, accumulate(contexts.values())):
+        if end - start == 1:
+            # A lone follower's n / n is exactly 1.0; skipping the general
+            # branch's seven calls matters, as most contexts have one.
+            char = followers[start]
+            transitions[context] = {char: 1.0}
+            tables[context] = ((char,), [1.0], 1.0, 0)
+        else:
+            window_counts = list(map(counts.__getitem__, windows[start:end]))
+            total = sum(window_counts)
+            probs = list(map(truediv, window_counts, repeat(total)))
+            chars = tuple(followers[start:end])
+            transitions[context] = dict(zip(chars, probs))
+            cum = list(accumulate(probs))
+            tables[context] = (chars, cum, cum[-1] + 0.0, len(cum) - 1)
+        start = end
     return StyleModel(order=order, transitions=transitions, tables=tables)
 
 

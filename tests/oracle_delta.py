@@ -38,12 +38,17 @@ def oracle_burrows_delta(author_docs, candidate_tokens, k, function_words):
     axis = ranked[:k]
 
     stats = {}
+    usable = []
     for w in axis:
         freqs = [per_1000(doc, w) for doc in all_docs]
+        # a word whose frequency is the same in every document has no spread,
+        # whatever rounding leaves in the computed std
+        if min(freqs) == max(freqs):
+            continue
         mean = sum(freqs) / len(freqs)
         var = sum((f - mean) ** 2 for f in freqs) / len(freqs)
         stats[w] = (mean, math.sqrt(var))
-    usable = [w for w in axis if stats[w][1] > 0.0]
+        usable.append(w)
     if not usable:
         return None
 

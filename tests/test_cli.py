@@ -651,6 +651,27 @@ def test_matrix_subcommand(capsys, tmp_path):
     assert "Burrows' Delta" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_matrix_reads_a_corpus_with_a_non_utf8_file_name(capsys, tmp_path, fmt):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    moved = next(corpus_dir.glob("*/*.txt"))
+    try:
+        os.rename(moved, os.path.join(os.fsencode(moved.parent), b"b\xff.txt"))
+    except OSError as exc:
+        pytest.skip(f"the file system refuses a non-UTF-8 name: {exc}")
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt",
+        "configs": [3], "seed": 1, "k": 30,
+    }), encoding="utf-8")
+    for command in (["delta", "--corpus", str(corpus_dir), "--candidate",
+                     str(candidate)],
+                    ["matrix", "--config", str(run_file), "--format", fmt]):
+        code, out, err = run(capsys, *command)
+        assert (code, err) == (0, "")
+        assert out
+
+
 def test_matrix_hashes_crlf_candidate_as_its_bytes(capsys, tmp_path):
     corpus_dir, candidate = write_corpus(tmp_path)
     text = candidate.read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import string
@@ -354,6 +355,118 @@ def test_delta_requires_labeled_multi_document_reference():
         )
 
 
+def test_word_every_document_shares_leaves_the_axis():
+    # "the" is 4 in 15 tokens everywhere, but the left-to-right mean of ten
+    # such frequencies rounds, so its computed std is ~5.7e-14, not 0.0
+    documents = [
+        doc(
+            "the cat dog " * 4 + ("of of a " if i < 5 else "a a a "),
+            "alice" if i < 5 else "bob",
+            f"d{i}",
+        )
+        for i in range(10)
+    ]
+    candidate = doc("the of of a cat dog")
+    report = delta(Corpus(documents), candidate)
+    assert report.function_words_used == ["a", "of"]
+    assert report.deltas["alice"] == pytest.approx(2.25, abs=1e-9)
+    assert report.deltas["bob"] == pytest.approx(2.75, abs=1e-9)
+    expected = oracle_burrows_delta(
+        {
+            "alice": [d.tokens() for d in documents[:5]],
+            "bob": [d.tokens() for d in documents[5:]],
+        },
+        candidate.tokens(),
+        50,
+        default_function_words(),
+    )
+    assert report.deltas == pytest.approx(expected, abs=1e-9)
+
+
+def _counter_fit(reference, k):
+    """Delta's fit as earlier releases computed it: one Counter per text,
+    vocabularies merged with ``Counter.update`` and each author's documents
+    joined and counted again.  Its axis rule is the current one."""
+
+    def per_1000(counts, total, word):
+        return counts.get(word, 0) * 1000.0 / total if total else 0.0
+
+    def z_profile(tokens, words, means, stds):
+        counts = Counter(tokens)
+        return tuple(
+            (per_1000(counts, len(tokens), w) - mean) / std
+            for w, mean, std in zip(words, means, stds)
+        )
+
+    doc_tokens = [d.tokens() for d in reference.documents]
+    doc_counts = [Counter(tokens) for tokens in doc_tokens]
+    total_counts = Counter()
+    for counts in doc_counts:
+        total_counts.update(counts)
+    ranked = sorted(
+        default_function_words(), key=lambda w: (-total_counts.get(w, 0), w)
+    )
+    n_docs = len(doc_tokens)
+    kept, means, stds = [], [], []
+    for w in ranked[:k]:
+        freqs = [
+            per_1000(counts, len(tokens), w)
+            for counts, tokens in zip(doc_counts, doc_tokens)
+        ]
+        if min(freqs) == max(freqs):
+            continue
+        mean = _sum_left(freqs) / n_docs
+        std = math.sqrt(_sum_left((f - mean) * (f - mean) for f in freqs) / n_docs)
+        kept.append(w)
+        means.append(mean)
+        stds.append(std)
+    if not kept:
+        return None, z_profile
+    grouped = {}
+    for d in reference.documents:
+        grouped.setdefault(d.author, []).append(d)
+    author_z = {
+        author: z_profile([t for d in docs for t in d.tokens()], kept, means, stds)
+        for author, docs in sorted(grouped.items())
+    }
+    return (tuple(kept), tuple(means), tuple(stds), author_z), z_profile
+
+
+DELTA_VOCABULARY = ["the", "of", "and", "a", "to", "you", "it", "cat", "dog", "ran"]
+delta_texts = st.lists(st.sampled_from(DELTA_VOCABULARY), max_size=30).map(" ".join)
+
+
+@given(
+    st.lists(st.lists(delta_texts, min_size=1, max_size=4), min_size=2, max_size=3),
+    delta_texts,
+    st.integers(min_value=1, max_value=200),
+)
+@example([["the the of", "the of"], ["", "a"]], "the of a", 200)
+def test_fit_matches_the_counter_fit_float_for_float(authors, candidate_text, k):
+    reference = Corpus(
+        [
+            doc(text, f"author{a}", f"author{a}/{n}.txt")
+            for a, texts in enumerate(authors)
+            for n, text in enumerate(texts)
+        ]
+    )
+    expected, z_profile = _counter_fit(reference, k)
+    if expected is None:
+        with pytest.raises(InsufficientCorpus):
+            fit_delta_reference(reference, k)
+        return
+    fitted = fit_delta_reference(reference, k)
+    # repr tells every float apart, -0.0 included, and shows every key order
+    assert repr(tuple(fitted)) == repr(expected)
+    candidate = doc(candidate_text)
+    cand_z = z_profile(candidate.tokens(), *expected[:3])
+    deltas = {
+        author: _sum_left(abs(a - c) for a, c in zip(author_z, cand_z)) / len(cand_z)
+        for author, author_z in expected[3].items()
+    }
+    assert repr(score_delta(fitted, candidate).deltas) == repr(deltas)
+
+
 def test_delta_rejects_bad_k():
     with pytest.raises(ValueError):
         delta(two_author_reference(), doc("x"), k=0)
@@ -496,6 +609,17 @@ def test_corpus_hash_tracks_content(tmp_path):
     c3 = corpus("alpha", "gamma")
     assert c1.content_hash() == c2.content_hash()
     assert c1.content_hash() != c3.content_hash()
+
+
+def test_corpus_hash_reads_an_id_from_a_non_utf8_name_as_its_bytes():
+    # load_corpus makes ids from file names, which decode with surrogateescape
+    raw_id = b"amy/b\xff.txt"
+    hashed = Corpus([doc("alpha", "amy", raw_id.decode("utf-8", "surrogateescape"))])
+    expected = hashlib.sha256(raw_id + b"\x00alpha\x00").hexdigest()
+    assert hashed.content_hash() == expected
+    plain = Corpus([doc("alpha", "amy", "amy/b\u00ff.txt")])
+    expected = hashlib.sha256("amy/b\u00ff.txt\x00alpha\x00".encode("utf-8"))
+    assert plain.content_hash() == expected.hexdigest()
 
 
 # --- randomized oracle equivalence (the desk-scale version lives in

@@ -5,6 +5,7 @@ import sys
 import threading
 from bisect import bisect
 from collections import Counter
+from itertools import accumulate, groupby
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -223,6 +224,44 @@ def test_transitions_match_counter_per_context_oracle(text, order):
     assert [(c, list(d.items())) for c, d in model.transitions.items()] == [
         (c, list(d.items())) for c, d in expected.items()
     ]
+
+
+def groupby_training(corpus_text, order):
+    """The training of earlier releases: one ``groupby`` group per context."""
+    size = len(corpus_text)
+    counts = Counter(corpus_text[i : i + order + 1] for i in range(size - order))
+    transitions = {}
+    tables = {}
+    for context, group in groupby(
+        sorted(counts.items()), key=lambda item: item[0][:order]
+    ):
+        windows = list(group)
+        total = sum(n for _, n in windows)
+        followers = transitions[context] = {
+            window[order]: n / total for window, n in windows
+        }
+        cum = list(accumulate(followers.values()))
+        tables[context] = (tuple(followers), cum, cum[-1] + 0.0, len(cum) - 1)
+    return transitions, tables
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="ab c.\n", min_size=2, max_size=200),
+        st.text(min_size=2, max_size=120),
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_training_matches_the_groupby_training_float_for_float(text, order):
+    try:
+        model = train_style_model(text, order)
+    except CorpusTooSmall:
+        assert len(text) <= order
+        return
+    transitions, tables = groupby_training(text, order)
+    # repr tells every float apart, -0.0 included, and shows every key order
+    assert repr(model.transitions) == repr(transitions)
+    assert repr(model.tables) == repr(tables)
 
 
 @given(
