@@ -192,9 +192,53 @@ def cmd_transform(args) -> int:
     return 0
 
 
+_quote = json.encoder.encode_basestring_ascii
+_FLOAT_TYPE = frozenset({float})
+
+
+class _FloatReprs(dict):
+    """``float.__repr__`` of each distinct float, computed on first lookup.
+
+    For a finite float, ``repr`` is the text ``json.dumps`` writes.  Equal
+    floats share one repr unless they are 0.0 and -0.0, so a cache keyed by
+    value is sound only for finite floats that are not negative, which every
+    feature value is (counts, frequencies, shares, lengths and positive
+    idf weights).  A value outside that domain raises when first seen.
+    """
+
+    def __missing__(self, value):
+        text = float.__repr__(value)
+        if not text[0].isdigit():  # "nan", "inf" or a sign
+            raise ValueError(f"feature value {text} is not finite and >= 0")
+        self[value] = text
+        return text
+
+
 def _feature_json(doc_id: str, vector: dict) -> str:
-    """One ``"doc id": {vector}`` member of the ``features`` JSON object."""
-    return json.dumps(doc_id) + ": " + json.dumps(vector, sort_keys=True)
+    """One ``"doc id": {vector}`` member of the ``features`` JSON object.
+
+    The bytes of ``json.dumps(doc_id) + ": " + json.dumps(vector,
+    sort_keys=True)`` for a vector whose values are floats or maps of str to
+    float, the only shape a feature vector has; any other type raises
+    ``TypeError``.  Keys are sorted with ``sorted()`` and quoted by the
+    encoder's own ``encode_basestring_ascii``; each distinct float of the
+    vector is formatted once.
+    """
+    reprs = _FloatReprs()
+    members = []
+    for name in sorted(vector):
+        value = vector[name]
+        if type(value) is float:
+            text = reprs[value]
+        elif type(value) is dict and _FLOAT_TYPE.issuperset(map(type, value.values())):
+            keys = sorted(value)
+            values = map(reprs.__getitem__, map(value.__getitem__, keys))
+            pairs = zip(map(_quote, keys), values)
+            text = "{" + ", ".join(map(": ".join, pairs)) + "}"
+        else:
+            raise TypeError(f"feature {name!r} is not a float or a str -> float map")
+        members.append(_quote(name) + ": " + text)
+    return _quote(doc_id) + ": {" + ", ".join(members) + "}"
 
 
 def cmd_features(args) -> int:
@@ -398,9 +442,12 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # A character decoded from a non-UTF-8 file name or argument (a lone
+    # surrogate U+DC80..U+DCFF) is written back as the byte it came from, as
+    # ls does; JSON output escapes it instead, as \udcXX.
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
-            stream.reconfigure(encoding="utf-8")
+            stream.reconfigure(encoding="utf-8", errors="surrogateescape")
     sys.exit(dispatch())
 
 

@@ -170,11 +170,14 @@ def _char_ngram_counts(
 ) -> dict[str, dict[str, int]]:
     """Each document's n-gram counts, every n in [n_min, n_max] in one dict.
 
-    Only the ``n_max``-grams are sliced from the text.  Every shorter
-    n-gram but the last is the ``n``-prefix of the (n+1)-gram that starts
-    where it does, so each shorter level is folded from the level above it,
-    plus one for the n-gram at ``len(text) - n``, which starts no longer
-    gram.  ``n_max`` is at most 8, so memory grows linearly with the corpus.
+    Only the ``n_max``-grams are read from the text, by zipping ``n_max``
+    views of it shifted by 0..n_max-1 characters and joining each tuple:
+    ``zip`` reuses its tuple, so no slice object is made per position.
+    Every shorter n-gram but the last is the ``n``-prefix of the (n+1)-gram
+    that starts where it does, so each shorter level is folded from the
+    level above it, plus one for the n-gram at ``len(text) - n``, which
+    starts no longer gram.  ``n_max`` is at most 8, so memory grows
+    linearly with the corpus.
     """
     if n_min < 1 or n_max < n_min:
         raise InvalidRange(f"invalid n-gram range [{n_min}, {n_max}]")
@@ -186,8 +189,8 @@ def _char_ngram_counts(
     for doc in corpus.documents:
         text = doc.text.lower()
         size = len(text)
-        slices = map(slice, range(size - n_max + 1), range(n_max, size + 1))
-        level = Counter(map(text.__getitem__, slices))
+        views = [text[i:] for i in range(n_max)]
+        level = Counter(map("".join, zip(*views)))
         counts = dict(level)
         for n in range(n_max - 1, n_min - 1, -1):
             shorter = {}

@@ -194,12 +194,16 @@ def write_text_file(path, text: str) -> None:
     """Write UTF-8 without newline translation; refuse a leading U+FEFF.
 
     A byte-order mark at file start would collide with the end-marker code
-    point, so texts that begin with U+FEFF are rejected outright.
+    point, so texts that begin with U+FEFF are rejected outright.  A
+    character decoded from a non-UTF-8 file name is written back as its
+    byte, as the CLI writes it to stdout.
     """
     if text.startswith(END):
         raise MalformedStream(
             "refusing to write text starting with U+FEFF: "
             "a leading byte-order mark would be indistinguishable from payload"
         )
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open(
+        path, "w", encoding="utf-8", errors="surrogateescape", newline=""
+    ) as handle:
         handle.write(text)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -497,6 +498,69 @@ def test_features_writes_the_json_of_every_vector_a_repeated_id_last(
     assert out == json.dumps(payload, sort_keys=True) + "\n"
 
 
+#: Small corpora for the writer: empty and token-free texts, non-ASCII
+#: n-grams, repeated ids and an id decoded from a non-UTF-8 file name.
+FEATURE_CORPORA = st.lists(
+    st.tuples(
+        st.sampled_from(["a/1.txt", "a/2.txt", "b\udcff/1.txt", "\u00e9/\u0436.txt"]),
+        st.text(alphabet="ab AB.,!?'\n\u00e9\u0394\u0436\u6f22\U0001F600\u200b",
+                max_size=30),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=FEATURE_CORPORA, n_min=st.integers(1, 3), span=st.integers(0, 2))
+def test_feature_json_is_the_bytes_of_json_dumps(docs, n_min, span):
+    corpus = styloscope.Corpus([styloscope.Document(i, text) for i, text in docs])
+    for doc_id, vector in styloscope.iter_feature_vectors(corpus, n_min, n_min + span):
+        expected = json.dumps(doc_id) + ": " + json.dumps(vector, sort_keys=True)
+        assert cli._feature_json(doc_id, vector) == expected
+
+
+# Two distinct values in a small corpus's vector almost never agree to six
+# decimals, so a repr cache keyed too coarsely can pass the test above:
+# vectors of the same shape are also drawn directly.
+FEATURE_FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+FEATURE_KEYS = st.text(
+    alphabet=st.characters() | st.sampled_from(["\udc80", "\udcff"]), max_size=4
+)
+
+
+@given(
+    doc_id=FEATURE_KEYS,
+    vector=st.dictionaries(
+        FEATURE_KEYS,
+        FEATURE_FLOATS | st.dictionaries(FEATURE_KEYS, FEATURE_FLOATS, max_size=8),
+        max_size=6,
+    ),
+)
+def test_feature_json_writes_any_vector_of_the_feature_shape(doc_id, vector):
+    expected = json.dumps(doc_id) + ": " + json.dumps(vector, sort_keys=True)
+    assert cli._feature_json(doc_id, vector) == expected
+
+
+@pytest.mark.parametrize(
+    "vector, error",
+    [
+        ({"x": 1}, TypeError),
+        ({"x": True}, TypeError),
+        ({"x": [1.0]}, TypeError),
+        ({"x": 1.0, "y": {"a": 1}}, TypeError),
+        ({"x": {1: 0.5}}, TypeError),
+        ({"x": math.nan}, ValueError),
+        ({"x": {"a": math.inf}}, ValueError),
+        ({"x": {"a": -1.5}}, ValueError),
+        ({"x": -0.0}, ValueError),
+    ],
+)
+def test_feature_json_refuses_a_value_no_feature_has(vector, error):
+    with pytest.raises(error):
+        cli._feature_json("d", vector)
+
+
 def test_delta_json_output(capsys, tmp_path):
     corpus_dir, candidate = write_corpus(tmp_path)
     code, out, _ = run(capsys, "delta", "--corpus", str(corpus_dir),
@@ -670,6 +734,47 @@ def test_matrix_reads_a_corpus_with_a_non_utf8_file_name(capsys, tmp_path, fmt):
         code, out, err = run(capsys, *command)
         assert (code, err) == (0, "")
         assert out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
+@pytest.mark.parametrize("command", ["delta", "matrix"])
+def test_reports_write_a_non_utf8_author_label_as_its_bytes(tmp_path, command, fmt):
+    corpus_dir, _ = write_corpus(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt",
+        "configs": [3], "seed": 1, "k": 30,
+    }), encoding="utf-8")
+    argv = {
+        "delta": ["delta", "--corpus", "corpus", "--candidate", "candidate.txt"],
+        "matrix": ["matrix", "--config", "run.json"],
+    }[command] + ["--format", fmt]
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def stylocloak(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "stylocloak.cli", *argv, *extra], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        )
+
+    clean = stylocloak()
+    try:
+        os.rename(corpus_dir / "bellamy",
+                  os.path.join(os.fsencode(corpus_dir), b"b\xffllamy"))
+    except OSError as exc:
+        pytest.skip(f"the file system refuses a non-UTF-8 name: {exc}")
+    done = stylocloak()
+    assert (done.returncode, done.stderr) == (0, b"")
+    if fmt == "json":
+        # JSON escapes the label as it always has, and stays ASCII.
+        label = json.dumps("b\udcffllamy").encode("ascii")
+        assert label in done.stdout and done.stdout.isascii()
+        return
+    assert clean.returncode == 0 and b"bellamy" in clean.stdout
+    assert done.stdout == clean.stdout.replace(b"bellamy", b"b\xffllamy")
+    if command == "matrix":
+        written = stylocloak("--output", os.fsdecode(b"r\xffport"))
+        assert (written.returncode, written.stderr) == (0, b"wrote r\xffport\n")
+        assert (tmp_path / os.fsdecode(b"r\xffport")).read_bytes() == done.stdout
 
 
 def test_matrix_hashes_crlf_candidate_as_its_bytes(capsys, tmp_path):

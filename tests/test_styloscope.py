@@ -189,18 +189,25 @@ def test_tfidf_matches_naive_oracle(docs, n_min, span):
 
 
 @given(
-    st.lists(st.text(alphabet="abAB !.\néİΔж😀", max_size=7), min_size=1, max_size=4),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=4),
+    st.lists(
+        st.text(alphabet="abAB !.\néİΔж😀漢👨👩\u200d" + "".join(zwcodec.POINTS),
+                max_size=12),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=7),
 )
 @example(["İ", "aİ", "", "abcab"], 1, 4)
 @example(["İİ", "ab", "a"], 2, 0)
 @example(["abcde", "abcdef", "abcd"], 5, 0)
+@example(["", "ab", "👨\u200d👩\u200b"], 1, 7)
 def test_folded_ngram_counts_match_direct_slicing(texts, n_min, span):
-    # Only the n_max-grams are sliced; shorter levels are folded from
-    # prefixes.  "İ" lowercases to two code points, so the lowered text is
-    # longer than the drawn one.
-    n_max = min(n_min + span, 5)
+    # Only the n_max-grams are read, from zipped shifted views; shorter
+    # levels are folded from prefixes.  Each level must count what slicing
+    # it alone counts, for every 1 <= n_min <= n_max <= 8.  "İ" lowercases
+    # to two code points, so the lowered text is longer than the drawn one.
+    n_max = min(n_min + span, 8)
     reference = corpus(*texts)
     counts = _char_ngram_counts(reference, n_min, n_max)
     for document in reference.documents:
