@@ -177,7 +177,7 @@ def cmd_transform(args) -> int:
         translation_backend=backend,
         options=options,
     )
-    if backend and "translation" not in config.stages:
+    if args.backend and "translation" not in config.stages:
         raise DataError(
             f"--backend applies only to the translation stage, "
             f"which config {config_id} does not run"
@@ -324,13 +324,9 @@ def cmd_matrix(args) -> int:
     for note in report.warnings:
         _warn(f"config {note['config']}: {weaver.SecretOverflow(note['dropped'])}")
     rendered = pipeline.emit_report(report, args.format)
+    _write_output(args, rendered if rendered.endswith("\n") else rendered + "\n")
     if args.output and args.output != "-":
-        zwcodec.write_text_file(args.output, rendered)
         print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(rendered)
-        if not rendered.endswith("\n"):
-            sys.stdout.write("\n")
     return 0
 
 

@@ -2,10 +2,10 @@
 
 Every builtin stage is a pure function of (input, seed, options), so a whole
 experiment grid can be replayed bit-for-bit.  Real machine translation is
-deliberately out of process: the translation stage's BackendSpec can point
-at an external command or HTTP endpoint.  The builtin stages (synonym-pivot
-drift, a character Markov chain, sentence shuffling) keep everything
-runnable offline.
+deliberately out of process: the translation stage's BackendSpec points at
+an external command or HTTP endpoint, and no spec means the builtin stage.
+The builtin stages (synonym-pivot drift, a character Markov chain, sentence
+shuffling) keep everything runnable offline.
 
 Transforms work on the text they are given and know nothing of zero-width
 code points: :func:`stylocloak.pipeline.apply_config` strips its input once
@@ -34,7 +34,7 @@ _PARTIAL_WORD = re.compile(r"\s\S+\Z")
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.?!])\s+")
 _JITTER_TARGET = re.compile(r"([,;:]) ")
 
-BACKEND_KINDS = ("builtin", "external-command", "http")
+BACKEND_KINDS = ("external-command", "http")
 
 class BackendUnavailable(StylocloakError, RuntimeError):
     """The external transform backend failed or returned garbage."""
@@ -51,9 +51,9 @@ class CorpusTooSmall(DataError):
 
 
 class BackendSpec(
-    namedtuple("BackendSpec", "kind target timeout", defaults=("builtin", "", 30.0))
+    namedtuple("BackendSpec", "kind target timeout", defaults=("", 30.0))
 ):
-    """Where a transform stage runs: in process, a command, or an endpoint."""
+    """An external backend for the translation stage: a command or an endpoint."""
 
     __slots__ = ()
 
@@ -61,7 +61,7 @@ class BackendSpec(
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in BACKEND_KINDS:
             raise DataError(f"unknown backend kind {self.kind!r}")
-        if self.kind != "builtin" and not self.target.strip():
+        if not self.target.strip():
             raise DataError(f"backend kind {self.kind!r} requires a target")
         if not 0 < self.timeout < math.inf:
             raise DataError(
@@ -81,17 +81,20 @@ class BackendSpec(
         return cls(*iterable)
 
     @classmethod
-    def parse(cls, value) -> "BackendSpec":
-        """Read a spec: ``builtin``, ``cmd:<command>``, a URL or a run-file object.
+    def parse(cls, value) -> "BackendSpec | None":
+        """Read a spec: ``cmd:<command>``, a URL or a run-file object.
 
-        The object's keys are the fields, each typed by its default.
+        ``builtin`` is the builtin stage, which is no spec: it reads as None.
+        The object's keys are the fields, and it must hold ``kind``.
         """
         if isinstance(value, dict):
-            types = {name: type(v) for name, v in cls._field_defaults.items()}
+            types = {"kind": str, "target": str, "timeout": float}
             check_json_object(value, types, "backend")
+            if "kind" not in value:
+                raise DataError("backend object lacks the key 'kind'")
             return cls(**value)
         if value == "builtin":
-            return cls()
+            return None
         if isinstance(value, str) and value.startswith("cmd:"):
             return cls(kind="external-command", target=value[4:])
         if isinstance(value, str) and value.startswith(("http://", "https://")):
@@ -179,14 +182,13 @@ def round_trip_translate(
 ) -> str:
     """Push text through a pivot-language chain and back, or simulate it.
 
-    With an external backend the chain is the list of pivot languages.  The
-    builtin fallback ignores the chain and applies seeded synonym-pivot
-    drift instead: every content word with a dictionary entry is replaced,
-    which approximates the lexical churn of a real round trip without any
-    claim of meaning preservation.
+    With an external backend the chain is the list of pivot languages.
+    Without one, the builtin stage ignores the chain and applies seeded
+    synonym-pivot drift instead: every content word with a dictionary entry
+    is replaced, which approximates the lexical churn of a real round trip
+    without any claim of meaning preservation.
     """
-    backend = backend or BackendSpec()
-    if backend.kind != "builtin":
+    if backend is not None:
         if not chain:
             raise DataError("external translation requires a pivot chain")
         return call_backend(backend, text, chain, seed)
@@ -232,7 +234,7 @@ def call_backend(
                 f"{proc.stderr.decode('utf-8', 'replace').strip()}"
             )
         raw = proc.stdout
-    elif backend.kind == "http":
+    else:
         import http.client
         import urllib.error
         import urllib.request
@@ -249,6 +251,9 @@ def call_backend(
                 raw = resp.read()
         except TimeoutError as exc:
             raise Timeout(f"http backend exceeded {backend.timeout}s") from exc
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise BackendUnavailable(f"backend returned HTTP {exc.code}") from exc
         except urllib.error.URLError as exc:
             if isinstance(getattr(exc, "reason", None), TimeoutError):
                 raise Timeout(f"http backend exceeded {backend.timeout}s") from exc
@@ -257,8 +262,6 @@ def call_backend(
             raise DataError(str(exc)) from exc
         except (OSError, http.client.HTTPException) as exc:
             raise BackendUnavailable(f"http backend failed: {exc}") from exc
-    else:
-        raise BackendUnavailable("builtin backend has no external contract")
     try:
         reply = json.loads(raw.decode("utf-8"))
         result = reply["text"]
@@ -270,15 +273,15 @@ def call_backend(
     return result
 
 
-class StyleModel(namedtuple("StyleModel", "order transitions tables")):
+class StyleModel(namedtuple("StyleModel", "order tables")):
     """Character Markov chain over a training corpus.
 
-    ``transitions`` maps each context of ``order`` characters to its
-    followers' probabilities.  ``tables`` maps each context to its sampling
-    table ``(followers, cumulative weights, total, n - 1)``, built from
-    ``transitions`` once at training time.  :func:`imitate` draws from it
-    exactly as ``random.choices`` draws on its ``weights`` path, so sampling
-    reproduces ``random.choices`` draw for draw (pinned by
+    ``tables`` maps each context of ``order`` characters to its sampling
+    table ``(followers, cumulative weights, total, n - 1)``: the followers
+    in sorted order and the running sums of their probabilities, which are
+    the model's only record of its distribution.  :func:`imitate` draws
+    from it exactly as ``random.choices`` draws on its ``weights`` path, so
+    sampling reproduces ``random.choices`` draw for draw (pinned by
     ``test_table_draw_matches_random_choices``).
     """
 
@@ -286,7 +289,7 @@ class StyleModel(namedtuple("StyleModel", "order transitions tables")):
 
 
 def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
-    """Count overlapping character windows and normalize to distributions."""
+    """Count overlapping character windows and build each context's table."""
     if order < 1:
         raise DataError("order must be >= 1")
     size = len(corpus_text)
@@ -300,26 +303,21 @@ def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
     windows = sorted(counts)
     followers = list(map(itemgetter(order), windows))
     contexts = Counter(map(itemgetter(slice(order)), windows))
-    transitions: dict[str, dict[str, float]] = {}
     tables = {}
     start = 0
     for context, end in zip(contexts, accumulate(contexts.values())):
         if end - start == 1:
             # A lone follower's n / n is exactly 1.0; skipping the general
-            # branch's seven calls matters, as most contexts have one.
-            char = followers[start]
-            transitions[context] = {char: 1.0}
-            tables[context] = ((char,), [1.0], 1.0, 0)
+            # branch's calls matters, as most contexts have one.
+            tables[context] = ((followers[start],), [1.0], 1.0, 0)
         else:
             window_counts = list(map(counts.__getitem__, windows[start:end]))
             total = sum(window_counts)
-            probs = list(map(truediv, window_counts, repeat(total)))
+            cum = list(accumulate(map(truediv, window_counts, repeat(total))))
             chars = tuple(followers[start:end])
-            transitions[context] = dict(zip(chars, probs))
-            cum = list(accumulate(probs))
             tables[context] = (chars, cum, cum[-1] + 0.0, len(cum) - 1)
         start = end
-    return StyleModel(order=order, transitions=transitions, tables=tables)
+    return StyleModel(order=order, tables=tables)
 
 
 def imitate(model: StyleModel, length: int, seed: int = 0) -> str:
@@ -330,12 +328,12 @@ def imitate(model: StyleModel, length: int, seed: int = 0) -> str:
     """
     if length <= 0:
         return ""
-    if not model.transitions:
+    tables = model.tables
+    if not tables:
         raise ValueError("style model has no transitions")
     rng = random.Random(seed)
     draw = rng.random
-    tables = model.tables
-    context = rng.choice(sorted(model.transitions))
+    context = rng.choice(sorted(tables))
     out = [context]
     for _ in range(length - len(context)):
         table = tables.get(context)

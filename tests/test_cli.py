@@ -116,6 +116,62 @@ def test_encode_escaped_output(capsys):
     assert out.strip() == "U+200BU+FEFF"
 
 
+#: The commands that take their secret from --message or --payload-file.
+PAYLOAD_COMMANDS = {
+    "encode": ["encode"],
+    "weave": ["weave", "--word", "hello"],
+    "embed-lines": ["embed-lines", "carrier.txt"],
+}
+
+
+@pytest.fixture
+def payload_workspace(tmp_path, monkeypatch):
+    (tmp_path / "carrier.txt").write_text("one\ntwo\nthree\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("command", sorted(PAYLOAD_COMMANDS))
+def test_payload_file_is_the_message_without_its_line_ending(
+    capsys, payload_workspace, command, ending
+):
+    (payload_workspace / "payload.txt").write_bytes(f"KEY{ending}".encode())
+    argv = PAYLOAD_COMMANDS[command]
+    expected = run(capsys, *argv, "--message", "KEY")
+    assert expected[0] == 0
+    assert run(capsys, *argv, "--payload-file", "payload.txt") == expected
+
+
+@pytest.mark.parametrize("command", ["encode", "weave"])
+def test_payload_file_is_filtered_by_lenient(capsys, payload_workspace, command):
+    (payload_workspace / "payload.txt").write_bytes(b"A1B\r\n")
+    argv = PAYLOAD_COMMANDS[command]
+    expected = run(capsys, *argv, "--message", "AB")
+    lenient = run(capsys, *argv, "--payload-file", "payload.txt", "--lenient")
+    assert lenient == (0, expected[1], "warning: dropped 1 unsupported character(s)\n")
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOAD_COMMANDS))
+def test_payload_file_letter_without_a_code_is_named_at_its_index(
+    capsys, payload_workspace, command
+):
+    (payload_workspace / "payload.txt").write_bytes(b"AB1\r\n")
+    argv = PAYLOAD_COMMANDS[command]
+    assert run(capsys, *argv, "--payload-file", "payload.txt") == (
+        2, "", "error: unsupported character '1' (U+0031) at position 2\n"
+    )
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOAD_COMMANDS))
+def test_payload_commands_need_a_message_or_a_payload_file(
+    capsys, payload_workspace, command
+):
+    assert run(capsys, *PAYLOAD_COMMANDS[command]) == (
+        2, "", "error: provide --message or --payload-file\n"
+    )
+
+
 def test_decode_warns_about_the_streams_after_the_first(capsys, tmp_path):
     target = tmp_path / "stego.txt"
     target.write_text(
@@ -715,6 +771,23 @@ def test_matrix_subcommand(capsys, tmp_path):
     assert "Burrows' Delta" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_matrix_output_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [3, 8], "k": 30,
+    }), encoding="utf-8")
+    argv = ["matrix", "--config", str(run_file), "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n")
+    out_file = tmp_path / f"report.{fmt}"
+    assert run(capsys, *argv, "--output", str(out_file)) == (
+        0, "", f"wrote {out_file}\n"
+    )
+    assert out_file.read_bytes() == out.encode("utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_matrix_reads_a_corpus_with_a_non_utf8_file_name(capsys, tmp_path, fmt):
     corpus_dir, candidate = write_corpus(tmp_path)
@@ -1014,6 +1087,12 @@ def conversion_error(digits: str) -> str:
         (["matrix", "--config", "run.json"],
          {"chain": ["de"], "backends": {"translation": "cmd:foo\0bar"}},
          0, "", "embedded null byte"),
+        (["matrix", "--config", "run.json"], {"corpus": "a\u0000b"}, 2,
+         "error: embedded null byte", None),
+        (["matrix", "--config", "run.json"],
+         {"backends": {"translation": {"kind": "builtin", "target": "rm -rf /",
+                                       "timeout": 0.001}}},
+         2, "error: unknown backend kind 'builtin'", None),
         (["weave", "--word", "ab\udcff", "--message", "A"], None, 2,
          "error: 'utf-8' codec can't encode character '\\udcff' in position 4: "
          "surrogates not allowed", None),
@@ -1057,7 +1136,8 @@ def conversion_error(digits: str) -> str:
     ids=[
         "run-file-without-corpus", "run-file-without-candidate", "run-file-not-json",
         "non-utf8-input", "delta-k-0", "config-id-99", "unbalanced-quote", "http-notaurl",
-        "nul-in-command", "unencodable-word", "malformed-ngrams",
+        "nul-in-command", "nul-in-run-file-path", "builtin-backend-object",
+        "unencodable-word", "malformed-ngrams",
         "weave-strategy-key", "nan-in-run-file", "infinite-imitation-ratio",
         "empty-command", "list-reply", "integer-too-long", "repeated-config-id",
         "unsupported-letter-position", "stdin-twice", "ngrams-past-8", "empty-pivot",
@@ -1110,6 +1190,20 @@ def test_run_file_backend_for_a_stage_without_one_is_data_error(
     code, out, err = run(capsys, "matrix", "--config", str(run_file))
     assert (code, out) == (2, "")
     assert err == f"error: unknown backends key {named} in run file\n"
+
+
+def test_run_file_builtin_backend_reports_as_no_backend(capsys, tmp_path):
+    write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    printed = []
+    for backends in ({}, {"backends": {"translation": "builtin"}}):
+        run_file.write_text(json.dumps({
+            "corpus": "corpus", "candidate": "candidate.txt", "k": 30, **backends,
+        }), encoding="utf-8")
+        printed.append(run(capsys, "matrix", "--config", str(run_file)))
+    assert printed[0][0] == 0
+    assert json.loads(printed[0][1])["metadata"]["backends"] == {}
+    assert printed[1] == printed[0]
 
 
 def test_run_file_backend_of_the_wrong_type_is_data_error(capsys, tmp_path):
@@ -1282,6 +1376,24 @@ def test_transform_backend_without_the_translation_stage_is_data_error(
     assert err == (
         "error: --backend applies only to the translation stage, which config "
         f"{config_id} does not run\n"
+    )
+
+
+def test_transform_builtin_backend_is_no_backend(capsys, tmp_path):
+    doc = tmp_path / "t.txt"
+    doc.write_text(SAMPLE_TEXT, encoding="utf-8")
+    argv = ["transform", str(doc), "--seed", "3"]
+    plain = run(capsys, *argv, "--stage", "translation")
+    assert plain[0] == 0
+    assert run(capsys, *argv, "--stage", "translation", "--backend", "builtin") == plain
+    # the option is refused where it cannot apply, whatever it names
+    code, out, err = run(
+        capsys, *argv, "--stage", "obfuscation", "--backend", "builtin"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --backend applies only to the translation stage, which config "
+        "3 does not run\n"
     )
 
 

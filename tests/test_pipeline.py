@@ -748,7 +748,7 @@ def test_run_file_options_are_the_stage_options_except_chain():
     [
         (StageOptions(), {"imitation_ratio": 2}),
         (PipelineConfig(1), {"id": 99}),
-        (transforms.BackendSpec(), {"timeout": -1}),
+        (transforms.BackendSpec("http", "http://x"), {"timeout": -1}),
     ],
     ids=["StageOptions", "PipelineConfig", "BackendSpec"],
 )

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import time
 from bisect import bisect
 from collections import Counter
 from itertools import accumulate, groupby
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stylocloak import DataError, zwcodec
+from stylocloak import DataError, transforms, zwcodec
 from stylocloak.pipeline import PipelineConfig, apply_config
 from stylocloak.styloscope import tokenize
 from stylocloak.transforms import (
     BackendSpec,
     BackendUnavailable,
     CorpusTooSmall,
+    StyleModel,
     Timeout,
     call_backend,
     imitate,
@@ -118,15 +120,19 @@ def test_translate_token_count_bounds(text, seed):
 
 # --- style model -------------------------------------------------------------
 
+def test_style_model_is_its_order_and_sampling_tables():
+    assert StyleModel._fields == ("order", "tables")
+
+
 def test_train_single_symbol_corpus():
     model = train_style_model("aaaa", order=1)
-    assert model.transitions["a"] == {"a": 1.0}
+    assert model.tables == {"a": (("a",), [1.0], 1.0, 0)}
 
 
 def test_train_alternating_corpus():
     model = train_style_model("abab", order=1)
-    assert model.transitions["a"] == {"b": 1.0}
-    assert model.transitions["b"] == {"a": 1.0}
+    assert model.tables["a"] == (("b",), [1.0], 1.0, 0)
+    assert model.tables["b"] == (("a",), [1.0], 1.0, 0)
 
 
 def test_train_rejects_tiny_corpus():
@@ -141,9 +147,10 @@ def test_distributions_sum_to_one(text, order):
     if len(text) <= order:
         return
     model = train_style_model(text, order)
-    for context, dist in model.transitions.items():
+    for context, (chars, cum, total, hi) in model.tables.items():
         assert len(context) == order
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+        assert len(chars) == len(cum) == hi + 1
+        assert total == cum[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_imitate_zero_length():
@@ -191,12 +198,21 @@ def counter_per_context_transitions(text, order):
     }
 
 
-def imitate_with_choices(model, length, seed):
+def as_tables(transitions):
+    """Each context's sampling table, built from its ``{char: prob}``."""
+    tables = {}
+    for context, followers in transitions.items():
+        cum = list(accumulate(followers.values()))
+        tables[context] = (tuple(followers), cum, cum[-1] + 0.0, len(cum) - 1)
+    return tables
+
+
+def imitate_with_choices(transitions, order, length, seed):
     """The reference walk: one ``random.choices`` draw per character."""
     rng = random.Random(seed)
-    out = list(rng.choice(sorted(model.transitions)))
+    out = list(rng.choice(sorted(transitions)))
     while len(out) < length:
-        followers = model.transitions.get("".join(out[-model.order :]))
+        followers = transitions.get("".join(out[-order:]))
         if not followers:
             break
         out.append(rng.choices(list(followers), weights=list(followers.values()))[0])
@@ -220,10 +236,9 @@ def test_transitions_match_counter_per_context_oracle(text, order):
         model = train_style_model(text, order)
     except CorpusTooSmall:
         return
-    expected = counter_per_context_transitions(text, order)
-    assert [(c, list(d.items())) for c, d in model.transitions.items()] == [
-        (c, list(d.items())) for c, d in expected.items()
-    ]
+    expected = as_tables(counter_per_context_transitions(text, order))
+    # repr tells every float apart, -0.0 included, and shows every key order
+    assert repr(model.tables) == repr(expected)
 
 
 def groupby_training(corpus_text, order):
@@ -231,18 +246,13 @@ def groupby_training(corpus_text, order):
     size = len(corpus_text)
     counts = Counter(corpus_text[i : i + order + 1] for i in range(size - order))
     transitions = {}
-    tables = {}
     for context, group in groupby(
         sorted(counts.items()), key=lambda item: item[0][:order]
     ):
         windows = list(group)
         total = sum(n for _, n in windows)
-        followers = transitions[context] = {
-            window[order]: n / total for window, n in windows
-        }
-        cum = list(accumulate(followers.values()))
-        tables[context] = (tuple(followers), cum, cum[-1] + 0.0, len(cum) - 1)
-    return transitions, tables
+        transitions[context] = {window[order]: n / total for window, n in windows}
+    return as_tables(transitions)
 
 
 @given(
@@ -258,10 +268,8 @@ def test_training_matches_the_groupby_training_float_for_float(text, order):
     except CorpusTooSmall:
         assert len(text) <= order
         return
-    transitions, tables = groupby_training(text, order)
     # repr tells every float apart, -0.0 included, and shows every key order
-    assert repr(model.transitions) == repr(transitions)
-    assert repr(model.tables) == repr(tables)
+    assert repr(model.tables) == repr(groupby_training(text, order))
 
 
 @given(
@@ -276,8 +284,10 @@ def test_table_draw_matches_random_choices(text, order, seed):
         model = train_style_model(text, order)
     except CorpusTooSmall:
         return
+    transitions = counter_per_context_transitions(text, order)
+    assert list(model.tables) == list(transitions)
     table_rng, choices_rng = random.Random(seed), random.Random(seed)
-    for context, followers in model.transitions.items():
+    for context, followers in transitions.items():
         chars, cum, total, hi = model.tables[context]
         for _ in range(3):
             drawn = chars[bisect(cum, table_rng.random() * total, 0, hi)]
@@ -286,7 +296,8 @@ def test_table_draw_matches_random_choices(text, order, seed):
             )[0]
             assert drawn == expected
     for length in (0, 1, order, 40):
-        assert imitate(model, length, seed) == imitate_with_choices(model, length, seed)
+        expected = imitate_with_choices(transitions, order, length, seed)
+        assert imitate(model, length, seed) == expected
 
 
 def test_imitate_stops_at_dead_end():
@@ -411,12 +422,18 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        reply = json.dumps({"text": body["text"][::-1]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        self.wfile.write(reply)
+        if self.path == "/slow":
+            time.sleep(1.0)  # past the client's timeout, which has hung up
+        text = 5 if self.path == "/number" else body["text"][::-1]
+        reply = json.dumps({"text": text}).encode()
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
 
     def log_message(self, *args):
         pass
@@ -439,7 +456,21 @@ def test_http_backend_round_trip(http_backend_server):
 
 def test_http_backend_error_status(http_backend_server):
     backend = BackendSpec(kind="http", target=http_backend_server + "/boom")
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(BackendUnavailable, match="^backend returned HTTP 500$") as err:
+        call_backend(backend, "abc", ("de",), 0)
+    assert err.value.exit_code == 3
+
+
+def test_http_backend_timeout(http_backend_server):
+    backend = BackendSpec("http", http_backend_server + "/slow", timeout=0.5)
+    with pytest.raises(Timeout, match=r"^http backend exceeded 0\.5s$"):
+        call_backend(backend, "abc", ("de",), 0)
+
+
+def test_http_backend_reply_text_must_be_a_string(http_backend_server):
+    backend = BackendSpec(kind="http", target=http_backend_server + "/number")
+    message = "^backend reply 'text' is not a string$"
+    with pytest.raises(BackendUnavailable, match=message):
         call_backend(backend, "abc", ("de",), 0)
 
 
@@ -454,6 +485,14 @@ def test_backend_spec_validation():
         BackendSpec(kind="carrier-pigeon")
     with pytest.raises(ValueError):
         BackendSpec(kind="http")  # no target
+
+
+def test_no_backend_spec_is_builtin():
+    assert "builtin" not in transforms.BACKEND_KINDS
+    with pytest.raises(DataError, match=r"^unknown backend kind 'builtin'$"):
+        BackendSpec(kind="builtin", target="rm -rf /", timeout=0.001)
+    with pytest.raises(DataError, match=r"^unknown backend kind 'builtin'$"):
+        BackendSpec.parse({"kind": "builtin", "target": "rm -rf /", "timeout": 0.001})
 
 
 @pytest.mark.parametrize("timeout", [0, 0.0, -1, -0.5, math.inf, -math.inf, math.nan])
@@ -481,7 +520,7 @@ def test_backend_timeout_must_be_at_most_one_day(timeout):
 @pytest.mark.parametrize(
     "value, expected",
     [
-        ("builtin", BackendSpec()),
+        ("builtin", None),
         ("cmd:tr --fast", BackendSpec(kind="external-command", target="tr --fast")),
         ("https://mt.local/api", BackendSpec(kind="http", target="https://mt.local/api")),
         (
@@ -494,9 +533,16 @@ def test_backend_spec_parse(value, expected):
     assert BackendSpec.parse(value) == expected
 
 
-@pytest.mark.parametrize("value", ["ftp://x", "cmd", 3, {"kind": "http", "url": "x"}])
+@pytest.mark.parametrize(
+    "value",
+    [
+        "ftp://x", "cmd", 3, {"kind": "http", "url": "x"},
+        # an object lacking kind or target is a DataError, not a TypeError
+        {"target": "cat"}, {}, {"kind": "http", "timeout": 2},
+    ],
+)
 def test_backend_spec_parse_rejects(value):
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         BackendSpec.parse(value)
 
 
@@ -512,8 +558,3 @@ def test_backend_spec_parse_rejects(value):
 def test_backend_spec_parse_rejects_wrong_field_type(value, key):
     with pytest.raises(ValueError, match=key):
         BackendSpec.parse(value)
-
-
-def test_builtin_backend_has_no_external_contract():
-    with pytest.raises(BackendUnavailable):
-        call_backend(BackendSpec(), "x", (), 0)
