@@ -147,7 +147,7 @@ def cmd_extract_lines(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    from . import pipeline, transforms
+    from . import pipeline
 
     # --stage S runs the grid's single-stage config for S.
     stage_config_ids = {
@@ -162,28 +162,15 @@ def cmd_transform(args) -> int:
     else:
         raise DataError("provide --stage or --config-id")
     text = _read_input(args.input)
-    options = pipeline.StageOptions(
-        substitution_rate=args.rate,
-        punctuation_jitter=args.jitter,
-        imitation_ratio=args.imitation_ratio,
-        model_order=args.order,
-        chain=tuple(args.chain.split(",")) if args.chain else (),
-    )
-    backend = transforms.BackendSpec.parse(args.backend) if args.backend else None
-    config = pipeline.PipelineConfig(
-        id=config_id,
-        seed=args.seed,
-        payload=args.payload or "",
-        translation_backend=backend,
-        options=options,
-    )
-    if args.backend and "translation" not in config.stages:
+    given = {name: getattr(args, name) for _, name, _ in _GRID_FLAGS if name in args}
+    (config,) = pipeline.make_configs([config_id], given)
+    if "backend" in given and "translation" not in config.stages:
         raise DataError(
             f"--backend applies only to the translation stage, "
             f"which config {config_id} does not run"
         )
     source = None
-    if args.style_source:
+    if args.style_source is not None:
         source = zwcodec.read_text_file(args.style_source)
     result, dropped = pipeline.apply_config(text, config, imitation_source=source)
     if dropped:
@@ -281,12 +268,13 @@ def cmd_delta(args) -> int:
     if args.strip:
         corpus = corpus.stripped()
         documents = {name: doc.stripped() for name, doc in documents.items()}
-    fitted = styloscope.fit_delta_reference(corpus, args.k)
+    given = {"k": args.k} if "k" in args else {}
+    fitted = styloscope.fit_delta_reference(corpus, **given)
     reports = {
         name: styloscope.score_delta(fitted, doc) for name, doc in documents.items()
     }
     if args.format == "json":
-        # One report prints as DeltaReport.to_json does, two keyed by name.
+        # One report prints as its fields, two keyed by name.
         payload = {name: report._asdict() for name, report in reports.items()}
         if len(payload) == 1:
             payload = payload["candidate"]
@@ -312,15 +300,9 @@ def cmd_matrix(args) -> int:
     from . import pipeline
 
     spec = pipeline.load_matrix_spec(args.config)
-    strip = spec.strip or args.strip
-    report = pipeline.run_matrix(
-        spec.candidate,
-        spec.reference,
-        list(spec.configs),
-        k=spec.k,
-        strip=strip,
-        imitation_source=spec.imitation_source,
-    )
+    if args.strip:
+        spec["strip"] = True
+    report = pipeline.run_matrix(**spec)
     for note in report.warnings:
         _warn(f"config {note['config']}: {weaver.SecretOverflow(note['dropped'])}")
     rendered = pipeline.emit_report(report, args.format)
@@ -328,6 +310,35 @@ def cmd_matrix(args) -> int:
     if args.output and args.output != "-":
         print(f"wrote {args.output}", file=sys.stderr)
     return 0
+
+
+#: ``transform``'s grid inputs as (flag, its input name for
+#: ``pipeline.make_configs``, argparse keywords).  An option's name is its
+#: StageOptions field and run-file ``options`` key.  A flag passes on only
+#: what the user gave, so an input left out takes the library's default.
+_GRID_FLAGS = (
+    ("--seed", "seed", {"type": int}),
+    ("--rate", "substitution_rate", {
+        "type": float,
+        "help": "chance that a word with a synonym is replaced, in [0, 1]",
+    }),
+    ("--jitter", "punctuation_jitter", {
+        "action": "store_true", "help": "punctuation spacing jitter",
+    }),
+    ("--imitation-ratio", "imitation_ratio", {
+        "type": float,
+        "help": "generated characters per input character, in [0, 1]",
+    }),
+    ("--order", "model_order", {"type": int, "help": "style model context length"}),
+    ("--chain", "chain", {
+        "type": lambda value: value.split(","),
+        "help": "comma-separated pivot languages",
+    }),
+    ("--backend", "backend", {
+        "help": "translation backend: builtin | cmd:<command> | http(s)://<url>",
+    }),
+    ("--payload", "payload", {"help": "secret letters for the steganography stage"}),
+)
 
 
 def build_parser() -> _Parser:
@@ -378,24 +389,9 @@ def build_parser() -> _Parser:
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--stage", choices=("translation", "imitation", "obfuscation"))
     p.add_argument("--config-id", type=int, help="run pipeline config 1..15 instead")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--rate", type=float, default=0.3,
-        help="chance that a word with a synonym is replaced, in [0, 1]",
-    )
-    p.add_argument("--jitter", action="store_true", help="punctuation spacing jitter")
-    p.add_argument(
-        "--imitation-ratio", type=float, default=0.25,
-        help="generated characters per input character, in [0, 1]",
-    )
-    p.add_argument("--order", type=int, default=3, help="style model context length")
     p.add_argument("--style-source", help="training text for the imitation stage")
-    p.add_argument("--chain", help="comma-separated pivot languages")
-    p.add_argument(
-        "--backend",
-        help="translation backend: builtin | cmd:<command> | http(s)://<url>",
-    )
-    p.add_argument("--payload", help="secret letters for the steganography stage")
+    for flag, name, keywords in _GRID_FLAGS:
+        p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **keywords)
     p.add_argument("--output", "-o")
 
     p = add("features", cmd_features, "extract lexical feature vectors as JSON")
@@ -408,7 +404,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--candidate", required=True)
     p.add_argument("--reference", help="also score this untransformed text")
-    p.add_argument("--k", type=int, default=50)
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
     p.add_argument("--strip", action="store_true")
     p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
 

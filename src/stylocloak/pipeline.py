@@ -148,6 +148,25 @@ class PipelineConfig(
         return CONFIG_STAGES[self.id]
 
 
+def make_configs(ids, given: dict) -> list[PipelineConfig]:
+    """The configs ``ids``, built from the grid inputs a user gave.
+
+    ``given`` may hold ``seed``, ``payload``, ``backend`` (what
+    :meth:`~stylocloak.transforms.BackendSpec.parse` reads), ``chain`` (a
+    sequence of pivot languages) and the other :class:`StageOptions` fields;
+    an input it leaves out takes its type's default, and any other key is a
+    ``TypeError``.  An empty value counts as given.
+    """
+    options = dict(given)
+    fields = {key: options.pop(key) for key in ("seed", "payload") if key in options}
+    if "backend" in options:
+        fields["translation_backend"] = BackendSpec.parse(options.pop("backend"))
+    if "chain" in options:
+        options["chain"] = tuple(options["chain"])
+    shared = StageOptions(**options)
+    return [PipelineConfig(id=cid, options=shared, **fields) for cid in ids]
+
+
 def stage_seed(base_seed: int, prefix: tuple[str, ...]) -> int:
     """Stable seed of the stage ``prefix[-1]``, run after ``prefix[:-1]``."""
     digest = hashlib.sha256(f"{base_seed}:{'+'.join(prefix)}".encode()).digest()
@@ -405,18 +424,6 @@ def emit_report(report: MatrixReport, fmt: str = "json") -> str:
     return render_table(fmt, _MATRIX_COLUMNS, [row._asdict() for row in report.rows])
 
 
-class MatrixSpec(
-    namedtuple(
-        "MatrixSpec",
-        "candidate reference configs k strip imitation_source",
-        defaults=(50, False, None),
-    )
-):
-    """Parsed matrix run description: corpora, grid, and options."""
-
-    __slots__ = ()
-
-
 #: Each run-file key and the JSON type of its value.
 _RUN_TYPES = {
     "corpus": str,
@@ -449,8 +456,12 @@ def _finite(token: str) -> float:
     return value
 
 
-def load_matrix_spec(path) -> MatrixSpec:
-    """Read a declarative JSON run file.
+def load_matrix_spec(path) -> dict:
+    """Read a declarative JSON run file as :func:`run_matrix`'s keyword arguments.
+
+    The dict holds ``candidate``, ``reference`` and ``configs``, and those of
+    ``k``, ``strip`` and ``imitation_source`` that the file gives; what it
+    leaves out takes ``run_matrix``'s and :func:`make_configs`' defaults.
 
     Recognized keys: corpus (directory), candidate (file), configs (list of
     ids), seed, payload, k, strip, chain (pivot languages), backends (only
@@ -493,37 +504,22 @@ def load_matrix_spec(path) -> MatrixSpec:
         id=candidate_path.name,
         text=read_text_file(candidate_path),
     )
-    backends = raw.get("backends", {})
-    backend = BackendSpec.parse(backends["translation"]) if backends else None
-    options = StageOptions(
-        **{**raw.get("options", {}), "chain": tuple(raw.get("chain", ()))}
-    )
-    seed = raw.get("seed", 0)
-    payload = raw.get("payload", "")
+    given = {key: raw[key] for key in ("seed", "payload", "chain") if key in raw}
+    given.update(raw.get("options", {}))
+    if "translation" in raw.get("backends", {}):
+        given["backend"] = raw["backends"]["translation"]
     config_ids = raw.get("configs", sorted(CONFIG_STAGES))
     seen = set()
     for cid in config_ids:
         if cid in seen:
             raise DataError(f"run file lists config {cid} more than once")
         seen.add(cid)
-    configs = tuple(
-        PipelineConfig(
-            id=cid,
-            seed=seed,
-            payload=payload,
-            translation_backend=backend,
-            options=options,
-        )
-        for cid in config_ids
-    )
-    imitation_source = None
-    if raw.get("imitation_source"):
-        imitation_source = read_text_file(resolve(raw["imitation_source"]))
-    return MatrixSpec(
-        candidate=candidate,
-        reference=reference,
-        configs=configs,
-        k=raw.get("k", 50),
-        strip=raw.get("strip", False),
-        imitation_source=imitation_source,
-    )
+    spec = {
+        "candidate": candidate,
+        "reference": reference,
+        "configs": make_configs(config_ids, given),
+    }
+    spec.update((key, raw[key]) for key in ("k", "strip") if key in raw)
+    if "imitation_source" in raw:
+        spec["imitation_source"] = read_text_file(resolve(raw["imitation_source"]))
+    return spec

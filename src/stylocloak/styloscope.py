@@ -18,7 +18,6 @@ who sanitizes input first measures :meth:`Corpus.stripped` or
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import string
@@ -303,9 +302,6 @@ class DeltaReport(namedtuple("DeltaReport", "deltas probabilities function_words
     """
 
     __slots__ = ()
-
-    def to_json(self) -> str:
-        return json.dumps(self._asdict(), sort_keys=True)
 
 
 def _sum_left(values) -> float:

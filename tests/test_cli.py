@@ -370,6 +370,11 @@ def test_transform_config_id_equals_the_grid(capsys, tmp_path, monkeypatch):
                            str(config.id), "--payload", "KEY", "--seed", "3")
         assert code == 0
         assert out == scored[f"cand#config{config.id}"], config.id
+        # with no option flag, every input takes the library's default
+        code, out, _ = run(capsys, "transform", str(candidate), "--config-id",
+                           str(config.id))
+        expected = pipeline.apply_config(text, PipelineConfig(config.id))[0]
+        assert (code, out) == (0, expected), config.id
 
 
 @pytest.mark.parametrize("stage", ["translation", "imitation", "obfuscation"])
@@ -383,6 +388,37 @@ def test_transform_stage_is_its_single_stage_config(capsys, tmp_path, stage):
                           str(config_id), "--seed", "5")
     assert code == code2 == 0
     assert by_stage == by_id
+
+
+def test_transform_flags_pass_on_only_what_the_user_gave():
+    import argparse
+
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    transform = commands["transform"]._actions
+    given_only = {
+        a.option_strings[0]: a.dest
+        for a in transform
+        if a.default is argparse.SUPPRESS
+    }
+    assert given_only == {
+        "-h": "help",
+        "--seed": "seed",
+        "--payload": "payload",
+        "--backend": "backend",
+        "--chain": "chain",
+        "--rate": "substitution_rate",
+        "--jitter": "punctuation_jitter",
+        "--imitation-ratio": "imitation_ratio",
+        "--order": "model_order",
+    }
+    dests = [a.dest for a in transform]
+    for field in pipeline.StageOptions._fields:
+        assert dests.count(field) == 1, field
+    (k,) = [a for a in commands["delta"]._actions if a.dest == "k"]
+    assert k.default is argparse.SUPPRESS
 
 
 def test_transform_requires_stage_or_config(capsys, tmp_path):
@@ -665,12 +701,10 @@ def test_delta_with_reference_fits_the_corpus_once(capsys, tmp_path, monkeypatch
     assert len(fits) == 1
     corpus = styloscope.load_corpus(corpus_dir)
     expected = {
-        name: json.loads(
-            styloscope.score_delta(
-                real_fit(corpus, 30),
-                styloscope.Document(id=str(path), text=zwcodec.read_text_file(path)),
-            ).to_json()
-        )
+        name: styloscope.score_delta(
+            real_fit(corpus, 30),
+            styloscope.Document(id=str(path), text=zwcodec.read_text_file(path)),
+        )._asdict()
         for name, path in (("candidate", candidate), ("reference", reference_text))
     }
     assert out == json.dumps(expected, sort_keys=True) + "\n"
@@ -1132,6 +1166,15 @@ def conversion_error(digits: str) -> str:
          None, 2, "error: chain holds an empty pivot language: ['fr', '']", None),
         (["matrix", "--config", "run.json"], {"chain": ["fr", " "]}, 2,
          "error: chain holds an empty pivot language: ['fr', ' ']", None),
+        # an empty value the user gave counts as given
+        (["transform", "candidate.txt", "--stage", "translation", "--backend", ""],
+         None, 2, "error: cannot parse backend spec ''", None),
+        (["transform", "candidate.txt", "--stage", "translation", "--chain", ""],
+         None, 2, "error: chain holds an empty pivot language: ['']", None),
+        (["transform", "candidate.txt", "--stage", "imitation", "--style-source", ""],
+         None, 2, "error: [Errno 2] No such file or directory: ''", None),
+        (["matrix", "--config", "run.json"], {"imitation_source": ""}, 2,
+         "error: [Errno 21] Is a directory: '.'", None),
     ],
     ids=[
         "run-file-without-corpus", "run-file-without-candidate", "run-file-not-json",
@@ -1141,7 +1184,8 @@ def conversion_error(digits: str) -> str:
         "weave-strategy-key", "nan-in-run-file", "infinite-imitation-ratio",
         "empty-command", "list-reply", "integer-too-long", "repeated-config-id",
         "unsupported-letter-position", "stdin-twice", "ngrams-past-8", "empty-pivot",
-        "blank-pivot-in-run-file",
+        "blank-pivot-in-run-file", "empty-backend", "empty-chain", "empty-style-source",
+        "empty-imitation-source-in-run-file",
     ],
 )
 def test_exit_code_and_message(
@@ -1204,6 +1248,23 @@ def test_run_file_builtin_backend_reports_as_no_backend(capsys, tmp_path):
     assert printed[0][0] == 0
     assert json.loads(printed[0][1])["metadata"]["backends"] == {}
     assert printed[1] == printed[0]
+
+
+def test_run_file_of_corpus_and_candidate_runs_the_library_defaults(
+    capsys, tmp_path
+):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt",
+    }), encoding="utf-8")
+    code, out, _ = run(capsys, "matrix", "--config", str(run_file))
+    document = styloscope.Document(
+        id="candidate.txt", text=zwcodec.read_text_file(candidate)
+    )
+    configs = [PipelineConfig(i) for i in sorted(CONFIG_STAGES)]
+    report = pipeline.run_matrix(document, styloscope.load_corpus(corpus_dir), configs)
+    assert (code, out) == (0, pipeline.emit_report(report) + "\n")
 
 
 def test_run_file_backend_of_the_wrong_type_is_data_error(capsys, tmp_path):

@@ -666,12 +666,12 @@ def write_run_dir(tmp_path, configs=(3, 8)):
 
 def test_load_matrix_spec_and_run(tmp_path):
     spec = load_matrix_spec(write_run_dir(tmp_path))
-    assert [c.id for c in spec.configs] == [3, 8]
-    assert spec.k == 30
-    assert spec.configs[0].options.substitution_rate == 0.4
-    assert spec.configs[0].seed == 21
+    assert [c.id for c in spec["configs"]] == [3, 8]
+    assert spec["k"] == 30
+    assert spec["configs"][0].options.substitution_rate == 0.4
+    assert spec["configs"][0].seed == 21
     report = run_matrix(
-        spec.candidate, spec.reference, list(spec.configs), k=spec.k
+        spec["candidate"], spec["reference"], list(spec["configs"]), k=spec["k"]
     )
     assert len(report.rows) == 4
 
@@ -682,7 +682,7 @@ def test_load_matrix_spec_parses_backends(tmp_path):
     raw["backends"] = {"translation": "cmd:my-translator --fast"}
     run_file.write_text(json.dumps(raw), encoding="utf-8")
     spec = load_matrix_spec(run_file)
-    backend = spec.configs[0].translation_backend
+    backend = spec["configs"][0].translation_backend
     assert backend.kind == "external-command"
     assert backend.target == "my-translator --fast"
 
@@ -710,7 +710,7 @@ def test_load_matrix_spec_takes_chain_from_the_top_level(tmp_path):
     raw = json.loads(run_file.read_text())
     raw["chain"] = ["de", "fr"]
     run_file.write_text(json.dumps(raw), encoding="utf-8")
-    assert load_matrix_spec(run_file).configs[0].options.chain == ("de", "fr")
+    assert load_matrix_spec(run_file)["configs"][0].options.chain == ("de", "fr")
 
 
 def test_load_matrix_spec_keeps_crlf(tmp_path):
@@ -722,9 +722,11 @@ def test_load_matrix_spec_keeps_crlf(tmp_path):
     raw["imitation_source"] = "style.txt"
     run_file.write_text(json.dumps(raw), encoding="utf-8")
     spec = load_matrix_spec(run_file)
-    assert spec.candidate.text == crlf
-    assert spec.imitation_source == crlf
-    report = run_matrix(spec.candidate, spec.reference, list(spec.configs), k=spec.k)
+    assert spec["candidate"].text == crlf
+    assert spec["imitation_source"] == crlf
+    report = run_matrix(
+        spec["candidate"], spec["reference"], list(spec["configs"]), k=spec["k"]
+    )
     expected = hashlib.sha256((tmp_path / "candidate.txt").read_bytes()).hexdigest()
     assert report.metadata["candidate_hash"] == expected
 
