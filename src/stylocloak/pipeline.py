@@ -19,15 +19,18 @@ steganography.  A stage is seeded by the stages run so far
 (:func:`stage_seed`), so the configs are the 15 nodes of a trie of stage
 prefixes: stripped, config x + 8 is config x, and config 8 the candidate.
 
+A node is its text: translation, imitation and obfuscation share one
+function, :func:`_shaped`, and :func:`run_matrix` runs each of their nodes
+once.  Steganography runs last and no config extends it, so it is the
+trie's leaf, :func:`~stylocloak.weaver.embed_linewise` (the weaver alone
+cuts lines), and the only stage that drops payload letters.
+
 Zero-width content is handled once, where text enters: :func:`apply_config`
 strips the text it transforms on entry, :func:`run_matrix` strips the
 candidate once for all its configs, and the imitation source is stripped
-when a style model is first trained.  So no stage sees a stray code point,
-and the steganography stage always writes into a clean carrier, through
-:func:`~stylocloak.weaver.embed_linewise`, so the weaver alone cuts it into lines.
-``run_matrix`` with ``strip=True`` also measures stripped copies of the
-candidate, the reference and every transformed text, modelling an analyst
-who sanitizes input first.
+when a style model is first trained.  ``run_matrix`` with ``strip=True``
+also measures that stripped candidate, and stripped copies of the reference
+and every transformed text, modelling an analyst who sanitizes input first.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from collections import namedtuple
 from pathlib import Path
 
 from . import DataError, StylocloakError, check_json_object, transforms, weaver
-from .styloscope import Corpus, Document, fit_delta_reference, load_corpus, score_delta
+from .styloscope import _DELTA_K, Corpus, Document, fit_delta_reference
+from .styloscope import load_corpus, score_delta
 from .transforms import BackendSpec, StyleModel
 from .zwcodec import read_text_file, strip_zero_width
 
@@ -126,7 +130,8 @@ class PipelineConfig(
     """One cell of the experiment grid: a config id plus its knobs.
 
     ``translation_backend`` is a :class:`~stylocloak.transforms.BackendSpec`,
-    or None for the builtin one.
+    or None for the builtin one.  A payload letter that has no code is
+    refused here, whether or not the config runs steganography.
     """
 
     __slots__ = ()
@@ -135,6 +140,7 @@ class PipelineConfig(
         self = super().__new__(cls, *args, **kwargs)
         if self.id not in CONFIG_STAGES:
             raise DataError(f"config id must be 1..15, got {self.id}")
+        weaver.secret_units(self.payload)
         return self
 
     @classmethod
@@ -190,80 +196,64 @@ def apply_config(
     return _run_stages(strip_zero_width(text)[0], config, imitation_source, {})
 
 
-def _translation(text, config, seed, model):
-    backend = config.translation_backend
-    return transforms.round_trip_translate(text, config.options.chain, backend, seed), 0
+def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model) -> str:
+    """The text after the shaping stage ``stage``, run with ``seed``.
 
-
-def _imitation(text, config, seed, model):
+    ``model(order)`` gives the imitation stage its style model.
+    """
     opts = config.options
-    generated = transforms.imitate(
-        model(opts.model_order), round(len(text) * opts.imitation_ratio), seed
-    )
-    if generated:
-        text = f"{text} {generated}" if text else generated
-    return text, 0
-
-
-def _obfuscation(text, config, seed, model):
-    opts = config.options
+    if stage == "translation":
+        backend = config.translation_backend
+        return transforms.round_trip_translate(text, opts.chain, backend, seed)
+    if stage == "imitation":
+        generated = transforms.imitate(
+            model(opts.model_order), round(len(text) * opts.imitation_ratio), seed
+        )
+        return " ".join(filter(None, (text, generated)))
     rate, jitter = opts.substitution_rate, opts.punctuation_jitter
-    return transforms.obfuscate(text, seed, rate, jitter), 0
-
-
-def _steganography(text, config, seed, model):
-    return weaver.embed_linewise(text, config.payload)
-
-
-#: Each stage's run: (text, config, seed, the style model of an order) ->
-#: (text, payload letters dropped).
-_STAGES = {
-    "translation": _translation,
-    "imitation": _imitation,
-    "obfuscation": _obfuscation,
-    "steganography": _steganography,
-}
+    return transforms.obfuscate(text, seed, rate, jitter)
 
 
 def _run_stages(
     text: str, config: PipelineConfig, imitation_source: str | None, memo: dict
 ) -> tuple[str, int]:
-    """:func:`apply_config` on a stripped text.
+    """:func:`apply_config` on a stripped text; a trie node is its text.
 
-    The 15 configs are the nodes of a trie of stage prefixes.  ``memo``, kept
-    for one input text and imitation source, maps each node that another
-    config can extend to its ``(text, dropped)``, or to the StylocloakError
-    its stage raised, keyed by the prefix and the config fields a node's
-    text depends on.  It also holds each style model by (source, order); a
-    failed training is not stored apart from its node.
+    ``memo``, kept for one input text and imitation source, maps each
+    shaping node to its text, or to the StylocloakError its stage raised,
+    keyed by the prefix and the config fields a shaping stage reads, and
+    each style model by its order.  The steganography leaf runs per config
+    and is the only source of ``dropped``; it fails only on a carrier word
+    that already holds points, as an external backend's reply can.
     """
     source = text if imitation_source is None else imitation_source
 
     def model(order: int) -> StyleModel:
-        key = (source, order)
-        if key not in memo:
-            memo[key] = transforms.train_style_model(strip_zero_width(source)[0], order)
-        return memo[key]
+        if order not in memo:
+            clean = strip_zero_width(source)[0]
+            memo[order] = transforms.train_style_model(clean, order)
+        return memo[order]
 
-    fields = (config.seed, config.payload, config.translation_backend, config.options)
-    dropped = 0
+    fields = (config.seed, config.translation_backend, config.options)
     for depth, stage in enumerate(config.stages, 1):
+        if stage == "steganography":
+            try:
+                return weaver.embed_linewise(text, config.payload)
+            except weaver.ContaminatedWord as exc:  # a backend's reply held points
+                raise StageError(stage, exc) from exc
         prefix = config.stages[:depth]
-        key = (prefix, fields)
-        node = memo.get(key)
+        node = memo.get((prefix, fields))
         if node is None:
             seed = stage_seed(config.seed, prefix)
             try:
-                node = _STAGES[stage](text, config, seed, model)
+                node = _shaped(stage, text, config, seed, model)
             except StylocloakError as exc:
                 node = exc
-            # Steganography runs last, so no config extends its node.
-            if stage != CANONICAL_ORDER[-1]:
-                memo[key] = node
+            memo[prefix, fields] = node
         if isinstance(node, StylocloakError):
             raise StageError(stage, node) from node
-        text, dropped = node
-    return text, dropped
+        text = node
+    return text, 0
 
 
 class MatrixRow(
@@ -294,7 +284,7 @@ def run_matrix(
     candidate: Document,
     reference: Corpus,
     configs: list[PipelineConfig],
-    k: int = 50,
+    k: int = _DELTA_K,
     strip: bool = False,
     imitation_source: str | None = None,
 ) -> MatrixReport:
@@ -311,19 +301,16 @@ def run_matrix(
     fallback.  A payload cut short by a carrier with too few lines is
     recorded under ``warnings``.
     """
-    measured = candidate.stripped() if strip else candidate
+    clean = candidate.stripped()
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
-    base_report = score_delta(fitted, measured)
-    clean_text, _ = strip_zero_width(candidate.text)
+    base_report = score_delta(fitted, clean if strip else candidate)
     memo: dict = {}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
     overflows: list[dict] = []
     for config in configs:
         try:
-            transformed, dropped = _run_stages(
-                clean_text, config, imitation_source, memo
-            )
+            text, dropped = _run_stages(clean.text, config, imitation_source, memo)
         except StageError as exc:
             errors.append(
                 {
@@ -338,7 +325,7 @@ def run_matrix(
             overflows.append(
                 {"config": config.id, "stage": "steganography", "dropped": dropped}
             )
-        adv_doc = Document(id=f"{candidate.id}#config{config.id}", text=transformed)
+        adv_doc = Document(id=f"{candidate.id}#config{config.id}", text=text)
         adv_report = score_delta(fitted, adv_doc.stripped() if strip else adv_doc)
         for author in sorted(base_report.deltas):
             rows.append(
@@ -367,12 +354,7 @@ def run_matrix(
         "reference_hash": reference.content_hash(),
         "candidate_hash": hashlib.sha256(candidate.text.encode("utf-8")).hexdigest(),
     }
-    return MatrixReport(
-        rows=tuple(rows),
-        errors=tuple(errors),
-        metadata=metadata,
-        warnings=tuple(overflows),
-    )
+    return MatrixReport(tuple(rows), tuple(errors), metadata, tuple(overflows))
 
 
 def render_table(
@@ -492,18 +474,18 @@ def load_matrix_spec(path) -> dict:
     check_json_object(raw.get("backends", {}), _BACKEND_TYPES, "backends")
     base = path.parent
 
-    def resolve(p) -> Path:
+    def resolve(key) -> Path:
+        p = raw[key]
+        if not p:  # else it would name the run file's directory
+            raise DataError(f"run file key {key!r} is empty")
         if "\0" in p:  # every file system call refuses it with a ValueError
             raise DataError("embedded null byte")
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    reference = load_corpus(resolve(raw["corpus"]))
-    candidate_path = resolve(raw["candidate"])
-    candidate = Document(
-        id=candidate_path.name,
-        text=read_text_file(candidate_path),
-    )
+    reference = load_corpus(resolve("corpus"))
+    candidate_path = resolve("candidate")
+    candidate = Document(candidate_path.name, read_text_file(candidate_path))
     given = {key: raw[key] for key in ("seed", "payload", "chain") if key in raw}
     given.update(raw.get("options", {}))
     if "translation" in raw.get("backends", {}):
@@ -521,5 +503,5 @@ def load_matrix_spec(path) -> dict:
     }
     spec.update((key, raw[key]) for key in ("k", "strip") if key in raw)
     if "imitation_source" in raw:
-        spec["imitation_source"] = read_text_file(resolve(raw["imitation_source"]))
+        spec["imitation_source"] = read_text_file(resolve("imitation_source"))
     return spec

@@ -31,6 +31,8 @@ from . import DataError, _bundled_text
 from .zwcodec import read_text_file, strip_zero_width
 
 _TOKEN = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
+#: Delta's default word count, for ``delta`` and ``matrix`` alike.
+_DELTA_K = 50
 
 #: Symbols counted by special-character TF-IDF: ASCII punctuation plus a few
 #: mathematical symbols occasionally used as stylistic flourishes.
@@ -338,7 +340,7 @@ def _z_scores(counts: list[int], total: int, means, stds) -> tuple[float, ...]:
     return tuple((f - mean) / std for f, mean, std in zip(freqs, means, stds))
 
 
-def fit_delta_reference(reference: Corpus, k: int = 50) -> DeltaReference:
+def fit_delta_reference(reference: Corpus, k: int = _DELTA_K) -> DeltaReference:
     """Fit the reference side of Burrows' Delta once, for any number of scores.
 
     Each reference document's function words are counted once, as a row of

@@ -1174,7 +1174,16 @@ def conversion_error(digits: str) -> str:
         (["transform", "candidate.txt", "--stage", "imitation", "--style-source", ""],
          None, 2, "error: [Errno 2] No such file or directory: ''", None),
         (["matrix", "--config", "run.json"], {"imitation_source": ""}, 2,
-         "error: [Errno 21] Is a directory: '.'", None),
+         "error: run file key 'imitation_source' is empty", None),
+        (["matrix", "--config", "run.json"], {"candidate": ""}, 2,
+         "error: run file key 'candidate' is empty", None),
+        (["matrix", "--config", "run.json"], {"corpus": ""}, 2,
+         "error: run file key 'corpus' is empty", None),
+        # a payload letter with no code is refused by every config
+        (["matrix", "--config", "run.json"], {"payload": "MEET AT"}, 2,
+         "error: unsupported character ' ' (U+0020) at position 4", None),
+        (["transform", "candidate.txt", "--config-id", "3", "--payload", "a b"],
+         None, 2, "error: unsupported character ' ' (U+0020) at position 1", None),
     ],
     ids=[
         "run-file-without-corpus", "run-file-without-candidate", "run-file-not-json",
@@ -1185,7 +1194,9 @@ def conversion_error(digits: str) -> str:
         "empty-command", "list-reply", "integer-too-long", "repeated-config-id",
         "unsupported-letter-position", "stdin-twice", "ngrams-past-8", "empty-pivot",
         "blank-pivot-in-run-file", "empty-backend", "empty-chain", "empty-style-source",
-        "empty-imitation-source-in-run-file",
+        "empty-imitation-source-in-run-file", "empty-candidate-in-run-file",
+        "empty-corpus-in-run-file", "unsupported-payload-in-run-file",
+        "unsupported-payload-without-steganography",
     ],
 )
 def test_exit_code_and_message(
@@ -1838,3 +1849,39 @@ def test_readme_cli_tour_lines_parse():
     for command in commands:
         argv = shlex.split(command)[1:]
         assert parser.parse_args(argv).handler, command
+
+
+
+def test_run_file_without_k_scores_the_reference_as_delta_does(capsys, tmp_path):
+    # 60 function words, each at a count that differs between documents, so
+    # that a k of 49, 50 or 51 gives each its own axis and its own Delta.
+    words = styloscope.default_function_words()[:60]
+    for n in range(4):
+        path = tmp_path / "corpus" / "ab"[n % 2] / f"{n}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        counts = [61 - i + (i * (n + 3)) % 4 for i in range(60)]
+        text = " ".join(f"{w} " * c for w, c in zip(words, counts))
+        path.write_text(text, encoding="utf-8")
+    text = " ".join(w for i, w in enumerate(words) for _ in range(i % 5 + 1))
+    (tmp_path / "candidate.txt").write_text(text + ".\n", encoding="utf-8")
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [3, 8],
+    }), encoding="utf-8")
+    code, out, _ = run(capsys, "matrix", "--config", str(run_file))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 4
+    argv = ["delta", "--corpus", str(tmp_path / "corpus"),
+            "--candidate", str(tmp_path / "candidate.txt")]
+    printed = {}
+    for k in ([], ["--k", "49"], ["--k", "51"]):
+        code, out, _ = run(capsys, *argv, *k)
+        assert code == 0
+        printed[tuple(k)] = json.loads(out)
+    assert len({json.dumps(report) for report in printed.values()}) == 3
+    for row in rows:
+        assert row["delta_reference"] == printed[()]["deltas"][row["author"]]
+        assert (
+            row["probability_reference"] == printed[()]["probabilities"][row["author"]]
+        )

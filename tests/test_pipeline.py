@@ -239,15 +239,23 @@ def test_matrix_row_shape_and_reference_constancy():
 
 
 def test_matrix_config8_with_strip_matches_original():
+    # One grid call, so that the configs share the stripped candidate and
+    # the stage trie: stripped, config x + 8 is config x, and config 8 the
+    # candidate itself.
     reference = small_reference()
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
-    report = run_matrix(
-        candidate, reference, [PipelineConfig(id=8, seed=1, payload="AB")],
-        k=30, strip=True,
-    )
+    configs = [PipelineConfig(id=i, seed=1, payload="AB") for i in sorted(CONFIG_STAGES)]
+    report = run_matrix(candidate, reference, configs, k=30, strip=True)
+    assert not report.errors
+    rows = {}
     for row in report.rows:
+        rows.setdefault(row.config, []).append(row._replace(config=None))
+    for row in rows[8]:
         assert row.delta_adversarial == row.delta_reference
+        assert row.probability_adversarial == row.probability_reference
         assert row.delta_change == 0.0
+    for config_id in range(1, 8):
+        assert rows[config_id + 8] == rows[config_id]
 
 
 def test_matrix_records_aborted_configs_and_continues():
@@ -443,6 +451,49 @@ def test_configs_with_other_settings_share_no_stage_run(monkeypatch, tmp_path):
     texts = [strip_zero_width(args[1].text)[0] for args in scored[1:]]
     assert texts[1:] == [apply_config(candidate.text, twin)[0] for twin in twins]
     assert len(set(texts)) == 4
+
+
+def test_configs_that_differ_only_in_payload_share_their_shaping_runs(monkeypatch):
+    runs = {
+        name: count_calls(monkeypatch, module, name)
+        for module, name in [
+            (transforms, "round_trip_translate"),
+            (transforms, "obfuscate"),
+            (weaver, "embed_linewise"),
+        ]
+    }
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    configs = [PipelineConfig(14, seed=1, payload=p) for p in ("A", "KEY")]
+    report = run_matrix(candidate, small_reference(), configs, k=30)
+    assert not report.errors
+    assert {name: len(calls) for name, calls in runs.items()} == {
+        "round_trip_translate": 1, "obfuscate": 1, "embed_linewise": 2,
+    }
+    assert [args[1] for args in runs["embed_linewise"]] == ["A", "KEY"]
+
+
+def test_a_point_in_a_backend_reply_aborts_only_the_steganography_stage(tmp_path):
+    # The one way a zero-width point reaches the leaf: a builtin stage never
+    # writes one, but a backend's reply is taken as it is.
+    script = tmp_path / "backend.py"
+    script.write_text(
+        "import json, sys\n"
+        "text = json.load(sys.stdin)['text']\n"
+        "print(json.dumps({'text': 'wo\\u200brd ' + text}))\n",
+        encoding="utf-8",
+    )
+    backend = BackendSpec("external-command", shlex.join([sys.executable, str(script)]))
+    options = StageOptions(chain=("de",))
+    configs = [
+        PipelineConfig(i, seed=1, payload="AB", translation_backend=backend,
+                       options=options)
+        for i in (2, 10)
+    ]
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(candidate, small_reference(), configs, k=30)
+    assert {row.config for row in report.rows} == {2}
+    assert [(e["config"], e["stage"]) for e in report.errors] == [(10, "steganography")]
+    assert "already contains zero-width" in report.errors[0]["error"]
 
 
 def test_matrix_calls_a_shared_backend_once_per_call(tmp_path):
@@ -750,9 +801,10 @@ def test_run_file_options_are_the_stage_options_except_chain():
     [
         (StageOptions(), {"imitation_ratio": 2}),
         (PipelineConfig(1), {"id": 99}),
+        (PipelineConfig(1), {"payload": "A B"}),
         (transforms.BackendSpec("http", "http://x"), {"timeout": -1}),
     ],
-    ids=["StageOptions", "PipelineConfig", "BackendSpec"],
+    ids=["StageOptions", "PipelineConfig", "PipelineConfig-payload", "BackendSpec"],
 )
 def test_replace_is_checked_like_the_constructor(value, changes):
     with pytest.raises(DataError) as built:
