@@ -22,15 +22,18 @@ prefixes: stripped, config x + 8 is config x, and config 8 the candidate.
 A node is its text: translation, imitation and obfuscation share one
 function, :func:`_shaped`, and :func:`run_matrix` runs each of their nodes
 once.  Steganography runs last and no config extends it, so it is the
-trie's leaf, :func:`~stylocloak.weaver.embed_linewise` (the weaver alone
-cuts lines), and the only stage that drops payload letters.
+trie's leaf, the first-word edits of
+:func:`~stylocloak.weaver.embed_linewise` (the weaver alone cuts lines),
+and the only stage that drops payload letters.  ``run_matrix`` scores each
+node once, and each leaf from its parent's counts and its edits.
 
 Zero-width content is handled once, where text enters: :func:`apply_config`
 strips the text it transforms on entry, :func:`run_matrix` strips the
-candidate once for all its configs, and the imitation source is stripped
-when a style model is first trained.  ``run_matrix`` with ``strip=True``
-also measures that stripped candidate, and stripped copies of the reference
-and every transformed text, modelling an analyst who sanitizes input first.
+candidate once for all its configs, the imitation source is stripped when
+a style model is first trained, and an external backend's reply as it
+arrives.  ``run_matrix`` with ``strip=True`` also measures that stripped
+candidate, and stripped copies of the reference and every transformed
+text, modelling an analyst who sanitizes input first.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from collections import namedtuple
 from pathlib import Path
 
 from . import DataError, StylocloakError, check_json_object, transforms, weaver
-from .styloscope import _DELTA_K, Corpus, Document, fit_delta_reference
-from .styloscope import load_corpus, score_delta
+from .styloscope import _DELTA_K, Corpus, Document, _axis_counts, _scored
+from .styloscope import fit_delta_reference, load_corpus, tokenize
 from .transforms import BackendSpec, StyleModel
 from .zwcodec import read_text_file, strip_zero_width
 
@@ -193,7 +196,10 @@ def apply_config(
     fails on its input raises :class:`StageError`; any other exception is
     a bug and propagates as is.
     """
-    return _run_stages(strip_zero_width(text)[0], config, imitation_source, {})
+    text = _run_stages(strip_zero_width(text)[0], config, imitation_source, {})[1]
+    if config.stages[-1] == "steganography":
+        return weaver.embed_linewise(text, config.payload)
+    return text, 0
 
 
 def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model) -> str:
@@ -216,15 +222,16 @@ def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model) -> 
 
 def _run_stages(
     text: str, config: PipelineConfig, imitation_source: str | None, memo: dict
-) -> tuple[str, int]:
-    """:func:`apply_config` on a stripped text; a trie node is its text.
+) -> tuple[tuple, str]:
+    """The config's last shaping node, from a stripped text: its key and text.
 
-    ``memo``, kept for one input text and imitation source, maps each
-    shaping node to its text, or to the StylocloakError its stage raised,
-    keyed by the prefix and the config fields a shaping stage reads, and
-    each style model by its order.  The steganography leaf runs per config
-    and is the only source of ``dropped``; it fails only on a carrier word
-    that already holds points, as an external backend's reply can.
+    A trie node is its text.  ``memo``, kept for one input text and
+    imitation source, maps each shaping node to its text, or to the
+    StylocloakError its stage raised, keyed by the prefix and the config
+    fields a shaping stage reads, and each style model by its order.  The
+    key of the root, the input text itself, is ``()``.  Steganography, the
+    trie's leaf, is left to the caller: it runs per config and never fails,
+    since no shaping node holds a zero-width point.
     """
     source = text if imitation_source is None else imitation_source
 
@@ -234,26 +241,41 @@ def _run_stages(
             memo[order] = transforms.train_style_model(clean, order)
         return memo[order]
 
+    node = ()
     fields = (config.seed, config.translation_backend, config.options)
     for depth, stage in enumerate(config.stages, 1):
         if stage == "steganography":
+            break
+        node = (config.stages[:depth], fields)
+        result = memo.get(node)
+        if result is None:
+            seed = stage_seed(config.seed, node[0])
             try:
-                return weaver.embed_linewise(text, config.payload)
-            except weaver.ContaminatedWord as exc:  # a backend's reply held points
-                raise StageError(stage, exc) from exc
-        prefix = config.stages[:depth]
-        node = memo.get((prefix, fields))
-        if node is None:
-            seed = stage_seed(config.seed, prefix)
-            try:
-                node = _shaped(stage, text, config, seed, model)
+                result = _shaped(stage, text, config, seed, model)
             except StylocloakError as exc:
-                node = exc
-            memo[prefix, fields] = node
-        if isinstance(node, StylocloakError):
-            raise StageError(stage, node) from node
-        text = node
-    return text, 0
+                result = exc
+            memo[node] = result
+        if isinstance(result, StylocloakError):
+            raise StageError(stage, result) from result
+        text = result
+    return node, text
+
+
+def _woven_counts(
+    fitted, parent: tuple[list[int], int], edits
+) -> tuple[list[int], int]:
+    """A steganography leaf's axis counts and token total, from its parent's.
+
+    Each edit swaps one whitespace-delimited word for its woven form, and
+    no token spans whitespace (nor does lowercasing look across it, Greek
+    final sigma included), so the leaf's tokens are its parent's minus
+    those of each word plus those of each woven word.  Counts are ints, so
+    they equal a count of the woven text exactly.
+    """
+    counts, total = parent
+    gone, n_gone = _axis_counts(fitted, tokenize(" ".join(e[1] for e in edits)))
+    new, n_new = _axis_counts(fitted, tokenize(" ".join(e[2] for e in edits)))
+    return [c - g + n for c, g, n in zip(counts, gone, new)], total - n_gone + n_new
 
 
 class MatrixRow(
@@ -295,22 +317,34 @@ def run_matrix(
     the reference and each transformed text are measured as stripped copies;
     without it the caller's own documents are scored, token caches and all.
     The reference is fitted once, and each style model and stage prefix
-    runs at most once per call.  A config whose stage fails is recorded
-    under ``errors`` (status "aborted") and the rest of the grid still runs;
-    a failed external backend is never silently replaced by the builtin
-    fallback.  A payload cut short by a carrier with too few lines is
-    recorded under ``warnings``.
+    runs at most once per call.  Each trie node is scored once, from its
+    axis-word counts; the root reuses the base score's counts when the
+    candidate held no points.  A steganography leaf is scored from its
+    parent's counts and its woven words, never tokenized whole; stripped,
+    it is its parent, and takes its parent's score.  Every score equals
+    :func:`~stylocloak.styloscope.score_delta` on the config's text, float
+    for float.  A config whose stage fails is recorded under ``errors``
+    (status "aborted") and the rest of the grid still runs; a failed
+    external backend is never silently replaced by the builtin fallback.  A
+    payload cut short by a carrier with too few lines is recorded under
+    ``warnings``.
     """
     clean = candidate.stripped()
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
-    base_report = score_delta(fitted, clean if strip else candidate)
+    base = clean if strip else candidate
+    base_counts = _axis_counts(fitted, base.tokens())
+    base_report = _scored(fitted, *base_counts)
+    # Each node's measured counts and score, keyed as _run_stages keys it.
+    scores = {}
+    if strip or base.text == clean.text:
+        scores[()] = base_counts, base_report
     memo: dict = {}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
     overflows: list[dict] = []
     for config in configs:
         try:
-            text, dropped = _run_stages(clean.text, config, imitation_source, memo)
+            node, text = _run_stages(clean.text, config, imitation_source, memo)
         except StageError as exc:
             errors.append(
                 {
@@ -321,12 +355,19 @@ def run_matrix(
                 }
             )
             continue
-        if dropped:
-            overflows.append(
-                {"config": config.id, "stage": "steganography", "dropped": dropped}
-            )
-        adv_doc = Document(id=f"{candidate.id}#config{config.id}", text=text)
-        adv_report = score_delta(fitted, adv_doc.stripped() if strip else adv_doc)
+        if node not in scores:
+            measured = strip_zero_width(text)[0] if strip else text
+            counts = _axis_counts(fitted, tokenize(measured))
+            scores[node] = counts, _scored(fitted, *counts)
+        counts, adv_report = scores[node]
+        if config.stages[-1] == "steganography":
+            edits, dropped = weaver._woven_words(text, config.payload)
+            if dropped:
+                overflows.append(
+                    {"config": config.id, "stage": "steganography", "dropped": dropped}
+                )
+            if not strip:
+                adv_report = _scored(fitted, *_woven_counts(fitted, counts, edits))
         for author in sorted(base_report.deltas):
             rows.append(
                 MatrixRow(

@@ -403,15 +403,14 @@ def fit_delta_reference(reference: Corpus, k: int = _DELTA_K) -> DeltaReference:
     )
 
 
-def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
-    """Burrows' Delta of one candidate against a fitted reference.
+def _axis_counts(fitted: DeltaReference, tokens: list[str]) -> tuple[list[int], int]:
+    """A text's count of each fitted word, and its token total, from its tokens."""
+    return list(map(Counter(tokens).get, fitted.words, repeat(0))), len(tokens)
 
-    Delta(author) is the mean absolute difference between the author's and
-    the candidate's z-scores over the fitted words.
-    """
-    tokens = candidate.tokens()
-    counts = list(map(Counter(tokens).get, fitted.words, repeat(0)))
-    cand_z = _z_scores(counts, len(tokens), fitted.means, fitted.stds)
+
+def _scored(fitted: DeltaReference, counts: list[int], total: int) -> DeltaReport:
+    """Burrows' Delta of a text given its axis counts and token total."""
+    cand_z = _z_scores(counts, total, fitted.means, fitted.stds)
     n_words = len(fitted.words)
     deltas = {}
     for author, author_z in fitted.author_z.items():
@@ -422,6 +421,18 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
         probabilities=author_probabilities(deltas),
         function_words_used=list(fitted.words),
     )
+
+
+def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
+    """Burrows' Delta of one candidate against a fitted reference.
+
+    Delta(author) is the mean absolute difference between the author's and
+    the candidate's z-scores over the fitted words.  Scoring reads only the
+    candidate's axis-word counts and token total (:func:`_axis_counts`), so
+    a caller that knows those counts scores them with :func:`_scored` and
+    gets the same floats.
+    """
+    return _scored(fitted, *_axis_counts(fitted, candidate.tokens()))
 
 
 def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:

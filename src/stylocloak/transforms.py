@@ -10,6 +10,8 @@ shuffling) keep everything runnable offline.
 Transforms work on the text they are given and know nothing of zero-width
 code points: :func:`stylocloak.pipeline.apply_config` strips its input once
 on entry, and its style-model source once at training, before any stage runs.
+An external backend's reply, the one text a stage takes from outside, is
+stripped by :func:`call_backend` as it arrives.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from operator import itemgetter, truediv
 
 from . import DataError, StylocloakError, _bundled_text, check_json_object
 from .styloscope import default_function_words
+from .zwcodec import strip_zero_width
 
 # Captured, so that split() keeps the words at the odd indices.
 _WORD = re.compile(r"([A-Za-z]+(?:'[A-Za-z]+)*)")
@@ -202,11 +205,12 @@ def call_backend(
 
     A command backend gets the request on stdin and must print {"text": ...}
     on stdout; an HTTP backend gets a POST and must answer 200 with the same
-    shape.  Anything else raises BackendUnavailable (or Timeout), and the
-    caller must abort the stage rather than pass the input through.  A
-    target or timeout that the client refuses (an unbalanced quote, a NUL
-    byte, no URL scheme, a timeout out of range) raises DataError with the
-    client's message.
+    shape.  The reply's text is returned stripped of zero-width content, as
+    every other text is stripped where it enters.  Anything else raises
+    BackendUnavailable (or Timeout), and the caller must abort the stage
+    rather than pass the input through.  A target or timeout that the
+    client refuses (an unbalanced quote, a NUL byte, no URL scheme, a
+    timeout out of range) raises DataError with the client's message.
     """
     request = json.dumps({"text": text, "chain": list(chain), "seed": seed})
     # Each branch imports its own client, so that only a run that calls an
@@ -270,7 +274,7 @@ def call_backend(
         raise BackendUnavailable(f"backend reply is not {{'text': ...}}: {exc}") from exc
     if not isinstance(result, str):
         raise BackendUnavailable("backend reply 'text' is not a string")
-    return result
+    return strip_zero_width(result)[0]
 
 
 class StyleModel(namedtuple("StyleModel", "order tables")):

@@ -4,7 +4,8 @@ Payload code points go *between* a word's grapheme clusters, never before
 the first one, so whitespace canonicalization (trimming, collapsing) cannot
 dislodge them.  Line-wise embedding spreads a secret across a document one
 letter per non-blank line, leaving surplus lines untouched.  Embedding and
-extraction cut lines in one place, :func:`_line_ends`: a line ends after LF.
+extraction cut lines in one place, :func:`_line_ends`: a line ends after LF;
+embedding picks its words in one place too, :func:`_woven_words`.
 
 Carrier text is expected to be clean of the four alphabet code points;
 weaving into an already-contaminated word cannot satisfy the strip
@@ -123,6 +124,30 @@ def _line_ends(text: str) -> list[int]:
     return [line.end() for line in _LINE.finditer(text)]
 
 
+def _woven_words(
+    text: str, secret: str, strategy: str = "round_robin"
+) -> tuple[list[tuple[int, str, str]], int]:
+    """Where :func:`embed_linewise` weaves, and the number of letters dropped.
+
+    One edit per carrying line, ``(offset, first word, woven word)``: the
+    first word is a maximal run of non-whitespace, so the edits change
+    whole whitespace-delimited words and nothing else.
+    """
+    units = secret_units(secret)
+    edits = []
+    start = 0
+    for end in _line_ends(text):
+        if len(edits) == len(units):
+            break
+        match = _FIRST_WORD.search(text, start, end)
+        if match:
+            word = match.group()
+            woven = weave_into_unigram(word, units[len(edits)], strategy)
+            edits.append((match.start(), word, woven))
+        start = end
+    return edits, len(units) - len(edits)
+
+
 def embed_linewise(
     text: str, secret: str, strategy: str = "round_robin"
 ) -> tuple[str, int]:
@@ -133,21 +158,14 @@ def embed_linewise(
     secret outlives the carrier, the surplus is dropped.  Returns the text
     and the number of letters dropped.
     """
-    units = secret_units(secret)
+    edits, dropped = _woven_words(text, secret, strategy)
     pieces = []
-    done = start = position = 0
-    for end in _line_ends(text):
-        if position == len(units):
-            break
-        match = _FIRST_WORD.search(text, start, end)
-        if match:
-            woven = weave_into_unigram(match.group(), units[position], strategy)
-            pieces += text[done : match.start()], woven
-            done = match.end()
-            position += 1
-        start = end
+    done = 0
+    for start, word, woven in edits:
+        pieces += text[done:start], woven
+        done = start + len(word)
     pieces.append(text[done:])
-    return "".join(pieces), len(units) - position
+    return "".join(pieces), dropped
 
 
 def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> str:

@@ -30,6 +30,9 @@ from stylocloak.pipeline import CONFIG_STAGES, PipelineConfig
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.zwcodec import BIT0, END
 
+from grid_texts import assert_rows_score_the_texts, recorded_grid_texts
+
+
 def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
@@ -347,29 +350,24 @@ def test_transform_config_id_runs_pipeline(capsys, tmp_path):
     assert extracted
 
 
-def test_transform_config_id_equals_the_grid(capsys, tmp_path, monkeypatch):
+def test_transform_config_id_equals_the_grid(capsys, tmp_path):
     corpus_dir, candidate = write_corpus(tmp_path)
     text = candidate.read_text(encoding="utf-8")
     assert text.count("\n") >= 2
-    scored = {}
-    real_score = pipeline.score_delta
-
-    def recording(fitted, document):
-        scored[document.id] = document.text
-        return real_score(fitted, document)
-
-    monkeypatch.setattr(pipeline, "score_delta", recording)
     configs = [PipelineConfig(id=i, seed=3, payload="KEY") for i in sorted(CONFIG_STAGES)]
     document = styloscope.Document(id="cand", text=text)
-    report = pipeline.run_matrix(
-        document, styloscope.load_corpus(corpus_dir), configs, k=30
-    )
+    reference = styloscope.load_corpus(corpus_dir)
+    with recorded_grid_texts() as texts:
+        report = pipeline.run_matrix(document, reference, configs, k=30)
     assert not report.errors
-    for config in configs:
+    assert [config for config, _ in texts] == configs
+    fitted = styloscope.fit_delta_reference(reference, 30)
+    assert_rows_score_the_texts(report, fitted, texts)
+    for config, scored in texts:
         code, out, _ = run(capsys, "transform", str(candidate), "--config-id",
                            str(config.id), "--payload", "KEY", "--seed", "3")
         assert code == 0
-        assert out == scored[f"cand#config{config.id}"], config.id
+        assert out == scored, config.id
         # with no option flag, every input takes the library's default
         code, out, _ = run(capsys, "transform", str(candidate), "--config-id",
                            str(config.id))

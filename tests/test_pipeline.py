@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylocloak import DataError, pipeline, transforms, weaver, zwcodec
+from stylocloak import DataError, pipeline, styloscope, transforms, weaver, zwcodec
 from stylocloak.pipeline import (
     CANONICAL_ORDER,
     CONFIG_STAGES,
@@ -23,10 +23,13 @@ from stylocloak.pipeline import (
     run_matrix,
     stage_seed,
 )
-from stylocloak.styloscope import Document, fit_delta_reference, score_delta
+from stylocloak.styloscope import DeltaReference, Document, _axis_counts
+from stylocloak.styloscope import fit_delta_reference, score_delta, tokenize
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.transforms import BackendSpec
 from stylocloak.zwcodec import strip_zero_width
+
+from grid_texts import assert_rows_score_the_texts, recorded_grid_texts
 
 SAMPLE = (
     "The big house stood near the quiet river. You walked there slowly.\n"
@@ -381,7 +384,7 @@ def test_matrix_runs_each_stage_prefix_once(monkeypatch):
             (transforms, "round_trip_translate"),
             (transforms, "imitate"),
             (transforms, "obfuscate"),
-            (weaver, "embed_linewise"),
+            (weaver, "_woven_words"),
         ]
     }
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
@@ -390,20 +393,21 @@ def test_matrix_runs_each_stage_prefix_once(monkeypatch):
     # one run per trie node: 1 translation, 2 imitation, 4 obfuscation and
     # 8 steganography nodes, where seeding by config id took 32 runs
     assert {name: len(calls) for name, calls in runs.items()} == {
-        "round_trip_translate": 1, "imitate": 2, "obfuscate": 4, "embed_linewise": 8,
+        "round_trip_translate": 1, "imitate": 2, "obfuscate": 4, "_woven_words": 8,
     }
 
 
-def test_apply_config_gives_the_text_run_matrix_scores(monkeypatch):
-    scored = count_calls(monkeypatch, pipeline, "score_delta")
+def test_apply_config_gives_the_text_run_matrix_scores():
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    reference = small_reference()
     configs = grid_configs()
-    report = run_matrix(candidate, small_reference(), configs, k=30)
+    with recorded_grid_texts() as texts:
+        report = run_matrix(candidate, reference, configs, k=30)
     assert not report.errors
-    # the first score is the untransformed candidate's
-    assert [args[1].text for args in scored[1:]] == [
-        apply_config(candidate.text, config)[0] for config in configs
+    assert texts == [
+        (config, apply_config(candidate.text, config)[0]) for config in configs
     ]
+    assert_rows_score_the_texts(report, fit_delta_reference(reference, 30), texts)
 
 
 def logging_backend(tmp_path, answers: bool):
@@ -434,9 +438,9 @@ def backend_grid(backend):
     ]
 
 
-def test_configs_with_other_settings_share_no_stage_run(monkeypatch, tmp_path):
+def test_configs_with_other_settings_share_no_stage_run(tmp_path):
     backend, _ = logging_backend(tmp_path, answers=True)
-    scored = count_calls(monkeypatch, pipeline, "score_delta")
+    reference = small_reference()
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     # Config 14 is config 6 plus steganography; each twin differs from the
     # first config in one field that a shared node's text depends on.
@@ -447,10 +451,13 @@ def test_configs_with_other_settings_share_no_stage_run(monkeypatch, tmp_path):
         base._replace(translation_backend=backend),
     ]
     configs = [base] + [twin._replace(id=14) for twin in twins]
-    run_matrix(candidate, small_reference(), configs, k=30)
-    texts = [strip_zero_width(args[1].text)[0] for args in scored[1:]]
-    assert texts[1:] == [apply_config(candidate.text, twin)[0] for twin in twins]
-    assert len(set(texts)) == 4
+    with recorded_grid_texts() as texts:
+        report = run_matrix(candidate, reference, configs, k=30)
+    assert [config for config, _ in texts] == configs
+    stripped = [strip_zero_width(text)[0] for _, text in texts]
+    assert stripped[1:] == [apply_config(candidate.text, twin)[0] for twin in twins]
+    assert len(set(stripped)) == 4
+    assert_rows_score_the_texts(report, fit_delta_reference(reference, 30), texts)
 
 
 def test_configs_that_differ_only_in_payload_share_their_shaping_runs(monkeypatch):
@@ -459,7 +466,7 @@ def test_configs_that_differ_only_in_payload_share_their_shaping_runs(monkeypatc
         for module, name in [
             (transforms, "round_trip_translate"),
             (transforms, "obfuscate"),
-            (weaver, "embed_linewise"),
+            (weaver, "_woven_words"),
         ]
     }
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
@@ -467,14 +474,15 @@ def test_configs_that_differ_only_in_payload_share_their_shaping_runs(monkeypatc
     report = run_matrix(candidate, small_reference(), configs, k=30)
     assert not report.errors
     assert {name: len(calls) for name, calls in runs.items()} == {
-        "round_trip_translate": 1, "obfuscate": 1, "embed_linewise": 2,
+        "round_trip_translate": 1, "obfuscate": 1, "_woven_words": 2,
     }
-    assert [args[1] for args in runs["embed_linewise"]] == ["A", "KEY"]
+    assert [args[1] for args in runs["_woven_words"]] == ["A", "KEY"]
 
 
-def test_a_point_in_a_backend_reply_aborts_only_the_steganography_stage(tmp_path):
-    # The one way a zero-width point reaches the leaf: a builtin stage never
-    # writes one, but a backend's reply is taken as it is.
+def test_a_point_in_a_backend_reply_is_stripped_where_it_enters(tmp_path):
+    # A backend's reply is the one text a stage takes from outside; it is
+    # stripped as it arrives, so its points are neither scored nor in the
+    # way of the steganography leaf.
     script = tmp_path / "backend.py"
     script.write_text(
         "import json, sys\n"
@@ -490,10 +498,17 @@ def test_a_point_in_a_backend_reply_aborts_only_the_steganography_stage(tmp_path
         for i in (2, 10)
     ]
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
-    report = run_matrix(candidate, small_reference(), configs, k=30)
-    assert {row.config for row in report.rows} == {2}
-    assert [(e["config"], e["stage"]) for e in report.errors] == [(10, "steganography")]
-    assert "already contains zero-width" in report.errors[0]["error"]
+    reference = small_reference()
+    with recorded_grid_texts() as texts:
+        report = run_matrix(candidate, reference, configs, k=30)
+    assert report.errors == ()
+    assert [row.config for row in report.rows] == [2, 2, 10, 10]
+    (_, translated), (_, woven) = texts
+    assert translated.startswith("word ")
+    assert strip_zero_width(translated) == (translated, "")
+    assert strip_zero_width(woven)[0] == translated
+    assert weaver.extract_from_text(woven) == "AB"
+    assert_rows_score_the_texts(report, fit_delta_reference(reference, 30), texts)
 
 
 def test_matrix_calls_a_shared_backend_once_per_call(tmp_path):
@@ -647,6 +662,86 @@ def test_matrix_translation_failure_reported_before_imitation(monkeypatch):
     report = run_matrix(candidate, small_reference(), [config], k=30)
     assert [e["stage"] for e in report.errors] == ["translation"]
     assert trained == []
+
+
+# --- steganography leaves, scored from their parent's counts ------------------
+
+#: Cover words: Greek ending in a capital sigma (lowered by Final_Sigma),
+#: non-BMP cased letters (Deseret), apostrophes, underscores, digits, a
+#: combining accent and punctuation.
+COVER_WORDS = [
+    "\u039f\u0394\u039f\u03a3", "\u03a3", "\u039b\u038c\u0393\u039f\u03a3.",
+    "\u03bb\u03cc\u03b3\u03bf\u03c2", "\U00010400\U00010401", "\U00010428x",
+    "don't", "'tis", "O'NEIL's", "snake_case", "_init_", "x1", "2024", "a_1",
+    "cafe\u0301", "the", "The", "of", "AND", "--", "(and)",
+]
+#: Separators: CRLF, blank and whitespace-only lines, NBSP and \x1c-\x1f.
+COVER_SEPARATORS = [
+    " ", "  ", "\t", "\n", "\r\n", "\n\n", "\n \n", "\r\n\r\n", "\xa0",
+    "\x1c", "\x1d", "\x1e", "\x1f", "\u2028", "\x85",
+]
+COVERS = st.lists(
+    st.tuples(st.sampled_from(COVER_SEPARATORS), st.sampled_from(COVER_WORDS)),
+    max_size=14,
+).map(lambda pairs: "".join(sep + word for sep, word in pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cover=COVERS,
+    payload=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=16),
+    data=st.data(),
+)
+def test_a_leafs_derived_counts_equal_a_count_of_its_woven_text(cover, payload, data):
+    # Payloads run up to 16 letters, so many outlive the cover's lines.
+    woven, _ = weaver.embed_linewise(cover, payload)
+    edits, _ = weaver._woven_words(cover, payload)
+    seen = sorted(set(tokenize(cover)) | set(tokenize(woven)) | {"absent"})
+    words = data.draw(st.lists(st.sampled_from(seen), unique=True))
+    fitted = DeltaReference(tuple(words), (), (), {})
+    parent = _axis_counts(fitted, tokenize(cover))
+    derived = pipeline._woven_counts(fitted, parent, edits)
+    assert derived == _axis_counts(fitted, tokenize(woven))
+
+
+@pytest.mark.parametrize("strip", [False, True])
+def test_a_grid_tokenizes_each_node_once(monkeypatch, strip):
+    tokenized = []
+    real = styloscope.tokenize
+
+    def recording(text):
+        tokenized.append(text)
+        return real(text)
+
+    monkeypatch.setattr(styloscope, "tokenize", recording)
+    monkeypatch.setattr(pipeline, "tokenize", recording)
+    reference = small_reference()
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    report = run_matrix(candidate, reference, grid_configs(), k=30, strip=strip)
+    assert not report.errors
+    fitted_texts = {doc.text for doc in reference.documents}
+    texts = [text for text in tokenized if text not in fitted_texts]
+    # The candidate, which is also config 8's parent, and the nodes of
+    # configs 1-7.  Without strip each leaf tokenizes its payload's words
+    # and their woven forms, and no more.
+    nodes = 1 + 7
+    assert len(texts) == nodes + (0 if strip else 2 * 8)
+    assert len(set(texts[:nodes])) == nodes
+    assert sum(map(len, texts[nodes:])) < len(candidate.text)
+
+
+def test_a_candidate_with_points_scores_its_leaves_from_its_stripped_text():
+    # Config 8's parent is the stripped candidate, so it cannot take the
+    # counts of the base score, which measures the points too.
+    reference = small_reference()
+    clean = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    woven, _ = weaver.embed_linewise(clean.text, "ZZZZ")
+    candidate = Document(id="dirty", text=woven)
+    configs = grid_configs()
+    with recorded_grid_texts() as texts:
+        report = run_matrix(candidate, reference, configs, k=30)
+    assert texts[7] == (configs[7], apply_config(clean.text, configs[7])[0])
+    assert_rows_score_the_texts(report, fit_delta_reference(reference, 30), texts)
 
 
 # --- emit_report -------------------------------------------------------------
@@ -963,3 +1058,18 @@ def test_grid_report_matches_golden_hash(seed):
     report = run_matrix(candidate, two_author_corpus(seed), configs, k=50)
     assert sha256_text(emit_report(report, "json")) == GOLDEN_REPORT_SHA256[seed]
 
+
+# The same with strip=True, where each leaf takes its parent's score.
+GOLDEN_STRIP_REPORT_SHA256 = {
+    1: "cb5434cde451deb67503785a9c9137e1acf6771d47c5f8a0a1b1df45c3f2a177",
+    7: "0680a71444e721b272a51217c8e915c90bf6dcf1dc8930ac574783b40a395d22",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_STRIP_REPORT_SHA256))
+def test_strip_grid_report_matches_golden_hash(seed):
+    candidate = candidate_for(STYLE_A, seed, 5000)
+    configs = [PipelineConfig(id=i, seed=seed, payload="MEETATDAWN") for i in range(1, 16)]
+    report = run_matrix(candidate, two_author_corpus(seed), configs, k=50, strip=True)
+    digest = sha256_text(emit_report(report, "json"))
+    assert digest == GOLDEN_STRIP_REPORT_SHA256[seed]
