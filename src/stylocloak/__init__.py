@@ -39,6 +39,22 @@ class DataError(StylocloakError, ValueError):
     """Malformed stream, bad corpus, bad run file or bad option (exit 2)."""
 
 
+class _CheckedTuple(tuple):
+    """A named tuple's first base: ``_check`` vets every value it builds."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+
 #: How a message names each JSON type.
 _JSON_NAMES = {
     str: "a string", int: "an integer", float: "a number", bool: "a boolean",

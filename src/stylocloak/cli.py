@@ -45,7 +45,7 @@ def _read_input(path: str) -> str:
 
 def _write_output(args, text: str) -> None:
     output = getattr(args, "output", None)
-    if output and output != "-":
+    if output not in (None, "-"):
         zwcodec.write_text_file(output, text)
     else:
         sys.stdout.write(text)
@@ -61,7 +61,7 @@ def _warn(message) -> None:
 
 
 def _message_from(args) -> str:
-    if getattr(args, "payload_file", None):
+    if getattr(args, "payload_file", None) is not None:
         return zwcodec.read_text_file(args.payload_file).strip()
     if getattr(args, "message", None) is not None:
         return args.message
@@ -110,7 +110,7 @@ def cmd_decode(args) -> int:
 
 def cmd_strip(args) -> int:
     clean, extracted = zwcodec.strip_zero_width(_read_input(args.input))
-    if args.payload_out:
+    if args.payload_out is not None:
         # raw stream dump: the carrier-file BOM refusal does not apply here,
         # a stream may legitimately start with the end marker
         with open(args.payload_out, "w", encoding="utf-8", newline="") as handle:
@@ -232,7 +232,7 @@ def cmd_features(args) -> int:
     from . import styloscope
 
     corpus = styloscope.load_corpus(args.corpus)
-    if args.candidate:
+    if args.candidate is not None:
         text = _read_input(args.candidate)
         corpus.documents.append(styloscope.Document(id=args.candidate, text=text))
     if args.strip:
@@ -259,7 +259,7 @@ def cmd_delta(args) -> int:
         )
     corpus = styloscope.load_corpus(args.corpus)
     paths = {"candidate": args.candidate}
-    if args.reference:
+    if args.reference is not None:
         paths["reference"] = args.reference
     documents = {
         name: styloscope.Document(id=path, text=_read_input(path))
@@ -307,7 +307,7 @@ def cmd_matrix(args) -> int:
         _warn(f"config {note['config']}: {weaver.SecretOverflow(note['dropped'])}")
     rendered = pipeline.emit_report(report, args.format)
     _write_output(args, rendered if rendered.endswith("\n") else rendered + "\n")
-    if args.output and args.output != "-":
+    if args.output not in (None, "-"):
         print(f"wrote {args.output}", file=sys.stderr)
     return 0
 

@@ -46,7 +46,8 @@ import math
 from collections import namedtuple
 from pathlib import Path
 
-from . import DataError, StylocloakError, check_json_object, transforms, weaver
+from . import DataError, StylocloakError, _CheckedTuple, check_json_object
+from . import transforms, weaver
 from .styloscope import _DELTA_K, Corpus, Document, _axis_counts, _scored
 from .styloscope import fit_delta_reference, load_corpus, tokenize
 from .transforms import BackendSpec, StyleModel
@@ -73,10 +74,6 @@ CONFIG_STAGES: dict[int, tuple[str, ...]] = {
 }
 
 
-class UnsupportedFormat(DataError):
-    """Requested report format is not one of json/csv/markdown."""
-
-
 class StageError(StylocloakError, RuntimeError):
     """A stage failed on its input; carries the stage, the cause and its exit code."""
 
@@ -87,13 +84,11 @@ class StageError(StylocloakError, RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-class StageOptions(
-    namedtuple(
-        "StageOptions",
-        "substitution_rate punctuation_jitter imitation_ratio model_order chain",
-        defaults=(0.3, False, 0.25, 3, ()),
-    )
-):
+class StageOptions(_CheckedTuple, namedtuple(
+    "StageOptions",
+    "substitution_rate punctuation_jitter imitation_ratio model_order chain",
+    defaults=(0.3, False, 0.25, 3, ()),
+)):
     """Tunables shared by the transform stages.
 
     ``chain`` names the pivot languages of the translation stage; an empty
@@ -102,8 +97,7 @@ class StageOptions(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         # The rate is a chance per word, and imitation appends round(ratio *
         # len(text)) characters: bound both.  An int is finite, and
         # math.isfinite cannot take one too large for a float.
@@ -115,21 +109,13 @@ class StageOptions(
                 raise DataError(f"{name} must be in [0, 1], got {value}")
         if not all(pivot.strip() for pivot in self.chain):
             raise DataError(f"chain holds an empty pivot language: {list(self.chain)}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
 
-class PipelineConfig(
-    namedtuple(
-        "PipelineConfig",
-        "id seed payload translation_backend options",
-        defaults=(0, "", None, StageOptions()),
-    )
-):
+class PipelineConfig(_CheckedTuple, namedtuple(
+    "PipelineConfig",
+    "id seed payload translation_backend options",
+    defaults=(0, "", None, StageOptions()),
+)):
     """One cell of the experiment grid: a config id plus its knobs.
 
     ``translation_backend`` is a :class:`~stylocloak.transforms.BackendSpec`,
@@ -139,17 +125,10 @@ class PipelineConfig(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.id not in CONFIG_STAGES:
             raise DataError(f"config id must be 1..15, got {self.id}")
         weaver.secret_units(self.payload)
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     @property
     def stages(self) -> tuple[str, ...]:
@@ -336,7 +315,7 @@ def run_matrix(
     base_report = _scored(fitted, *base_counts)
     # Each node's measured counts and score, keyed as _run_stages keys it.
     scores = {}
-    if strip or base.text == clean.text:
+    if base.text == clean.text:
         scores[()] = base_counts, base_report
     memo: dict = {}
     rows: list[MatrixRow] = []
@@ -356,8 +335,7 @@ def run_matrix(
             )
             continue
         if node not in scores:
-            measured = strip_zero_width(text)[0] if strip else text
-            counts = _axis_counts(fitted, tokenize(measured))
+            counts = _axis_counts(fitted, tokenize(text))
             scores[node] = counts, _scored(fitted, *counts)
         counts, adv_report = scores[node]
         if config.stages[-1] == "steganography":
@@ -420,7 +398,8 @@ def render_table(
         ]
         lines += ["| " + " | ".join(row) + " |" for row in cells]
         return "\n".join(lines) + "\n"
-    raise UnsupportedFormat(f"unknown report format {fmt!r}")
+    # the CLI offers only these formats, so another one is a caller's bug
+    raise ValueError(f"unknown report format {fmt!r}")
 
 
 _MATRIX_COLUMNS = [

@@ -39,10 +39,6 @@ _DELTA_K = 50
 SPECIAL_CHARS = frozenset(string.punctuation) | frozenset("∃Δ∞∀∅")
 
 
-class InvalidRange(DataError):
-    """An n-gram range with n_min < 1, n_max < n_min or n_max > 8."""
-
-
 class InsufficientCorpus(DataError):
     """The reference corpus cannot support a Delta computation."""
 
@@ -63,6 +59,8 @@ class Document:
 
     Documents compare equal by id, text and author, and leave the token
     cache out of comparison and ``repr``.  They are mutable, so unhashable.
+    A class, not a named tuple like the other values: the cache is filled
+    on first use, so a reference reused across grids tokenizes once.
     """
 
     __slots__ = ("id", "text", "author", "_tokens")
@@ -91,21 +89,15 @@ class Document:
         return Document(self.id, strip_zero_width(self.text)[0], self.author)
 
 
-class Corpus:
-    """A collection of documents, each with an optional author label."""
+class Corpus(namedtuple("Corpus", "documents")):
+    """A list of documents, each with an optional author label.
 
-    __slots__ = ("documents",)
+    A named tuple, as it holds nothing but its list: the tuple's ``repr``
+    and equality serve, and the list keeps it unhashable and open to
+    appends (``features --candidate``).
+    """
 
-    def __init__(self, documents: list[Document]):
-        self.documents = documents
-
-    def __repr__(self) -> str:
-        return f"Corpus(documents={self.documents!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.documents == other.documents
+    __slots__ = ()
 
     @property
     def authors(self) -> list[str]:
@@ -181,9 +173,9 @@ def _char_ngram_counts(
     linearly with the corpus.
     """
     if n_min < 1 or n_max < n_min:
-        raise InvalidRange(f"invalid n-gram range [{n_min}, {n_max}]")
+        raise DataError(f"invalid n-gram range [{n_min}, {n_max}]")
     if n_max > 8:
-        raise InvalidRange(f"invalid n-gram range [{n_min}, {n_max}]: n is at most 8")
+        raise DataError(f"invalid n-gram range [{n_min}, {n_max}]: n is at most 8")
     if not corpus.documents:
         raise InsufficientCorpus("empty corpus")
     per_doc = {}

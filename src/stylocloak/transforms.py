@@ -26,7 +26,8 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import itemgetter, truediv
 
-from . import DataError, StylocloakError, _bundled_text, check_json_object
+from . import DataError, StylocloakError, _bundled_text, _CheckedTuple
+from . import check_json_object
 from .styloscope import default_function_words
 from .zwcodec import strip_zero_width
 
@@ -45,23 +46,18 @@ class BackendUnavailable(StylocloakError, RuntimeError):
     exit_code = 3
 
 
-class Timeout(BackendUnavailable):
-    """The external transform backend did not answer in time."""
-
-
 class CorpusTooSmall(DataError):
     """Style-model training text is not longer than the context order."""
 
 
-class BackendSpec(
-    namedtuple("BackendSpec", "kind target timeout", defaults=("", 30.0))
-):
+class BackendSpec(_CheckedTuple, namedtuple(
+    "BackendSpec", "kind target timeout", defaults=("", 30.0)
+)):
     """An external backend for the translation stage: a command or an endpoint."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise DataError(f"unknown backend kind {self.kind!r}")
         if not self.target.strip():
@@ -76,12 +72,6 @@ class BackendSpec(
                 f"backend timeout must be at most 86400 seconds (one day), "
                 f"got {self.timeout!r}"
             )
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     @classmethod
     def parse(cls, value) -> "BackendSpec | None":
@@ -207,8 +197,8 @@ def call_backend(
     on stdout; an HTTP backend gets a POST and must answer 200 with the same
     shape.  The reply's text is returned stripped of zero-width content, as
     every other text is stripped where it enters.  Anything else raises
-    BackendUnavailable (or Timeout), and the caller must abort the stage
-    rather than pass the input through.  A target or timeout that the
+    BackendUnavailable, a timeout included, and the caller must abort the
+    stage rather than pass the input through.  A target or timeout that the
     client refuses (an unbalanced quote, a NUL byte, no URL scheme, a
     timeout out of range) raises DataError with the client's message.
     """
@@ -227,7 +217,8 @@ def call_backend(
                 timeout=backend.timeout,
             )
         except subprocess.TimeoutExpired as exc:
-            raise Timeout(f"command backend exceeded {backend.timeout}s") from exc
+            late = f"command backend exceeded {backend.timeout}s"
+            raise BackendUnavailable(late) from exc
         except OSError as exc:
             raise BackendUnavailable(f"cannot run backend command: {exc}") from exc
         except (ValueError, OverflowError) as exc:
@@ -243,6 +234,7 @@ def call_backend(
         import urllib.error
         import urllib.request
 
+        late = f"http backend exceeded {backend.timeout}s"
         try:
             req = urllib.request.Request(
                 backend.target,
@@ -254,13 +246,13 @@ def call_backend(
                     raise BackendUnavailable(f"backend returned HTTP {resp.status}")
                 raw = resp.read()
         except TimeoutError as exc:
-            raise Timeout(f"http backend exceeded {backend.timeout}s") from exc
+            raise BackendUnavailable(late) from exc
         except urllib.error.HTTPError as exc:
             exc.close()
             raise BackendUnavailable(f"backend returned HTTP {exc.code}") from exc
         except urllib.error.URLError as exc:
             if isinstance(getattr(exc, "reason", None), TimeoutError):
-                raise Timeout(f"http backend exceeded {backend.timeout}s") from exc
+                raise BackendUnavailable(late) from exc
             raise BackendUnavailable(f"http backend unreachable: {exc}") from exc
         except (ValueError, OverflowError, http.client.InvalidURL) as exc:
             raise DataError(str(exc)) from exc

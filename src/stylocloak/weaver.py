@@ -29,14 +29,6 @@ _LINE = re.compile(r".*\n|.+")  # without DOTALL, "." is anything but LF
 STRATEGIES = ("round_robin", "after_first")
 
 
-class EmptyWord(DataError):
-    """The carrier word has no visible code point to anchor the payload."""
-
-
-class ContaminatedWord(DataError):
-    """The carrier word already holds zero-width alphabet code points."""
-
-
 class SecretOverflow(UserWarning):
     """More secret letters than carrier lines; the surplus was dropped."""
 
@@ -65,9 +57,9 @@ def weave_into_unigram(
     Position 0 of the word never receives payload.
     """
     if not word:
-        raise EmptyWord("cannot weave into an empty word")
+        raise DataError("cannot weave into an empty word")
     if not POINTS.isdisjoint(word):
-        raise ContaminatedWord(
+        raise DataError(
             "carrier word already contains zero-width alphabet code points; "
             "strip it first"
         )

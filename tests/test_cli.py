@@ -1089,6 +1089,10 @@ def conversion_error(digits: str) -> str:
     return "no error"
 
 
+#: What ``open`` says of the empty path, which no command reads as "not given".
+NO_FILE = "error: [Errno 2] No such file or directory: ''"
+
+
 # Each case gives a command, its run file (a dict over a config-2 run, or raw
 # text), its exit code, the last line of its stderr and, for a config that
 # aborts, the report's error.
@@ -1177,6 +1181,19 @@ def conversion_error(digits: str) -> str:
          "error: run file key 'candidate' is empty", None),
         (["matrix", "--config", "run.json"], {"corpus": ""}, 2,
          "error: run file key 'corpus' is empty", None),
+        (["embed-lines", "candidate.txt", "--payload-file", "", "--message", "AB"],
+         None, 2, NO_FILE, None),
+        (["strip", "candidate.txt", "--output", ""], None, 2, NO_FILE, None),
+        (["embed-lines", "candidate.txt", "--message", "AB", "--output", ""],
+         None, 2, NO_FILE, None),
+        (["transform", "candidate.txt", "--stage", "obfuscation", "--output", ""],
+         None, 2, NO_FILE, None),
+        (["matrix", "--config", "run.json", "--output", ""], {}, 2, NO_FILE, None),
+        (["strip", "candidate.txt", "--payload-out", ""], None, 2, NO_FILE, None),
+        (["features", "--corpus", "corpus", "--candidate", ""], None, 2, NO_FILE,
+         None),
+        (["delta", "--corpus", "corpus", "--candidate", "candidate.txt",
+          "--reference", ""], None, 2, NO_FILE, None),
         # a payload letter with no code is refused by every config
         (["matrix", "--config", "run.json"], {"payload": "MEET AT"}, 2,
          "error: unsupported character ' ' (U+0020) at position 4", None),
@@ -1193,7 +1210,10 @@ def conversion_error(digits: str) -> str:
         "unsupported-letter-position", "stdin-twice", "ngrams-past-8", "empty-pivot",
         "blank-pivot-in-run-file", "empty-backend", "empty-chain", "empty-style-source",
         "empty-imitation-source-in-run-file", "empty-candidate-in-run-file",
-        "empty-corpus-in-run-file", "unsupported-payload-in-run-file",
+        "empty-corpus-in-run-file", "empty-payload-file", "empty-strip-output",
+        "empty-embed-output", "empty-transform-output", "empty-matrix-output",
+        "empty-payload-out", "empty-features-candidate", "empty-delta-reference",
+        "unsupported-payload-in-run-file",
         "unsupported-payload-without-steganography",
     ],
 )
@@ -1515,7 +1535,25 @@ def test_every_exception_class_is_a_stylocloak_error_or_warning():
         for _, cls in inspect.getmembers(module, inspect.isclass)
         if cls.__module__ == module.__name__ and issubclass(cls, BaseException)
     ]
-    assert len(classes) >= 10
+    # Only classes that code tells apart: the package catches
+    # UnsupportedCharacter, MalformedStream and StageError, property tests
+    # skip on InsufficientCorpus and CorpusTooSmall, and embed_into_text
+    # warns SecretOverflow.  A StageError takes its cause's exit code.
+    exit_codes = {
+        f"{cls.__module__}.{cls.__name__}": getattr(cls, "exit_code", None)
+        for cls in classes
+    }
+    assert exit_codes == {
+        "stylocloak.StylocloakError": 2,
+        "stylocloak.DataError": 2,
+        "stylocloak.zwcodec.UnsupportedCharacter": 2,
+        "stylocloak.zwcodec.MalformedStream": 2,
+        "stylocloak.weaver.SecretOverflow": None,
+        "stylocloak.styloscope.InsufficientCorpus": 2,
+        "stylocloak.transforms.BackendUnavailable": 3,
+        "stylocloak.transforms.CorpusTooSmall": 2,
+        "stylocloak.pipeline.StageError": 2,
+    }
     for cls in classes:
         assert issubclass(cls, (StylocloakError, Warning)), cls
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylocloak import DataError, pipeline, styloscope, transforms, weaver, zwcodec
+from stylocloak import DataError, StylocloakError, pipeline, styloscope, transforms
+from stylocloak import weaver, zwcodec
 from stylocloak.pipeline import (
     CANONICAL_ORDER,
     CONFIG_STAGES,
@@ -16,7 +17,6 @@ from stylocloak.pipeline import (
     PipelineConfig,
     StageError,
     StageOptions,
-    UnsupportedFormat,
     apply_config,
     emit_report,
     load_matrix_spec,
@@ -375,6 +375,28 @@ def test_stripped_steganography_config_is_its_twin_without_it(text, seed, payloa
     assert outcome(8) == ("text", strip_zero_width(text)[0])
     for config_id in range(1, 8):
         assert outcome(config_id + 8) == outcome(config_id)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    text=CANDIDATE_TEXTS,
+    source=CANDIDATE_TEXTS,
+    seed=st.integers(-(2**63), 2**63),
+    payload=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=12),
+)
+def test_a_shaping_node_holds_no_point(text, source, seed, payload):
+    # run_matrix measures configs 1-7 as apply_config gives them, strip or not
+    stream = zwcodec.encode_message(payload)
+    text, source = (
+        weaver.embed_linewise(strip_zero_width(t)[0], payload)[0] + stream
+        for t in (text, source)
+    )
+    for config_id in range(1, 8):
+        try:
+            shaped = apply_config(text, PipelineConfig(config_id, seed), source)[0]
+        except StageError:
+            continue  # a source too short to train on aborts imitation
+        assert zwcodec.POINTS.isdisjoint(shaped)
 
 
 def test_matrix_runs_each_stage_prefix_once(monkeypatch):
@@ -776,8 +798,9 @@ def test_emit_markdown_has_delta_column_header():
 
 
 def test_emit_rejects_unknown_format():
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(ValueError, match="^unknown report format 'xml'$") as exc:
         emit_report(empty_report(), "xml")
+    assert not isinstance(exc.value, StylocloakError)
 
 
 # --- run file ----------------------------------------------------------------

@@ -9,13 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracle_delta import oracle_burrows_delta
-from stylocloak import zwcodec
+from stylocloak import DataError, zwcodec
 from stylocloak.styloscope import (
     SPECIAL_CHARS,
     Corpus,
     Document,
     InsufficientCorpus,
-    InvalidRange,
     _char_ngram_counts,
     _sum_left,
     author_probabilities,
@@ -94,16 +93,17 @@ def test_char_ngram_tfidf_lowercases_and_keeps_spaces():
 
 
 def test_char_ngram_invalid_range():
-    with pytest.raises(InvalidRange):
+    with pytest.raises(DataError, match=r"^invalid n-gram range \[0, 2\]$"):
         feature("char_ngram_tfidf", corpus("ab"), 0, 2)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(DataError, match=r"^invalid n-gram range \[3, 2\]$"):
         feature("char_ngram_tfidf", corpus("ab"), 3, 2)
 
 
 def test_char_ngram_range_ends_at_8():
     assert feature("char_ngram_tfidf", corpus("abcdefghi", "x"), 8, 8)["d0"]
     for n_min, n_max in [(1, 9), (9, 9), (1, 10**9)]:
-        with pytest.raises(InvalidRange, match="n is at most 8"):
+        message = rf"^invalid n-gram range \[{n_min}, {n_max}\]: n is at most 8$"
+        with pytest.raises(DataError, match=message):
             feature("char_ngram_tfidf", corpus("ab"), n_min, n_max)
 
 
@@ -233,7 +233,7 @@ def test_repeated_id_keeps_its_first_place_and_last_document():
 
 
 def test_feature_iterator_checks_the_range_before_it_is_read():
-    with pytest.raises(InvalidRange):
+    with pytest.raises(DataError, match=r"^invalid n-gram range \[3, 2\]$"):
         iter_feature_vectors(corpus("ab"), 3, 2)
 
 

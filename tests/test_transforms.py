@@ -21,7 +21,6 @@ from stylocloak.transforms import (
     BackendUnavailable,
     CorpusTooSmall,
     StyleModel,
-    Timeout,
     call_backend,
     imitate,
     load_synonyms,
@@ -411,7 +410,7 @@ def test_command_backend_garbage_reply():
 def test_command_backend_timeout():
     sleeper = f"{sys.executable} -c \"import time; time.sleep(5)\""
     backend = BackendSpec(kind="external-command", target=sleeper, timeout=0.3)
-    with pytest.raises(Timeout):
+    with pytest.raises(BackendUnavailable, match=r"^command backend exceeded 0\.3s$"):
         call_backend(backend, "x", ("de",), 0)
 
 
@@ -463,7 +462,7 @@ def test_http_backend_error_status(http_backend_server):
 
 def test_http_backend_timeout(http_backend_server):
     backend = BackendSpec("http", http_backend_server + "/slow", timeout=0.5)
-    with pytest.raises(Timeout, match=r"^http backend exceeded 0\.5s$"):
+    with pytest.raises(BackendUnavailable, match=r"^http backend exceeded 0\.5s$"):
         call_backend(backend, "abc", ("de",), 0)
 
 

@@ -6,11 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle_lines import carrier_lines
-from stylocloak import pipeline, weaver, zwcodec
+from stylocloak import DataError, pipeline, weaver, zwcodec
 from stylocloak.zwcodec import BIT0, BIT1, END, SEP, MalformedStream, strip_zero_width
 from stylocloak.weaver import (
-    ContaminatedWord,
-    EmptyWord,
     SecretOverflow,
     embed_linewise,
     embed_into_text,
@@ -62,12 +60,16 @@ def test_weave_after_first_strategy():
 
 
 def test_weave_rejects_empty_word():
-    with pytest.raises(EmptyWord):
+    with pytest.raises(DataError, match="^cannot weave into an empty word$"):
         weave_into_unigram("", END)
 
 
 def test_weave_rejects_contaminated_word():
-    with pytest.raises(ContaminatedWord):
+    with pytest.raises(
+        DataError,
+        match="^carrier word already contains zero-width alphabet code points; "
+        "strip it first$",
+    ):
         weave_into_unigram("a" + BIT0 + "b", END)
 
 
