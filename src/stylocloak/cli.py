@@ -72,7 +72,7 @@ def _encoded_message(args) -> str:
     """The message as a stream; ``--lenient`` first drops what has no code."""
     message = _message_from(args)
     if args.lenient:
-        kept = "".join(c for c in message if c.upper() in zwcodec.CODEBOOK)
+        kept = "".join(c for c in message if c in zwcodec.CASED_CODEBOOK)
         if len(kept) < len(message):
             _warn(f"dropped {len(message) - len(kept)} unsupported character(s)")
         message = kept
@@ -314,7 +314,7 @@ def cmd_matrix(args) -> int:
 
 #: ``transform``'s grid inputs as (flag, its input name for
 #: ``pipeline.make_configs``, argparse keywords).  An option's name is its
-#: StageOptions field and run-file ``options`` key.  A flag passes on only
+#: PipelineConfig field and run-file ``options`` key.  A flag passes on only
 #: what the user gave, so an input left out takes the library's default.
 _GRID_FLAGS = (
     ("--seed", "seed", {"type": int}),

@@ -84,15 +84,18 @@ class StageError(StylocloakError, RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
-class StageOptions(_CheckedTuple, namedtuple(
-    "StageOptions",
-    "substitution_rate punctuation_jitter imitation_ratio model_order chain",
-    defaults=(0.3, False, 0.25, 3, ()),
+class PipelineConfig(_CheckedTuple, namedtuple(
+    "PipelineConfig",
+    "id seed payload translation_backend chain"
+    " substitution_rate punctuation_jitter imitation_ratio model_order",
+    defaults=(0, "", None, (), 0.3, False, 0.25, 3),
 )):
-    """Tunables shared by the transform stages.
+    """One cell of the experiment grid: a config id plus its knobs.
 
-    ``chain`` names the pivot languages of the translation stage; an empty
-    or whitespace-only one is refused, since a backend would be sent it.
+    ``translation_backend`` is a :class:`~stylocloak.transforms.BackendSpec`,
+    or None for the builtin one, and ``chain`` the translation stage's pivot
+    languages, none blank, since a backend would be sent it.  Every field is
+    checked, whether or not the config runs a stage that reads it.
     """
 
     __slots__ = ()
@@ -109,23 +112,8 @@ class StageOptions(_CheckedTuple, namedtuple(
                 raise DataError(f"{name} must be in [0, 1], got {value}")
         if not all(pivot.strip() for pivot in self.chain):
             raise DataError(f"chain holds an empty pivot language: {list(self.chain)}")
-
-
-class PipelineConfig(_CheckedTuple, namedtuple(
-    "PipelineConfig",
-    "id seed payload translation_backend options",
-    defaults=(0, "", None, StageOptions()),
-)):
-    """One cell of the experiment grid: a config id plus its knobs.
-
-    ``translation_backend`` is a :class:`~stylocloak.transforms.BackendSpec`,
-    or None for the builtin one.  A payload letter that has no code is
-    refused here, whether or not the config runs steganography.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> None:
+        if self.model_order < 1:
+            raise DataError(f"model_order must be >= 1, got {self.model_order}")
         if self.id not in CONFIG_STAGES:
             raise DataError(f"config id must be 1..15, got {self.id}")
         weaver.secret_units(self.payload)
@@ -139,20 +127,20 @@ class PipelineConfig(_CheckedTuple, namedtuple(
 def make_configs(ids, given: dict) -> list[PipelineConfig]:
     """The configs ``ids``, built from the grid inputs a user gave.
 
-    ``given`` may hold ``seed``, ``payload``, ``backend`` (what
-    :meth:`~stylocloak.transforms.BackendSpec.parse` reads), ``chain`` (a
-    sequence of pivot languages) and the other :class:`StageOptions` fields;
-    an input it leaves out takes its type's default, and any other key is a
-    ``TypeError``.  An empty value counts as given.
+    ``given`` maps :class:`PipelineConfig` fields but ``id`` to values, with
+    ``backend`` (what :meth:`~stylocloak.transforms.BackendSpec.parse`
+    reads) for ``translation_backend`` and ``chain`` any sequence.  An input
+    it leaves out takes its field's default, and any other key is a
+    ``TypeError``.  An empty value counts as given, and is checked even when
+    ``ids`` is empty.
     """
-    options = dict(given)
-    fields = {key: options.pop(key) for key in ("seed", "payload") if key in options}
-    if "backend" in options:
-        fields["translation_backend"] = BackendSpec.parse(options.pop("backend"))
-    if "chain" in options:
-        options["chain"] = tuple(options["chain"])
-    shared = StageOptions(**options)
-    return [PipelineConfig(id=cid, options=shared, **fields) for cid in ids]
+    fields = dict(given)
+    if "backend" in fields:
+        fields["translation_backend"] = BackendSpec.parse(fields.pop("backend"))
+    if "chain" in fields:
+        fields["chain"] = tuple(fields["chain"])
+    template = PipelineConfig(min(CONFIG_STAGES), **fields)
+    return [template._replace(id=cid) for cid in ids]
 
 
 def stage_seed(base_seed: int, prefix: tuple[str, ...]) -> int:
@@ -186,16 +174,15 @@ def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model) -> 
 
     ``model(order)`` gives the imitation stage its style model.
     """
-    opts = config.options
     if stage == "translation":
         backend = config.translation_backend
-        return transforms.round_trip_translate(text, opts.chain, backend, seed)
+        return transforms.round_trip_translate(text, config.chain, backend, seed)
     if stage == "imitation":
         generated = transforms.imitate(
-            model(opts.model_order), round(len(text) * opts.imitation_ratio), seed
+            model(config.model_order), round(len(text) * config.imitation_ratio), seed
         )
         return " ".join(filter(None, (text, generated)))
-    rate, jitter = opts.substitution_rate, opts.punctuation_jitter
+    rate, jitter = config.substitution_rate, config.punctuation_jitter
     return transforms.obfuscate(text, seed, rate, jitter)
 
 
@@ -206,8 +193,8 @@ def _run_stages(
 
     A trie node is its text.  ``memo``, kept for one input text and
     imitation source, maps each shaping node to its text, or to the
-    StylocloakError its stage raised, keyed by the prefix and the config
-    fields a shaping stage reads, and each style model by its order.  The
+    StylocloakError its stage raised, keyed by the prefix and every config
+    field but id and payload, and each style model by its order.  The
     key of the root, the input text itself, is ``()``.  Steganography, the
     trie's leaf, is left to the caller: it runs per config and never fails,
     since no shaping node holds a zero-width point.
@@ -221,7 +208,7 @@ def _run_stages(
         return memo[order]
 
     node = ()
-    fields = (config.seed, config.translation_backend, config.options)
+    fields = (config.seed, *config[3:])  # every field but id and payload
     for depth, stage in enumerate(config.stages, 1):
         if stage == "steganography":
             break
@@ -440,11 +427,10 @@ _RUN_TYPES = {
     "options": dict,
     "imitation_source": str,
 }
-#: Each ``options`` key: every StageOptions field except chain, typed by its default.
+#: Each ``options`` key: a PipelineConfig field after chain, typed by its default.
 _OPTION_TYPES = {
-    name: type(default)
-    for name, default in StageOptions._field_defaults.items()
-    if name != "chain"
+    name: type(PipelineConfig._field_defaults[name])
+    for name in PipelineConfig._fields[5:]
 }
 #: The one ``backends`` key: only the translation stage calls a backend.
 _BACKEND_TYPES = {"translation": (str, dict)}
@@ -467,7 +453,7 @@ def load_matrix_spec(path) -> dict:
 
     Recognized keys: corpus (directory), candidate (file), configs (list of
     ids), seed, payload, k, strip, chain (pivot languages), backends (only
-    translation -> spec), options (StageOptions fields except chain),
+    translation -> spec), options (the PipelineConfig fields after chain),
     imitation_source (file).  :func:`stylocloak.check_json_object` checks
     every object: any other key, at the top level, in options, backends or
     a backend object, or a value of another JSON type, raises DataError.  So

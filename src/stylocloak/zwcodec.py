@@ -28,7 +28,7 @@ END = "﻿"   # ZERO WIDTH NO-BREAK SPACE, terminates a stream
 
 
 class UnsupportedCharacter(DataError):
-    """A character outside A-Z (after uppercasing) was given to encode."""
+    """A character outside A-Z and a-z was given to encode."""
 
     def __init__(self, position: int, char: str):
         self.position = position
@@ -50,6 +50,9 @@ CODEBOOK = {
     letter: format(index, "b") for index, letter in enumerate(string.ascii_uppercase)
 }
 _LETTERS = {bits: letter for letter, bits in CODEBOOK.items()}
+#: CODEBOOK keyed by each letter in both cases: what can be encoded.  Not
+#: ``char.upper()``, which maps U+0131 and U+017F onto I and S.
+CASED_CODEBOOK = {**CODEBOOK, **{k.lower(): bits for k, bits in CODEBOOK.items()}}
 
 
 def _find_points(text: str | bytes) -> dict[str, list[int]]:
@@ -85,15 +88,15 @@ def _point_starts(text: str) -> list[int]:
 def encode_message(plaintext: str) -> str:
     """Encode a letter sequence into a pure zero-width stream.
 
-    Input is uppercased first.  Each letter's bit-string is emitted as
+    A letter may be in either case.  Each letter's bit-string is emitted as
     bit0/bit1 code points, letters are joined with the separator, and the
     stream ends with exactly one end marker.  Empty input yields a stream
-    containing only the end marker.  A character that is not A-Z once
-    uppercased raises :class:`UnsupportedCharacter`.
+    containing only the end marker.  A character that is not A-Z or a-z
+    raises :class:`UnsupportedCharacter`.
     """
     groups = []
     for position, char in enumerate(plaintext):
-        bits = CODEBOOK.get(char.upper())
+        bits = CASED_CODEBOOK.get(char)
         if bits is None:
             raise UnsupportedCharacter(position, char)
         groups.append(bits)

@@ -111,6 +111,10 @@ def test_encode_lenient_drops_non_letters_with_warning(capsys):
     assert run(capsys, "encode", "--message", "A !B", "--lenient") == (
         0, out, "warning: dropped 2 unsupported character(s)\n"
     )
+    # U+0131 and U+017F uppercase to I and S, but are not letters A-Z
+    assert run(capsys, "encode", "--message", "\u0131A\u017fB", "--lenient") == (
+        0, out, "warning: dropped 2 unsupported character(s)\n"
+    )
 
 
 def test_encode_escaped_output(capsys):
@@ -413,7 +417,7 @@ def test_transform_flags_pass_on_only_what_the_user_gave():
         "--order": "model_order",
     }
     dests = [a.dest for a in transform]
-    for field in pipeline.StageOptions._fields:
+    for field in pipeline.PipelineConfig._fields[4:]:  # chain and the options
         assert dests.count(field) == 1, field
     (k,) = [a for a in commands["delta"]._actions if a.dest == "k"]
     assert k.default is argparse.SUPPRESS
@@ -1199,6 +1203,18 @@ NO_FILE = "error: [Errno 2] No such file or directory: ''"
          "error: unsupported character ' ' (U+0020) at position 4", None),
         (["transform", "candidate.txt", "--config-id", "3", "--payload", "a b"],
          None, 2, "error: unsupported character ' ' (U+0020) at position 1", None),
+        # a letter is A-Z or a-z, not what uppercases to one
+        (["matrix", "--config", "run.json"], {"payload": "SI\u017f"}, 2,
+         "error: unsupported character '\u017f' (U+017F) at position 2", None),
+        (["embed-lines", "candidate.txt", "--message", "\u017f\u0131"], None, 2,
+         "error: unsupported character '\u017f' (U+017F) at position 0", None),
+        (["encode", "--message", "a\u0131"], None, 2,
+         "error: unsupported character '\u0131' (U+0131) at position 1", None),
+        # a style model order below 1 is refused by every config
+        (["matrix", "--config", "run.json"], {"options": {"model_order": 0}}, 2,
+         "error: model_order must be >= 1, got 0", None),
+        (["transform", "candidate.txt", "--config-id", "3", "--order", "0"], None, 2,
+         "error: model_order must be >= 1, got 0", None),
     ],
     ids=[
         "run-file-without-corpus", "run-file-without-candidate", "run-file-not-json",
@@ -1215,6 +1231,9 @@ NO_FILE = "error: [Errno 2] No such file or directory: ''"
         "empty-payload-out", "empty-features-candidate", "empty-delta-reference",
         "unsupported-payload-in-run-file",
         "unsupported-payload-without-steganography",
+        "long-s-in-run-file-payload", "dotless-i-in-embed-message",
+        "dotless-i-in-encode-message",
+        "model-order-0-in-run-file", "model-order-0-without-imitation",
     ],
 )
 def test_exit_code_and_message(

@@ -16,7 +16,6 @@ from stylocloak.pipeline import (
     MatrixReport,
     PipelineConfig,
     StageError,
-    StageOptions,
     apply_config,
     emit_report,
     load_matrix_spec,
@@ -119,7 +118,7 @@ def test_dirty_carrier_is_stripped_before_any_stage():
 
 
 def test_obfuscation_only_single_sentence_rate_zero_is_identity():
-    config = PipelineConfig(id=3, seed=1, options=StageOptions(substitution_rate=0.0))
+    config = PipelineConfig(id=3, seed=1, substitution_rate=0.0)
     assert apply_config("One quiet sentence here.", config) == (
         "One quiet sentence here.", 0
     )
@@ -152,8 +151,7 @@ def test_config_15_runs_all_stages_in_canonical_order(monkeypatch):
 def test_stage_error_carries_stage_name():
     backend = BackendSpec(kind="external-command", target="false")
     config = PipelineConfig(
-        id=2, seed=1, translation_backend=backend,
-        options=StageOptions(chain=("de",)),
+        id=2, seed=1, translation_backend=backend, chain=("de",)
     )
     with pytest.raises(StageError) as exc:
         apply_config(SAMPLE, config)
@@ -177,46 +175,70 @@ def test_a_bug_in_a_stage_is_not_a_stage_error(monkeypatch):
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_stage_options_refuse_a_non_finite_rate(field, value):
     with pytest.raises(DataError, match=f"{field} must be finite"):
-        StageOptions(**{field: value})
+        PipelineConfig(1, **{field: value})
 
 
 @pytest.mark.parametrize("value", [-1e308, -0.01, 1.01, 1e6, 1e308])
 def test_stage_options_refuse_an_imitation_ratio_outside_0_1(value):
     with pytest.raises(DataError) as exc:
-        StageOptions(imitation_ratio=value)
+        PipelineConfig(1, imitation_ratio=value)
     assert str(exc.value) == f"imitation_ratio must be in [0, 1], got {value}"
 
 
 @pytest.mark.parametrize("value", [0, 0.0, 0.25, 1, 1.0])
 def test_stage_options_accept_an_imitation_ratio_in_0_1(value):
-    assert StageOptions(imitation_ratio=value).imitation_ratio == value
+    assert PipelineConfig(1, imitation_ratio=value).imitation_ratio == value
 
 
 @pytest.mark.parametrize("value", [-1e308, -1, -0.01, 1.01, 5, 1e308])
 def test_stage_options_refuse_a_substitution_rate_outside_0_1(value):
     with pytest.raises(DataError) as exc:
-        StageOptions(substitution_rate=value)
+        PipelineConfig(1, substitution_rate=value)
     assert str(exc.value) == f"substitution_rate must be in [0, 1], got {value}"
 
 
 @pytest.mark.parametrize("value", [0, 0.0, 0.3, 1, 1.0])
 def test_stage_options_accept_a_substitution_rate_in_0_1(value):
-    assert StageOptions(substitution_rate=value).substitution_rate == value
+    assert PipelineConfig(1, substitution_rate=value).substitution_rate == value
 
 
 @pytest.mark.parametrize("field", ["substitution_rate", "imitation_ratio"])
 def test_stage_options_refuse_an_integer_too_large_for_a_float(field):
     # math.isfinite raises OverflowError on such an int
     with pytest.raises(DataError) as exc:
-        StageOptions(**{field: 10**400})
+        PipelineConfig(1, **{field: 10**400})
     assert str(exc.value) == f"{field} must be in [0, 1], got {10**400}"
 
 
 @pytest.mark.parametrize("chain", [("",), ("fr", ""), (" ",), ("de", "\t\n")])
 def test_stage_options_refuse_an_empty_pivot_language(chain):
     with pytest.raises(DataError) as exc:
-        StageOptions(chain=chain)
+        PipelineConfig(1, chain=chain)
     assert str(exc.value) == f"chain holds an empty pivot language: {list(chain)}"
+
+
+@pytest.mark.parametrize("config_id", [3, 15])
+@pytest.mark.parametrize("order", [0, -1])
+def test_every_config_refuses_a_model_order_below_1(config_id, order):
+    with pytest.raises(DataError) as exc:
+        PipelineConfig(config_id, model_order=order)
+    assert str(exc.value) == f"model_order must be >= 1, got {order}"
+
+
+@pytest.mark.parametrize("config_id", [3, 8])
+@pytest.mark.parametrize("char", ["\u0131", "\u017f"])
+def test_every_config_refuses_a_payload_letter_outside_a_z(config_id, char):
+    with pytest.raises(zwcodec.UnsupportedCharacter) as exc:
+        PipelineConfig(config_id, payload="KEY" + char)
+    assert (exc.value.position, exc.value.char) == (3, char)
+
+
+@pytest.mark.parametrize(
+    "given", [{"substitution_rate": 5}, {"model_order": 0}, {"payload": "A B"}]
+)
+def test_make_configs_checks_the_inputs_of_an_empty_grid(given):
+    with pytest.raises(DataError):
+        pipeline.make_configs([], given)
 
 
 def test_imitation_appends_styled_text():
@@ -266,10 +288,7 @@ def test_matrix_records_aborted_configs_and_continues():
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     backend = BackendSpec(kind="external-command", target="false")
     configs = [
-        PipelineConfig(
-            id=2, seed=1, translation_backend=backend,
-            options=StageOptions(chain=("de",)),
-        ),
+        PipelineConfig(id=2, seed=1, translation_backend=backend, chain=("de",)),
         PipelineConfig(id=3, seed=1),
     ]
     report = run_matrix(candidate, reference, configs, k=30)
@@ -451,34 +470,54 @@ def logging_backend(tmp_path, answers: bool):
 
 
 def backend_grid(backend):
-    options = StageOptions(chain=("de",))
     return [
         PipelineConfig(
-            i, seed=4, payload="KEY", translation_backend=backend, options=options
+            i, seed=4, payload="KEY", translation_backend=backend, chain=("de",)
         )
         for i in sorted(CONFIG_STAGES)
     ]
 
 
-def test_configs_with_other_settings_share_no_stage_run(tmp_path):
-    backend, _ = logging_backend(tmp_path, answers=True)
+#: For each config field a shaping node's text depends on, a value other
+#: than the one in the test below; the translation backend is made there.
+OTHER_SETTINGS = {
+    "seed": 2,
+    "chain": ("fr",),
+    "substitution_rate": 1.0,
+    "punctuation_jitter": True,
+    "imitation_ratio": 0.5,
+    "model_order": 2,
+}
+
+
+@pytest.mark.parametrize("field", [*OTHER_SETTINGS, "translation_backend"])
+def test_configs_with_other_settings_share_no_stage_run(tmp_path, field):
+    logging, _ = logging_backend(tmp_path, answers=True)
+    script = tmp_path / "chain_backend.py"
+    script.write_text(
+        "import json, sys\n"
+        "request = json.load(sys.stdin)\n"
+        "text = request['text'] + ' ' + ' '.join(request['chain'])\n"
+        "print(json.dumps({'text': text}))\n",
+        encoding="utf-8",
+    )
+    backend = BackendSpec("external-command", shlex.join([sys.executable, str(script)]))
     reference = small_reference()
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
-    # Config 14 is config 6 plus steganography; each twin differs from the
-    # first config in one field that a shared node's text depends on.
-    base = PipelineConfig(6, seed=1, payload="KEY", options=StageOptions(chain=("de",)))
-    twins = [
-        base._replace(options=base.options._replace(substitution_rate=1.0)),
-        base._replace(seed=2),
-        base._replace(translation_backend=backend),
-    ]
-    configs = [base] + [twin._replace(id=14) for twin in twins]
+    # Config 15 is config 7 plus steganography, so it runs every shaping
+    # stage; the twin differs from the first config in one field.
+    base = PipelineConfig(
+        7, seed=1, payload="KEY", translation_backend=backend, chain=("de",)
+    )
+    other = {**OTHER_SETTINGS, "translation_backend": logging}
+    twin = base._replace(**{field: other[field]})
+    configs = [base, twin._replace(id=15)]
     with recorded_grid_texts() as texts:
         report = run_matrix(candidate, reference, configs, k=30)
     assert [config for config, _ in texts] == configs
     stripped = [strip_zero_width(text)[0] for _, text in texts]
-    assert stripped[1:] == [apply_config(candidate.text, twin)[0] for twin in twins]
-    assert len(set(stripped)) == 4
+    assert stripped[1] == apply_config(candidate.text, twin)[0]
+    assert stripped[0] != stripped[1]
     assert_rows_score_the_texts(report, fit_delta_reference(reference, 30), texts)
 
 
@@ -513,10 +552,10 @@ def test_a_point_in_a_backend_reply_is_stripped_where_it_enters(tmp_path):
         encoding="utf-8",
     )
     backend = BackendSpec("external-command", shlex.join([sys.executable, str(script)]))
-    options = StageOptions(chain=("de",))
     configs = [
-        PipelineConfig(i, seed=1, payload="AB", translation_backend=backend,
-                       options=options)
+        PipelineConfig(
+            i, seed=1, payload="AB", translation_backend=backend, chain=("de",)
+        )
         for i in (2, 10)
     ]
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
@@ -677,8 +716,7 @@ def test_matrix_translation_failure_reported_before_imitation(monkeypatch):
     trained = count_calls(monkeypatch, transforms, "train_style_model")
     backend = BackendSpec(kind="external-command", target="false")
     config = PipelineConfig(
-        id=4, seed=1, translation_backend=backend,
-        options=StageOptions(chain=("de",)),
+        id=4, seed=1, translation_backend=backend, chain=("de",)
     )
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     report = run_matrix(candidate, small_reference(), [config], k=30)
@@ -837,7 +875,7 @@ def test_load_matrix_spec_and_run(tmp_path):
     spec = load_matrix_spec(write_run_dir(tmp_path))
     assert [c.id for c in spec["configs"]] == [3, 8]
     assert spec["k"] == 30
-    assert spec["configs"][0].options.substitution_rate == 0.4
+    assert spec["configs"][0].substitution_rate == 0.4
     assert spec["configs"][0].seed == 21
     report = run_matrix(
         spec["candidate"], spec["reference"], list(spec["configs"]), k=spec["k"]
@@ -879,7 +917,7 @@ def test_load_matrix_spec_takes_chain_from_the_top_level(tmp_path):
     raw = json.loads(run_file.read_text())
     raw["chain"] = ["de", "fr"]
     run_file.write_text(json.dumps(raw), encoding="utf-8")
-    assert load_matrix_spec(run_file)["configs"][0].options.chain == ("de", "fr")
+    assert load_matrix_spec(run_file)["configs"][0].chain == ("de", "fr")
 
 
 def test_load_matrix_spec_keeps_crlf(tmp_path):
@@ -910,19 +948,21 @@ def test_load_matrix_spec_refuses_a_non_finite_number(tmp_path, number):
 
 
 def test_run_file_options_are_the_stage_options_except_chain():
-    names = set(StageOptions._fields) - {"chain"}
+    names = {"substitution_rate", "punctuation_jitter", "imitation_ratio", "model_order"}
     assert set(pipeline._OPTION_TYPES) == names
 
 
 @pytest.mark.parametrize(
     "value, changes",
     [
-        (StageOptions(), {"imitation_ratio": 2}),
+        (PipelineConfig(1), {"imitation_ratio": 2}),
         (PipelineConfig(1), {"id": 99}),
         (PipelineConfig(1), {"payload": "A B"}),
         (transforms.BackendSpec("http", "http://x"), {"timeout": -1}),
     ],
-    ids=["StageOptions", "PipelineConfig", "PipelineConfig-payload", "BackendSpec"],
+    ids=[
+        "PipelineConfig-option", "PipelineConfig", "PipelineConfig-payload", "BackendSpec"
+    ],
 )
 def test_replace_is_checked_like_the_constructor(value, changes):
     with pytest.raises(DataError) as built:

@@ -352,3 +352,6 @@ def test_secret_units_report_first_unsupported_character():
     with pytest.raises(zwcodec.UnsupportedCharacter) as exc:
         secret_units("AB?C!?")
     assert (exc.value.position, exc.value.char) == (2, "?")
+    with pytest.raises(zwcodec.UnsupportedCharacter) as exc:
+        secret_units("SI\u0131")  # dotless i uppercases to I
+    assert (exc.value.position, exc.value.char) == (2, "\u0131")

@@ -72,6 +72,14 @@ def test_encode_uppercases_input():
     assert encode_message("ab") == encode_message("AB")
 
 
+@pytest.mark.parametrize("char", ["\u0131", "\u017f"])
+def test_encode_rejects_a_letter_that_uppercases_into_a_z(char):
+    assert char.upper() in "IS"
+    with pytest.raises(UnsupportedCharacter) as exc:
+        encode_message("AB" + char)
+    assert (exc.value.position, exc.value.char) == (2, char)
+
+
 def test_encode_strict_rejects_non_letters():
     with pytest.raises(UnsupportedCharacter) as exc:
         encode_message("A!B")
