@@ -387,8 +387,9 @@ def build_parser() -> _Parser:
 
     p = add("transform", cmd_transform, "apply one stage or a whole numbered config")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--stage", choices=("translation", "imitation", "obfuscation"))
-    p.add_argument("--config-id", type=int, help="run pipeline config 1..15 instead")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--stage", choices=("translation", "imitation", "obfuscation"))
+    which.add_argument("--config-id", type=int, help="run pipeline config 1..15 instead")
     p.add_argument("--style-source", help="training text for the imitation stage")
     for flag, name, keywords in _GRID_FLAGS:
         p.add_argument(flag, dest=name, default=argparse.SUPPRESS, **keywords)

@@ -20,12 +20,13 @@ steganography.  A stage is seeded by the stages run so far
 prefixes: stripped, config x + 8 is config x, and config 8 the candidate.
 
 A node is its text: translation, imitation and obfuscation share one
-function, :func:`_shaped`, and :func:`run_matrix` runs each of their nodes
-once.  Steganography runs last and no config extends it, so it is the
-trie's leaf, the first-word edits of
+function, :func:`_shaped`.  Steganography runs last and no config extends
+it, so it is the trie's leaf, the first-word edits of
 :func:`~stylocloak.weaver.embed_linewise` (the weaver alone cuts lines),
-and the only stage that drops payload letters.  ``run_matrix`` scores each
-node once, and each leaf from its parent's counts and its edits.
+and the only stage that drops payload letters.  One generator, :func:`_walk`,
+walks the trie and runs each leaf; :func:`run_matrix` and
+:func:`apply_config` both read it.  ``run_matrix`` scores each node once,
+and each leaf from its parent's counts and its edits.
 
 Zero-width content is handled once, where text enters: :func:`apply_config`
 strips the text it transforms on entry, :func:`run_matrix` strips the
@@ -163,10 +164,11 @@ def apply_config(
     fails on its input raises :class:`StageError`; any other exception is
     a bug and propagates as is.
     """
-    text = _run_stages(strip_zero_width(text)[0], config, imitation_source, {})[1]
-    if config.stages[-1] == "steganography":
-        return weaver.embed_linewise(text, config.payload)
-    return text, 0
+    walk = _walk(strip_zero_width(text)[0], [config], imitation_source)
+    [(_, _, result, edits, dropped)] = walk
+    if isinstance(result, StageError):
+        raise result from result.cause
+    return weaver._spliced(result, edits), dropped
 
 
 def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model) -> str:
@@ -186,20 +188,19 @@ def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model) -> 
     return transforms.obfuscate(text, seed, rate, jitter)
 
 
-def _run_stages(
-    text: str, config: PipelineConfig, imitation_source: str | None, memo: dict
-) -> tuple[tuple, str]:
-    """The config's last shaping node, from a stripped text: its key and text.
+def _walk(text: str, configs, imitation_source: str | None):
+    """Walk the configs' trie from a stripped text: one tuple per config.
 
-    A trie node is its text.  ``memo``, kept for one input text and
-    imitation source, maps each shaping node to its text, or to the
-    StylocloakError its stage raised, keyed by the prefix and every config
-    field but id and payload, and each style model by its order.  The
-    key of the root, the input text itself, is ``()``.  Steganography, the
-    trie's leaf, is left to the caller: it runs per config and never fails,
-    since no shaping node holds a zero-width point.
+    Each is ``(config, node, result, edits, dropped)``: the key of the
+    config's last shaping node and its text, or the :class:`StageError` of
+    the stage that failed; then, for a config ending in steganography, the
+    leaf's word edits and the payload letters it dropped, else ``()`` and 0.
+    A node is keyed by its prefix and every config field but id and payload,
+    the root by ``()``; each runs once per walk, as does each style model,
+    keyed by its order.  The leaf never fails: no shaping node holds a point.
     """
     source = text if imitation_source is None else imitation_source
+    memo: dict = {}
 
     def model(order: int) -> StyleModel:
         if order not in memo:
@@ -207,24 +208,25 @@ def _run_stages(
             memo[order] = transforms.train_style_model(clean, order)
         return memo[order]
 
-    node = ()
-    fields = (config.seed, *config[3:])  # every field but id and payload
-    for depth, stage in enumerate(config.stages, 1):
-        if stage == "steganography":
-            break
-        node = (config.stages[:depth], fields)
-        result = memo.get(node)
-        if result is None:
-            seed = stage_seed(config.seed, node[0])
-            try:
-                result = _shaped(stage, text, config, seed, model)
-            except StylocloakError as exc:
-                result = exc
-            memo[node] = result
-        if isinstance(result, StylocloakError):
-            raise StageError(stage, result) from result
-        text = result
-    return node, text
+    for config in configs:
+        stages = config.stages
+        leaf = stages[-1] == "steganography"
+        node, result = (), text
+        for depth, stage in enumerate(stages[:-1] if leaf else stages, 1):
+            node = (stages[:depth], (config.seed, *config[3:]))
+            if node not in memo:
+                seed = stage_seed(config.seed, node[0])
+                try:
+                    memo[node] = _shaped(stage, result, config, seed, model)
+                except StylocloakError as exc:
+                    memo[node] = StageError(stage, exc)
+            result = memo[node]
+            if isinstance(result, StageError):
+                break
+        edits, dropped = (), 0
+        if leaf and not isinstance(result, StageError):
+            edits, dropped = weaver._woven_words(result, config.payload)
+        yield config, node, result, edits, dropped
 
 
 def _woven_counts(
@@ -300,39 +302,35 @@ def run_matrix(
     base = clean if strip else candidate
     base_counts = _axis_counts(fitted, base.tokens())
     base_report = _scored(fitted, *base_counts)
-    # Each node's measured counts and score, keyed as _run_stages keys it.
+    # Each node's measured counts and score, keyed as _walk keys it.
     scores = {}
     if base.text == clean.text:
         scores[()] = base_counts, base_report
-    memo: dict = {}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
     overflows: list[dict] = []
-    for config in configs:
-        try:
-            node, text = _run_stages(clean.text, config, imitation_source, memo)
-        except StageError as exc:
+    walk = _walk(clean.text, configs, imitation_source)
+    for config, node, result, edits, dropped in walk:
+        if isinstance(result, StageError):
             errors.append(
                 {
                     "config": config.id,
-                    "stage": exc.stage,
+                    "stage": result.stage,
                     "status": "aborted",
-                    "error": str(exc.cause),
+                    "error": str(result.cause),
                 }
             )
             continue
         if node not in scores:
-            counts = _axis_counts(fitted, tokenize(text))
+            counts = _axis_counts(fitted, tokenize(result))
             scores[node] = counts, _scored(fitted, *counts)
         counts, adv_report = scores[node]
-        if config.stages[-1] == "steganography":
-            edits, dropped = weaver._woven_words(text, config.payload)
-            if dropped:
-                overflows.append(
-                    {"config": config.id, "stage": "steganography", "dropped": dropped}
-                )
-            if not strip:
-                adv_report = _scored(fitted, *_woven_counts(fitted, counts, edits))
+        if dropped:
+            overflows.append(
+                {"config": config.id, "stage": "steganography", "dropped": dropped}
+            )
+        if edits and not strip:
+            adv_report = _scored(fitted, *_woven_counts(fitted, counts, edits))
         for author in sorted(base_report.deltas):
             rows.append(
                 MatrixRow(

@@ -140,6 +140,17 @@ def _woven_words(
     return edits, len(units) - len(edits)
 
 
+def _spliced(text: str, edits) -> str:
+    """``text`` with each :func:`_woven_words` edit made: its word woven."""
+    pieces = []
+    done = 0
+    for start, word, woven in edits:
+        pieces += text[done:start], woven
+        done = start + len(word)
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
 def embed_linewise(
     text: str, secret: str, strategy: str = "round_robin"
 ) -> tuple[str, int]:
@@ -151,13 +162,7 @@ def embed_linewise(
     and the number of letters dropped.
     """
     edits, dropped = _woven_words(text, secret, strategy)
-    pieces = []
-    done = 0
-    for start, word, woven in edits:
-        pieces += text[done:start], woven
-        done = start + len(word)
-    pieces.append(text[done:])
-    return "".join(pieces), dropped
+    return _spliced(text, edits), dropped
 
 
 def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> str:

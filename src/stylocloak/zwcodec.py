@@ -7,9 +7,9 @@ B=1 -> "1", ..., Z=25 -> "11001"); letters are delimited by the separator,
 so variable-length codes need no prefix property.  The code points and the
 codebook are fixed: :data:`POINTS` and :data:`CODEBOOK`.
 
-No Unicode normalization is ever applied here: NFC/NFKC would destroy
-payloads, so carrier and stream text are treated as raw code-point
-sequences throughout.
+No Unicode normalization is applied here, though the four points and a
+woven payload survive all four forms: :func:`strip_zero_width` must give
+back its input's exact code points, so text is raw code points throughout.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from stylocloak.pipeline import CONFIG_STAGES, PipelineConfig
 from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.zwcodec import BIT0, END
 
-from grid_texts import assert_rows_score_the_texts, recorded_grid_texts
+from grid_texts import assert_rows_score_the_texts, grid_texts
 
 
 def run(capsys, *argv):
@@ -361,8 +361,8 @@ def test_transform_config_id_equals_the_grid(capsys, tmp_path):
     configs = [PipelineConfig(id=i, seed=3, payload="KEY") for i in sorted(CONFIG_STAGES)]
     document = styloscope.Document(id="cand", text=text)
     reference = styloscope.load_corpus(corpus_dir)
-    with recorded_grid_texts() as texts:
-        report = pipeline.run_matrix(document, reference, configs, k=30)
+    report = pipeline.run_matrix(document, reference, configs, k=30)
+    texts = grid_texts(document, configs)
     assert not report.errors
     assert [config for config, _ in texts] == configs
     fitted = styloscope.fit_delta_reference(reference, 30)
@@ -1072,6 +1072,8 @@ def test_usage_error_exits_1(capsys):
     capsys.readouterr()
     assert dispatch(["weave"]) == 1  # missing required --word
     capsys.readouterr()
+    assert dispatch(["transform", "-", "--stage", "imitation", "--config-id", "3"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
     assert dispatch([]) == 1
 
 

@@ -28,7 +28,7 @@ from stylocloak.synthcorpus import STYLE_A, candidate_for, two_author_corpus
 from stylocloak.transforms import BackendSpec
 from stylocloak.zwcodec import strip_zero_width
 
-from grid_texts import assert_rows_score_the_texts, recorded_grid_texts
+from grid_texts import assert_rows_score_the_texts, grid_texts
 
 SAMPLE = (
     "The big house stood near the quiet river. You walked there slowly.\n"
@@ -438,12 +438,35 @@ def test_matrix_runs_each_stage_prefix_once(monkeypatch):
     }
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    text=CANDIDATE_TEXTS,
+    seed=st.integers(-(2**63), 2**63),
+    payload=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=12),
+)
+def test_each_leaf_edit_weaves_the_word_it_replaces(text, seed, payload):
+    text = strip_zero_width(text)[0]
+    configs = [PipelineConfig(i, seed, payload) for i in sorted(CONFIG_STAGES)]
+    for config, _, result, edits, dropped in pipeline._walk(text, configs, None):
+        if isinstance(result, StageError):
+            continue  # a text too short to train on aborts imitation
+        for start, word, woven in edits:
+            assert result[start : start + len(word)] == word
+            assert strip_zero_width(woven)[0] == word
+        if config.stages[-1] == "steganography":
+            leaf = weaver._spliced(result, edits)
+            assert (leaf, dropped) == weaver.embed_linewise(result, payload)
+            assert strip_zero_width(leaf)[0] == result
+        else:
+            assert (edits, dropped) == ((), 0)
+
+
 def test_apply_config_gives_the_text_run_matrix_scores():
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     reference = small_reference()
     configs = grid_configs()
-    with recorded_grid_texts() as texts:
-        report = run_matrix(candidate, reference, configs, k=30)
+    report = run_matrix(candidate, reference, configs, k=30)
+    texts = grid_texts(candidate, configs)
     assert not report.errors
     assert texts == [
         (config, apply_config(candidate.text, config)[0]) for config in configs
@@ -512,8 +535,8 @@ def test_configs_with_other_settings_share_no_stage_run(tmp_path, field):
     other = {**OTHER_SETTINGS, "translation_backend": logging}
     twin = base._replace(**{field: other[field]})
     configs = [base, twin._replace(id=15)]
-    with recorded_grid_texts() as texts:
-        report = run_matrix(candidate, reference, configs, k=30)
+    report = run_matrix(candidate, reference, configs, k=30)
+    texts = grid_texts(candidate, configs)
     assert [config for config, _ in texts] == configs
     stripped = [strip_zero_width(text)[0] for _, text in texts]
     assert stripped[1] == apply_config(candidate.text, twin)[0]
@@ -560,8 +583,8 @@ def test_a_point_in_a_backend_reply_is_stripped_where_it_enters(tmp_path):
     ]
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     reference = small_reference()
-    with recorded_grid_texts() as texts:
-        report = run_matrix(candidate, reference, configs, k=30)
+    report = run_matrix(candidate, reference, configs, k=30)
+    texts = grid_texts(candidate, configs)
     assert report.errors == ()
     assert [row.config for row in report.rows] == [2, 2, 10, 10]
     (_, translated), (_, woven) = texts
@@ -798,8 +821,8 @@ def test_a_candidate_with_points_scores_its_leaves_from_its_stripped_text():
     woven, _ = weaver.embed_linewise(clean.text, "ZZZZ")
     candidate = Document(id="dirty", text=woven)
     configs = grid_configs()
-    with recorded_grid_texts() as texts:
-        report = run_matrix(candidate, reference, configs, k=30)
+    report = run_matrix(candidate, reference, configs, k=30)
+    texts = grid_texts(candidate, configs)
     assert texts[7] == (configs[7], apply_config(clean.text, configs[7])[0])
     assert_rows_score_the_texts(report, fit_delta_reference(reference, 30), texts)
 

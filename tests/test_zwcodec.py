@@ -1,11 +1,12 @@
 import json
 import string
+import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stylocloak import zwcodec
+from stylocloak import weaver, zwcodec
 from stylocloak.zwcodec import (
     BIT0,
     BIT1,
@@ -311,3 +312,17 @@ def test_file_round_trip_preserves_crlf_and_payload(tmp_path):
     zwcodec.write_text_file(target, text)
     assert zwcodec.read_text_file(target) == text
     assert target.read_bytes().count(b"\r\n") == 2
+
+
+@pytest.mark.parametrize("form", ["NFC", "NFD", "NFKC", "NFKD"])
+def test_normalization_keeps_the_points_and_a_woven_payload(form):
+    # The package does not normalize because strip must give back the
+    # input's code points, not because a form would destroy a payload.
+    assert all(unicodedata.normalize(form, point) == point for point in POINTS)
+    cover = "caf\u00e9 au lait\r\nna\u00efve line\n\u00e9t\u00e9 \ufb01n\n"
+    woven, dropped = weaver.embed_linewise(cover, "KEY")
+    assert dropped == 0
+    normalized = unicodedata.normalize(form, woven)
+    assert normalized != woven or form == "NFC"
+    assert weaver.extract_from_text(normalized) == "KEY"
+    assert strip_zero_width(normalized)[0] == unicodedata.normalize(form, cover)
