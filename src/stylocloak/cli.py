@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (malformed stream, bad
 corpus, bad config, unreadable or undecodable input), 3 external backend
-failure; any other error is a bug and ends in a traceback.  Machine-readable
+failure; any other error is a bug and ends in a traceback.  ``decode``
+reads one stream, up to the first end marker, and warns about the rest;
+``extract-lines`` decodes every stream of each line, in order.  Machine-readable
 output goes to stdout, diagnostics to stderr.  Raw encoded streams are
 written as real zero-width code points; pass --escaped to render them as
 U+XXXX for terminals that mangle invisibles.

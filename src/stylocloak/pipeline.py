@@ -44,7 +44,7 @@ import hashlib
 import io
 import json
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from . import DataError, StylocloakError, _CheckedTuple, check_json_object
@@ -241,8 +241,10 @@ def _woven_counts(
     they equal a count of the woven text exactly.
     """
     counts, total = parent
-    gone, n_gone = _axis_counts(fitted, tokenize(" ".join(e[1] for e in edits)))
-    new, n_new = _axis_counts(fitted, tokenize(" ".join(e[2] for e in edits)))
+    words = Counter(tokenize(" ".join(e[1] for e in edits)))
+    woven = Counter(tokenize(" ".join(e[2] for e in edits)))
+    gone, n_gone = _axis_counts(fitted, words)
+    new, n_new = _axis_counts(fitted, woven)
     return [c - g + n for c, g, n in zip(counts, gone, new)], total - n_gone + n_new
 
 
@@ -283,7 +285,8 @@ def run_matrix(
     The reference columns come from the untransformed candidate, so they are
     constant across configs for each author.  With ``strip`` the candidate,
     the reference and each transformed text are measured as stripped copies;
-    without it the caller's own documents are scored, token caches and all.
+    without it the caller's own documents are scored, each from its cached
+    bag of words, so a reference reused across calls is counted once.
     The reference is fitted once, and each style model and stage prefix
     runs at most once per call.  Each trie node is scored once, from its
     axis-word counts; the root reuses the base score's counts when the
@@ -300,7 +303,7 @@ def run_matrix(
     clean = candidate.stripped()
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
     base = clean if strip else candidate
-    base_counts = _axis_counts(fitted, base.tokens())
+    base_counts = _axis_counts(fitted, base.counts())
     base_report = _scored(fitted, *base_counts)
     # Each node's measured counts and score, keyed as _walk keys it.
     scores = {}
@@ -322,7 +325,7 @@ def run_matrix(
             )
             continue
         if node not in scores:
-            counts = _axis_counts(fitted, tokenize(result))
+            counts = _axis_counts(fitted, Counter(tokenize(result)))
             scores[node] = counts, _scored(fitted, *counts)
         counts, adv_report = scores[node]
         if dropped:

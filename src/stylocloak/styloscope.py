@@ -55,21 +55,21 @@ def default_function_words() -> tuple[str, ...]:
 
 
 class Document:
-    """A text unit with an optional author label and a cached tokenization.
+    """A text unit with an optional author label and its cached bag of words.
 
-    Documents compare equal by id, text and author, and leave the token
-    cache out of comparison and ``repr``.  They are mutable, so unhashable.
-    A class, not a named tuple like the other values: the cache is filled
-    on first use, so a reference reused across grids tokenizes once.
+    Documents compare equal by id, text and author, and leave the bag out
+    of comparison and ``repr``.  They are mutable, so unhashable.  A class,
+    not a named tuple like the other values: the bag is counted on first
+    use, so a reference reused across grids counts each text once.
     """
 
-    __slots__ = ("id", "text", "author", "_tokens")
+    __slots__ = ("id", "text", "author", "_counted")
 
     def __init__(self, id: str, text: str, author: str | None = None):
         self.id = id
         self.text = text
         self.author = author
-        self._tokens: list[str] | None = None
+        self._counted: tuple[str, Counter] | None = None
 
     def __repr__(self) -> str:
         return f"Document(id={self.id!r}, text={self.text!r}, author={self.author!r})"
@@ -79,10 +79,15 @@ class Document:
             return NotImplemented
         return (self.id, self.text, self.author) == (other.id, other.text, other.author)
 
-    def tokens(self) -> list[str]:
-        if self._tokens is None:
-            self._tokens = tokenize(self.text)
-        return self._tokens
+    def counts(self) -> Counter:
+        """The text's bag of words: each token of :func:`tokenize` and its count.
+
+        Counted on first use, and again once ``text`` is another string than
+        the one counted.  Callers read the bag and do not change it.
+        """
+        if self._counted is None or self._counted[0] is not self.text:
+            self._counted = self.text, Counter(tokenize(self.text))
+        return self._counted[1]
 
     def stripped(self) -> Document:
         """A copy of this document with its zero-width content removed."""
@@ -158,14 +163,22 @@ def _tfidf(
         yield doc_id, {t: c * idf[t] for t, c in counts.items() if t in idf}
 
 
+def _window_counts(text: str, n: int) -> Counter:
+    """Each window of ``n`` consecutive characters of ``text``, with its count.
+
+    The windows are read by zipping ``n`` views of the text shifted by
+    0..n-1 characters and joining each tuple: ``zip`` reuses its tuple, so
+    no slice object is made per position.
+    """
+    return Counter(map("".join, zip(*[text[i:] for i in range(n)])))
+
+
 def _char_ngram_counts(
     corpus: Corpus, n_min: int, n_max: int
 ) -> dict[str, dict[str, int]]:
     """Each document's n-gram counts, every n in [n_min, n_max] in one dict.
 
-    Only the ``n_max``-grams are read from the text, by zipping ``n_max``
-    views of it shifted by 0..n_max-1 characters and joining each tuple:
-    ``zip`` reuses its tuple, so no slice object is made per position.
+    Only the ``n_max``-grams are read from the text (:func:`_window_counts`).
     Every shorter n-gram but the last is the ``n``-prefix of the (n+1)-gram
     that starts where it does, so each shorter level is folded from the
     level above it, plus one for the n-gram at ``len(text) - n``, which
@@ -182,8 +195,7 @@ def _char_ngram_counts(
     for doc in corpus.documents:
         text = doc.text.lower()
         size = len(text)
-        views = [text[i:] for i in range(n_max)]
-        level = Counter(map("".join, zip(*views)))
+        level = _window_counts(text, n_max)
         counts = dict(level)
         for n in range(n_max - 1, n_min - 1, -1):
             shorter = {}
@@ -210,21 +222,22 @@ def _special_char_counts(corpus: Corpus) -> dict[str, Counter]:
 def function_word_frequencies(doc: Document) -> dict[str, float]:
     """Occurrences per 1000 tokens for every word on the function-word list."""
     words = default_function_words()
-    tokens = doc.tokens()
-    if not tokens:
+    counts = doc.counts()
+    if not counts:
         return {w: 0.0 for w in words}
-    counts = Counter(tokens)
-    scale = 1000.0 / len(tokens)
+    scale = 1000.0 / counts.total()
     return {w: counts.get(w, 0) * scale for w in words}
 
 
 def token_length_stats(doc: Document) -> tuple[float, dict[int, float]]:
     """Mean code points per token, and the token-length distribution."""
-    tokens = doc.tokens()
-    if not tokens:
+    counts = doc.counts()
+    if not counts:
         return 0.0, {}
-    lengths = Counter(map(len, tokens))
-    total = len(tokens)
+    lengths: Counter = Counter()
+    for word, count in counts.items():
+        lengths[len(word)] += count
+    total = counts.total()
     histogram = {n: c / total for n, c in sorted(lengths.items())}
     avg = sum(n * c for n, c in lengths.items()) / total
     return avg, histogram
@@ -236,13 +249,12 @@ def vocabulary_richness(doc: Document) -> float:
     With no dis legomena the denominator is taken as 1, keeping the ratio
     finite for texts that never repeat a word exactly twice.
     """
-    tokens = doc.tokens()
-    if not tokens:
+    counts = doc.counts()
+    if not counts:
         return 0.0
-    counts = Counter(tokens)
     hapax = sum(1 for c in counts.values() if c == 1)
     dis = sum(1 for c in counts.values() if c == 2)
-    return (hapax / (dis or 1)) / len(tokens)
+    return (hapax / (dis or 1)) / counts.total()
 
 
 def _feature_vector(doc: Document, ngram_vec, special_vec) -> dict:
@@ -335,14 +347,15 @@ def _z_scores(counts: list[int], total: int, means, stds) -> tuple[float, ...]:
 def fit_delta_reference(reference: Corpus, k: int = _DELTA_K) -> DeltaReference:
     """Fit the reference side of Burrows' Delta once, for any number of scores.
 
-    Each reference document's function words are counted once, as a row of
-    counts.  The k words with the largest column sums (ties broken by the
-    word) form the axis.  Each axis word's per-1000 frequency in every
-    document gives a corpus-wide mean and population standard deviation; a
-    word whose frequency is the same in every document is dropped.  An
-    author's profile is the frequencies of its concatenated documents, from
-    the sums of their rows and token counts, z-scored against those
-    statistics.
+    Each reference document's function words are read from its cached bag
+    of words (:meth:`Document.counts`), as a row of counts, so a reference
+    fitted again is not counted again.  The k words with the largest column
+    sums (ties broken by the word) form the axis.  Each axis word's per-1000
+    frequency in every document gives a corpus-wide mean and population
+    standard deviation; a word whose frequency is the same in every document
+    is dropped.  An author's profile is the frequencies of its concatenated
+    documents, from the sums of their rows and token counts, z-scored
+    against those statistics.
     """
     if k < 1:
         raise DataError("k must be >= 1")
@@ -358,9 +371,9 @@ def fit_delta_reference(reference: Corpus, k: int = _DELTA_K) -> DeltaReference:
     rows = []
     sizes = []
     for doc in reference.documents:
-        tokens = doc.tokens()
-        rows.append(list(map(Counter(tokens).get, words, repeat(0))))
-        sizes.append(len(tokens))
+        counts = doc.counts()
+        rows.append(list(map(counts.get, words, repeat(0))))
+        sizes.append(counts.total())
     totals = list(map(sum, zip(*rows)))
     axis = sorted(range(len(words)), key=lambda i: (-totals[i], words[i]))[:k]
     doc_freqs = [
@@ -395,9 +408,9 @@ def fit_delta_reference(reference: Corpus, k: int = _DELTA_K) -> DeltaReference:
     )
 
 
-def _axis_counts(fitted: DeltaReference, tokens: list[str]) -> tuple[list[int], int]:
-    """A text's count of each fitted word, and its token total, from its tokens."""
-    return list(map(Counter(tokens).get, fitted.words, repeat(0))), len(tokens)
+def _axis_counts(fitted: DeltaReference, counts: Counter) -> tuple[list[int], int]:
+    """A text's count of each fitted word, and its token total, from its bag."""
+    return list(map(counts.get, fitted.words, repeat(0))), counts.total()
 
 
 def _scored(fitted: DeltaReference, counts: list[int], total: int) -> DeltaReport:
@@ -424,7 +437,7 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
     a caller that knows those counts scores them with :func:`_scored` and
     gets the same floats.
     """
-    return _scored(fitted, *_axis_counts(fitted, candidate.tokens()))
+    return _scored(fitted, *_axis_counts(fitted, candidate.counts()))
 
 
 def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:

@@ -28,7 +28,7 @@ from operator import itemgetter, truediv
 
 from . import DataError, StylocloakError, _bundled_text, _CheckedTuple
 from . import check_json_object
-from .styloscope import default_function_words
+from .styloscope import _window_counts, default_function_words
 from .zwcodec import strip_zero_width
 
 # Captured, so that split() keeps the words at the odd indices.
@@ -293,7 +293,7 @@ def train_style_model(corpus_text: str, order: int = 3) -> StyleModel:
         raise CorpusTooSmall(
             f"training text has {size} characters, need more than {order}"
         )
-    counts = Counter(corpus_text[i : i + order + 1] for i in range(size - order))
+    counts = _window_counts(corpus_text, order + 1)
     # Windows of one length sort by context, then by follower, so each
     # context's windows are one index range, as long as its window count.
     windows = sorted(counts)

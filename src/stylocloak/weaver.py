@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from functools import cache
 
 from . import DataError, zwcodec
-from .zwcodec import POINTS, MalformedStream, _point_starts
+from .zwcodec import END, POINTS, MalformedStream, _point_starts
 
 _FIRST_WORD = re.compile(r"\S+")
 _LINE = re.compile(r".*\n|.+")  # without DOTALL, "." is anything but LF
@@ -176,13 +176,17 @@ def embed_into_text(text: str, secret: str, strategy: str = "round_robin") -> st
 def extract_from_text(text: str) -> str:
     """Recover the secret hidden by :func:`embed_linewise`, in line order.
 
+    A line may hold several streams, as when a channel joins carrier lines:
+    each is decoded, in order.  Points after a line's last end marker are a
+    stream cut short, and raise :class:`MalformedStream` naming the line.
+
     The points are found in one pass, then grouped by line with two bisects
-    per carrying line.  Each distinct line stream is decoded once.
+    per carrying line.  Each distinct line of points is decoded once.
     """
     starts = _point_starts(text)
     ends = _line_ends(text)
     stream = "".join(map(text.__getitem__, starts))
-    letters = []
+    found = []
     decoded: dict[str, str] = {}
     first = line = 0
     while first < len(starts):
@@ -190,12 +194,16 @@ def extract_from_text(text: str) -> str:
         line = bisect_right(ends, starts[first], line)
         last = bisect_left(starts, ends[line], first)
         extracted = stream[first:last]
-        letter = decoded.get(extracted)
-        if letter is None:
+        letters = decoded.get(extracted)
+        if letters is None:
+            *streams, tail = extracted.split(END)
             try:
-                letter = decoded[extracted] = zwcodec.decode_stream(extracted)
+                letters = "".join(zwcodec.decode_stream(s + END) for s in streams)
+                if tail:
+                    zwcodec.decode_stream(tail)  # refuses it: it has no end marker
             except MalformedStream as exc:
                 raise MalformedStream(f"line {line + 1}: {exc}") from exc
-        letters.append(letter)
+            decoded[extracted] = letters
+        found.append(letters)
         first = last
-    return "".join(letters)
+    return "".join(found)

@@ -194,6 +194,13 @@ def test_decode_warns_about_the_streams_after_the_first(capsys, tmp_path):
     assert run(capsys, "extract-lines", str(target)) == (0, "MEE\n", "")
 
 
+def test_extract_lines_decodes_every_stream_of_a_joined_line(capsys, tmp_path):
+    woven, _ = weaver.embed_linewise("one two\nthree four\nfive six\n", "KEY")
+    target = tmp_path / "joined.txt"
+    target.write_text(woven.replace("\n", " "), encoding="utf-8")
+    assert run(capsys, "extract-lines", str(target)) == (0, "KEY\n", "")
+
+
 def test_decode_counts_an_unterminated_tail_as_a_stream(capsys, tmp_path):
     target = tmp_path / "stego.txt"
     target.write_text("a" + zwcodec.encode_message("AB") + "b" + BIT0, encoding="utf-8")

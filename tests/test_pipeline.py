@@ -3,6 +3,7 @@ import json
 import shlex
 import sys
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -782,9 +783,9 @@ def test_a_leafs_derived_counts_equal_a_count_of_its_woven_text(cover, payload, 
     seen = sorted(set(tokenize(cover)) | set(tokenize(woven)) | {"absent"})
     words = data.draw(st.lists(st.sampled_from(seen), unique=True))
     fitted = DeltaReference(tuple(words), (), (), {})
-    parent = _axis_counts(fitted, tokenize(cover))
+    parent = _axis_counts(fitted, Counter(tokenize(cover)))
     derived = pipeline._woven_counts(fitted, parent, edits)
-    assert derived == _axis_counts(fitted, tokenize(woven))
+    assert derived == _axis_counts(fitted, Counter(tokenize(woven)))
 
 
 @pytest.mark.parametrize("strip", [False, True])
@@ -811,6 +812,34 @@ def test_a_grid_tokenizes_each_node_once(monkeypatch, strip):
     assert len(texts) == nodes + (0 if strip else 2 * 8)
     assert len(set(texts[:nodes])) == nodes
     assert sum(map(len, texts[nodes:])) < len(candidate.text)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cover=COVERS, seed=st.integers(min_value=0, max_value=3))
+def test_a_second_grid_over_the_same_reference_counts_no_reference_text(cover, seed):
+    reference = two_author_corpus(seed=seed, n_docs=2, chars_per_doc=400)
+    candidate = Document(id="cand", text="the cat sat on it\n" + cover)
+    real = styloscope.tokenize
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in range(2):
+            tokenized = []
+
+            def recording(text, seen=tokenized):
+                seen.append(text)
+                return real(text)
+
+            patch.setattr(styloscope, "tokenize", recording)
+            patch.setattr(pipeline, "tokenize", recording)
+            report = run_matrix(candidate, reference, grid_configs(), k=30)
+            runs.append((emit_report(report), tokenized))
+    (first, once), (second, again) = runs
+    assert second == first
+    for doc in reference.documents:
+        assert (once.count(doc.text), again.count(doc.text)) == (1, 0)
+    # The base is counted once; a node whose text is the candidate's is a
+    # new text, counted on each run.
+    assert again.count(candidate.text) == once.count(candidate.text) - 1
 
 
 def test_a_candidate_with_points_scores_its_leaves_from_its_stripped_text():

@@ -296,6 +296,73 @@ def test_token_length_histogram_sums_to_one(text):
     assert all(v >= 0 for v in hist.values())
 
 
+#: Words for the bag properties: apostrophes, underscores, digits, Greek
+#: with a final capital sigma, Deseret, a combining accent, a dotted capital
+#: I (two code points lowered), CJK, a point inside a word, and a function
+#: word or two.
+BAG_WORDS = [
+    "the", "The", "of", "AND", "a", "don't", "'tis", "O'NEIL's", "it's'",
+    "snake_case", "_init_", "x1", "2024", "cafe\u0301", "caf\u00e9",
+    "\u039f\u0394\u039f\u03a3", "\u03bb\u03cc\u03b3\u03bf\u03c2",
+    "\U00010400\U00010401", "\u0130stanbul", "\u6f22\u5b57", "wo\u200brd", "--",
+]
+bag_texts = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from([" ", "\n", "'", "_", ", ", "\xa0"]),
+                  st.sampled_from(BAG_WORDS)),
+        max_size=40,
+    ).map(lambda pairs: "".join(sep + word for sep, word in pairs)),
+    st.text(max_size=80),
+)
+
+
+def token_list_features(tokens):
+    """The three per-document features from the token list, as earlier
+    releases computed them."""
+    words = default_function_words()
+    if not tokens:
+        return {w: 0.0 for w in words}, (0.0, {}), 0.0
+    counts = Counter(tokens)
+    scale = 1000.0 / len(tokens)
+    frequencies = {w: counts.get(w, 0) * scale for w in words}
+    lengths = Counter(map(len, tokens))
+    histogram = {n: c / len(tokens) for n, c in sorted(lengths.items())}
+    avg = sum(n * c for n, c in lengths.items()) / len(tokens)
+    hapax = sum(1 for c in counts.values() if c == 1)
+    dis = sum(1 for c in counts.values() if c == 2)
+    return frequencies, (avg, histogram), (hapax / (dis or 1)) / len(tokens)
+
+
+@given(bag_texts)
+def test_a_documents_bag_counts_its_tokens_once(text):
+    document = doc(text)
+    bag = document.counts()
+    assert bag == Counter(tokenize(text))
+    assert document.counts() is bag
+
+
+@given(bag_texts)
+def test_per_document_features_equal_their_token_list_definitions(text):
+    document = doc(text)
+    got = (
+        function_word_frequencies(document),
+        token_length_stats(document),
+        vocabulary_richness(document),
+    )
+    # repr tells every float apart, -0.0 included, and shows every key order
+    assert repr(got) == repr(token_list_features(tokenize(text)))
+
+
+def test_a_documents_bag_follows_its_text():
+    document = doc("the cat sat", "amy")
+    assert document.counts() == Counter(["the", "cat", "sat"])
+    document.text = "a dog ran far"
+    fresh = doc("a dog ran far", "amy")
+    assert document == fresh
+    assert document.counts() == fresh.counts() == Counter(tokenize("a dog ran far"))
+    assert function_word_frequencies(document) == function_word_frequencies(fresh)
+
+
 # --- Burrows' Delta ----------------------------------------------------------
 
 def two_author_reference():
@@ -323,10 +390,10 @@ def test_delta_matches_brute_force_oracle():
     report = delta(ref, candidate, k=10)
     expected = oracle_burrows_delta(
         {
-            "amy": [d.tokens() for d in ref.documents if d.author == "amy"],
-            "ben": [d.tokens() for d in ref.documents if d.author == "ben"],
+            "amy": [tokenize(d.text) for d in ref.documents if d.author == "amy"],
+            "ben": [tokenize(d.text) for d in ref.documents if d.author == "ben"],
         },
-        candidate.tokens(),
+        tokenize(candidate.text),
         10,
         words,
     )
@@ -380,10 +447,10 @@ def test_word_every_document_shares_leaves_the_axis():
     assert report.deltas["bob"] == pytest.approx(2.75, abs=1e-9)
     expected = oracle_burrows_delta(
         {
-            "alice": [d.tokens() for d in documents[:5]],
-            "bob": [d.tokens() for d in documents[5:]],
+            "alice": [tokenize(d.text) for d in documents[:5]],
+            "bob": [tokenize(d.text) for d in documents[5:]],
         },
-        candidate.tokens(),
+        tokenize(candidate.text),
         50,
         default_function_words(),
     )
@@ -405,7 +472,7 @@ def _counter_fit(reference, k):
             for w, mean, std in zip(words, means, stds)
         )
 
-    doc_tokens = [d.tokens() for d in reference.documents]
+    doc_tokens = [tokenize(d.text) for d in reference.documents]
     doc_counts = [Counter(tokens) for tokens in doc_tokens]
     total_counts = Counter()
     for counts in doc_counts:
@@ -433,7 +500,9 @@ def _counter_fit(reference, k):
     for d in reference.documents:
         grouped.setdefault(d.author, []).append(d)
     author_z = {
-        author: z_profile([t for d in docs for t in d.tokens()], kept, means, stds)
+        author: z_profile(
+            [t for d in docs for t in tokenize(d.text)], kept, means, stds
+        )
         for author, docs in sorted(grouped.items())
     }
     return (tuple(kept), tuple(means), tuple(stds), author_z), z_profile
@@ -466,7 +535,7 @@ def test_fit_matches_the_counter_fit_float_for_float(authors, candidate_text, k)
     # repr tells every float apart, -0.0 included, and shows every key order
     assert repr(tuple(fitted)) == repr(expected)
     candidate = doc(candidate_text)
-    cand_z = z_profile(candidate.tokens(), *expected[:3])
+    cand_z = z_profile(tokenize(candidate.text), *expected[:3])
     deltas = {
         author: _sum_left(abs(a - c) for a, c in zip(author_z, cand_z)) / len(cand_z)
         for author, author_z in expected[3].items()
@@ -481,7 +550,7 @@ def test_delta_rejects_bad_k():
 
 def test_documents_compare_by_id_text_and_author_and_are_unhashable():
     cached = doc("the cat", "amy", "d")
-    cached.tokens()
+    cached.counts()
     assert cached == doc("the cat", "amy", "d")
     assert cached != doc("the cat", "bob", "d")
     assert Corpus([cached]) == Corpus([doc("the cat", "amy", "d")])

@@ -258,6 +258,12 @@ def groupby_training(corpus_text, order):
     st.one_of(
         st.text(alphabet="ab c.\n", min_size=2, max_size=200),
         st.text(min_size=2, max_size=120),
+        # astral letters and combining marks: windows count code points
+        st.text(
+            alphabet="a \u0301\u0308\u200d\U0001F468\U0001F469\U00010400\u0915\u094d",
+            min_size=2,
+            max_size=120,
+        ),
     ),
     st.integers(min_value=1, max_value=5),
 )

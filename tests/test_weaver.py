@@ -267,6 +267,27 @@ def test_text_round_trip_over_every_line_boundary(lines, secret):
     assert extract_from_text(stego) == secret[:carrying]
 
 
+@given(
+    st.lists(st.tuples(cover_line, st.sampled_from(LINE_BOUNDARIES)), max_size=12),
+    secrets,
+)
+def test_joined_lines_extract_every_embedded_letter(lines, secret):
+    # A channel that joins lines leaves several streams on one line.
+    cover = "".join(text + boundary for text, boundary in lines)
+    woven, dropped = embed_linewise(cover, secret)
+    embedded = secret[: len(secret) - dropped]
+    assert extract_from_text(woven.replace("\n", " ")) == embedded
+
+
+def test_a_partial_stream_after_whole_ones_raises_with_its_line():
+    joined = embed_linewise("one\ntwo\n", "KE")[0].replace("\n", " ")
+    assert extract_from_text("clean\n" + joined) == "KE"
+    with pytest.raises(
+        MalformedStream, match="^line 2: stream does not contain an end marker$"
+    ):
+        extract_from_text("clean\n" + joined + "x" + BIT0 + BIT1)
+
+
 def test_malformed_stream_line_number_counts_every_line_boundary():
     cover = "a\r\nb\x0bc\x1cd\x85e\u2028bro" + BIT0 + "ken\u2029last"
     with pytest.raises(MalformedStream, match="^line 2: "):
@@ -319,13 +340,15 @@ noisy_lines = st.tuples(
 
 
 def extract_per_line(text):
-    """Reference extraction: filter each carrier line, decode its stream."""
+    """Reference extraction: filter each carrier line, decode each of its
+    streams in turn; points after the line's last end marker raise."""
     letters = []
     for number, line in enumerate(carrier_lines(text), start=1):
         stream = "".join(char for char in line if char in zwcodec.POINTS)
-        if stream:
+        while stream:
+            body, end, stream = stream.partition(END)
             try:
-                letters.append(zwcodec.decode_stream(stream))
+                letters.append(zwcodec.decode_stream(body + end))
             except MalformedStream as exc:
                 return "error", f"line {number}: {exc}"
     return "letters", "".join(letters)
