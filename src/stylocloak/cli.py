@@ -105,7 +105,7 @@ def cmd_decode(args) -> int:
         skipped = rest.count(zwcodec.END) + (not rest.endswith(zwcodec.END))
         _warn(
             f"{skipped} stream(s) after the first were not decoded; "
-            "extract-lines decodes one stream per line"
+            "extract-lines decodes every stream"
         )
     return 0
 

@@ -25,14 +25,13 @@ it, so it is the trie's leaf, the first-word edits of
 :func:`~stylocloak.weaver.embed_linewise` (the weaver alone cuts lines),
 and the only stage that drops payload letters.  One generator, :func:`_walk`,
 walks the trie and runs each leaf; :func:`run_matrix` and
-:func:`apply_config` both read it.  ``run_matrix`` scores each node once,
-and each leaf from its parent's counts and its edits.
+:func:`apply_config` both read it.  ``run_matrix`` scores each distinct
+text once, and each leaf from its parent's counts and its edits.
 
-Zero-width content is handled once, where text enters: :func:`apply_config`
-strips the text it transforms on entry, :func:`run_matrix` strips the
-candidate once for all its configs, the imitation source is stripped when
-a style model is first trained, and an external backend's reply as it
-arrives.  ``run_matrix`` with ``strip=True`` also measures that stripped
+Zero-width content is handled once, where text enters: :func:`_walk`
+strips the text it walks on entry and its imitation source when a style
+model is first trained, and an external backend's reply is stripped as it
+arrives, so neither caller strips what it walks.  ``run_matrix`` with ``strip=True`` also measures the stripped
 candidate, and stripped copies of the reference and every transformed
 text, modelling an analyst who sanitizes input first.
 """
@@ -155,17 +154,16 @@ def apply_config(
 ) -> tuple[str, int]:
     """Run the configured stages over the text in canonical order.
 
-    The text is stripped of zero-width content on entry.  The imitation
-    stage trains on ``imitation_source``, stripped, or on the stripped
-    ``text`` (not as translated) when that is None.  An empty stage set
-    strips and changes nothing else.  Returns the text, the one
-    :func:`run_matrix` scores for the config, and the number of payload
-    letters dropped because the carrier ran out of lines.  A stage that
-    fails on its input raises :class:`StageError`; any other exception is
-    a bug and propagates as is.
+    A walk of one config, so the text is stripped of zero-width content on
+    entry.  The imitation stage trains on ``imitation_source``, stripped,
+    or on the stripped ``text`` (not as translated) when that is None.  An
+    empty stage set strips and changes nothing else.  Returns the text,
+    the one :func:`run_matrix` scores for the config, and the number of
+    payload letters dropped because the carrier ran out of lines.  A stage
+    that fails on its input raises :class:`StageError`; any other exception
+    is a bug and propagates as is.
     """
-    walk = _walk(strip_zero_width(text)[0], [config], imitation_source)
-    [(_, _, result, edits, dropped)] = walk
+    [(_, result, edits, dropped)] = _walk(text, [config], imitation_source)
     if isinstance(result, StageError):
         raise result from result.cause
     return weaver._spliced(result, edits), dropped
@@ -189,16 +187,17 @@ def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model) -> 
 
 
 def _walk(text: str, configs, imitation_source: str | None):
-    """Walk the configs' trie from a stripped text: one tuple per config.
+    """Walk the configs' trie from ``text``, stripped: one tuple per config.
 
-    Each is ``(config, node, result, edits, dropped)``: the key of the
-    config's last shaping node and its text, or the :class:`StageError` of
-    the stage that failed; then, for a config ending in steganography, the
-    leaf's word edits and the payload letters it dropped, else ``()`` and 0.
-    A node is keyed by its prefix and every config field but id and payload,
-    the root by ``()``; each runs once per walk, as does each style model,
-    keyed by its order.  The leaf never fails: no shaping node holds a point.
+    Each is ``(config, result, edits, dropped)``: the text of the config's
+    last shaping node, or the :class:`StageError` of the stage that failed;
+    then, for a config ending in steganography, the leaf's word edits and
+    the payload letters it dropped, else ``()`` and 0.  A node is keyed by
+    its prefix and every config field but id and payload; each runs once
+    per walk, as does each style model, keyed by its order.  The leaf never
+    fails: no shaping node holds a point.
     """
+    text = strip_zero_width(text)[0]
     source = text if imitation_source is None else imitation_source
     memo: dict = {}
 
@@ -211,7 +210,7 @@ def _walk(text: str, configs, imitation_source: str | None):
     for config in configs:
         stages = config.stages
         leaf = stages[-1] == "steganography"
-        node, result = (), text
+        result = text
         for depth, stage in enumerate(stages[:-1] if leaf else stages, 1):
             node = (stages[:depth], (config.seed, *config[3:]))
             if node not in memo:
@@ -226,7 +225,7 @@ def _walk(text: str, configs, imitation_source: str | None):
         edits, dropped = (), 0
         if leaf and not isinstance(result, StageError):
             edits, dropped = weaver._woven_words(result, config.payload)
-        yield config, node, result, edits, dropped
+        yield config, result, edits, dropped
 
 
 def _woven_counts(
@@ -288,11 +287,12 @@ def run_matrix(
     without it the caller's own documents are scored, each from its cached
     bag of words, so a reference reused across calls is counted once.
     The reference is fitted once, and each style model and stage prefix
-    runs at most once per call.  Each trie node is scored once, from its
-    axis-word counts; the root reuses the base score's counts when the
-    candidate held no points.  A steganography leaf is scored from its
-    parent's counts and its woven words, never tokenized whole; stripped,
-    it is its parent, and takes its parent's score.  Every score equals
+    runs at most once per call.  The walk strips the candidate on entry.
+    Each distinct text is scored once, from its axis-word counts: a node
+    whose text equals the base's, or an earlier node's, takes that score.
+    A steganography leaf is scored from its parent's counts and its woven
+    words, never tokenized whole; stripped, it is its parent, and takes its
+    parent's score.  Every score equals
     :func:`~stylocloak.styloscope.score_delta` on the config's text, float
     for float.  A config whose stage fails is recorded under ``errors``
     (status "aborted") and the rest of the grid still runs; a failed
@@ -300,20 +300,17 @@ def run_matrix(
     payload cut short by a carrier with too few lines is recorded under
     ``warnings``.
     """
-    clean = candidate.stripped()
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
-    base = clean if strip else candidate
+    base = candidate.stripped() if strip else candidate
     base_counts = _axis_counts(fitted, base.counts())
     base_report = _scored(fitted, *base_counts)
-    # Each node's measured counts and score, keyed as _walk keys it.
-    scores = {}
-    if base.text == clean.text:
-        scores[()] = base_counts, base_report
+    # Each measured text's axis counts and score.
+    scores = {base.text: (base_counts, base_report)}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
     overflows: list[dict] = []
-    walk = _walk(clean.text, configs, imitation_source)
-    for config, node, result, edits, dropped in walk:
+    walk = _walk(candidate.text, configs, imitation_source)
+    for config, result, edits, dropped in walk:
         if isinstance(result, StageError):
             errors.append(
                 {
@@ -324,10 +321,10 @@ def run_matrix(
                 }
             )
             continue
-        if node not in scores:
+        if result not in scores:
             counts = _axis_counts(fitted, Counter(tokenize(result)))
-            scores[node] = counts, _scored(fitted, *counts)
-        counts, adv_report = scores[node]
+            scores[result] = counts, _scored(fitted, *counts)
+        counts, adv_report = scores[result]
         if dropped:
             overflows.append(
                 {"config": config.id, "stage": "steganography", "dropped": dropped}

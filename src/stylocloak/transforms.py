@@ -8,8 +8,8 @@ The builtin stages (synonym-pivot drift, a character Markov chain, sentence
 shuffling) keep everything runnable offline.
 
 Transforms work on the text they are given and know nothing of zero-width
-code points: the grid's one walk, ``stylocloak.pipeline._walk``, runs them on
-a text its callers strip once, and strips its style-model source at training.
+code points: the grid's one walk, ``stylocloak.pipeline._walk``, strips the
+text it walks on entry, and its style-model source at training.
 An external backend's reply, the one text a stage takes from outside, is
 stripped by :func:`call_backend` as it arrives.
 """

@@ -13,10 +13,10 @@ from stylocloak.styloscope import Document, score_delta
 
 def grid_texts(candidate, configs, source=None):
     """``(config, text)`` for each config of the grid that runs, in grid order."""
-    walk = pipeline._walk(candidate.stripped().text, configs, source)
+    walk = pipeline._walk(candidate.text, configs, source)
     return [
         (config, weaver._spliced(result, edits))
-        for config, _, result, edits, _ in walk
+        for config, result, edits, _ in walk
         if not isinstance(result, pipeline.StageError)
     ]
 

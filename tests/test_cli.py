@@ -189,7 +189,7 @@ def test_decode_warns_about_the_streams_after_the_first(capsys, tmp_path):
     assert (code, out) == (0, "M\n")
     assert err == (
         "warning: 2 stream(s) after the first were not decoded; "
-        "extract-lines decodes one stream per line\n"
+        "extract-lines decodes every stream\n"
     )
     assert run(capsys, "extract-lines", str(target)) == (0, "MEE\n", "")
 

@@ -446,9 +446,8 @@ def test_matrix_runs_each_stage_prefix_once(monkeypatch):
     payload=st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=12),
 )
 def test_each_leaf_edit_weaves_the_word_it_replaces(text, seed, payload):
-    text = strip_zero_width(text)[0]
     configs = [PipelineConfig(i, seed, payload) for i in sorted(CONFIG_STAGES)]
-    for config, _, result, edits, dropped in pipeline._walk(text, configs, None):
+    for config, result, edits, dropped in pipeline._walk(text, configs, None):
         if isinstance(result, StageError):
             continue  # a text too short to train on aborts imitation
         for start, word, woven in edits:
@@ -837,9 +836,32 @@ def test_a_second_grid_over_the_same_reference_counts_no_reference_text(cover, s
     assert second == first
     for doc in reference.documents:
         assert (once.count(doc.text), again.count(doc.text)) == (1, 0)
-    # The base is counted once; a node whose text is the candidate's is a
-    # new text, counted on each run.
-    assert again.count(candidate.text) == once.count(candidate.text) - 1
+    # The base is counted once, and a node whose text is the candidate's
+    # takes the base's score.
+    assert again.count(candidate.text) == 0
+
+
+def test_a_node_that_changes_nothing_takes_the_base_score(monkeypatch):
+    # Obfuscating one sentence with no substitutions gives the candidate's
+    # own text, so config 3 and config 11's parent are scored as the base.
+    tokenized = []
+    real = styloscope.tokenize
+
+    def recording(text):
+        tokenized.append(text)
+        return real(text)
+
+    monkeypatch.setattr(styloscope, "tokenize", recording)
+    monkeypatch.setattr(pipeline, "tokenize", recording)
+    reference = two_author_corpus(seed=0, n_docs=2, chars_per_doc=400)
+    candidate = Document(id="cand", text="The cat sat on the mat.\n")
+    configs = pipeline.make_configs([3, 11], {"substitution_rate": 0, "payload": "A"})
+    report = run_matrix(candidate, reference, configs, k=30)
+    assert not report.errors
+    assert tokenized.count(candidate.text) == 1
+    texts = grid_texts(candidate, configs)
+    assert texts[0] == (configs[0], candidate.text)
+    assert_rows_score_the_texts(report, fit_delta_reference(reference, 30), texts)
 
 
 def test_a_candidate_with_points_scores_its_leaves_from_its_stripped_text():

@@ -1,8 +1,11 @@
+import html
 import json
+import re
 import string
 import unicodedata
 
 import pytest
+import regex
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -326,3 +329,34 @@ def test_normalization_keeps_the_points_and_a_woven_payload(form):
     assert normalized != woven or form == "NFC"
     assert weaver.extract_from_text(normalized) == "KEY"
     assert strip_zero_width(normalized)[0] == unicodedata.normalize(form, cover)
+
+
+#: What a posting channel does to a text, and the letters of ``KEY`` that
+#: ``extract_from_text`` still finds after it (README, "Posting channels").
+CHANNELS = {
+    "CRLF to LF": (lambda text: text.replace("\r\n", "\n"), "KEY"),
+    "LF to CRLF": (lambda text: re.sub("(?<!\r)\n", "\r\n", text), "KEY"),
+    "trailing blanks trimmed": (
+        lambda text: re.sub("[ \t]+(?=\r?$)", "", text, flags=re.M), "KEY"
+    ),
+    "space runs collapsed": (lambda text: re.sub(" +", " ", text), "KEY"),
+    "lines joined by a space": (lambda text: " ".join(text.splitlines()), "KEY"),
+    "words re-joined": (lambda text: " ".join(text.split()), "KEY"),
+    "casefold": (str.casefold, "KEY"),
+    "html.escape": (html.escape, "KEY"),
+    "html escape round trip": (lambda text: html.unescape(html.escape(text)), "KEY"),
+    "default ignorables deleted": (
+        lambda text: regex.sub(r"\p{Default_Ignorable_Code_Point}", "", text), ""
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHANNELS)
+def test_a_posting_channel_keeps_the_documented_letters(name):
+    channel, letters = CHANNELS[name]
+    cover = "caf\u00e9 au lait\r\nna\u00efve line\n\u00e9t\u00e9 \ufb01n\n"
+    woven, dropped = weaver.embed_linewise(cover, "KEY")
+    assert dropped == 0
+    posted = channel(woven)
+    assert weaver.extract_from_text(posted) == letters
+    assert strip_zero_width(posted)[0] == channel(cover)
