@@ -305,6 +305,9 @@ def cmd_matrix(args) -> int:
     if args.strip:
         spec["strip"] = True
     report = pipeline.run_matrix(**spec)
+    for error in report.errors:
+        failed = f"stage {error['stage']!r} failed: {error['error']}"
+        _warn(f"config {error['config']}: {failed}")
     for note in report.warnings:
         _warn(f"config {note['config']}: {weaver.SecretOverflow(note['dropped'])}")
     rendered = pipeline.emit_report(report, args.format)

@@ -6,11 +6,9 @@ is exactly the signal Burrows' Delta keys on, which makes the pair a useful
 desk-scale stand-in for an attribution study.  Content vocabulary is drawn
 from the bundled synonym table so the drift transforms always find targets.
 
-Everything is a pure function of its seed, and the draw sequence is part
-of that contract: :func:`make_sentence` takes its picks straight from
-``random.Random.getrandbits``, in exactly the order and number that
-``randint`` and ``choice`` would draw them, so the text for a seed is the
-one those calls give on every supported Python.
+Everything is a pure function of its seed: every pick is drawn as
+:func:`~stylocloak.transforms._below` draws it, so a text rests only on
+``random.Random``'s ``random()`` and ``getrandbits()``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .styloscope import Corpus, Document
-from .transforms import load_synonyms
+from .transforms import _below, load_synonyms
 
 
 def _weighted(pairs: list[tuple[str, int]]) -> tuple[str, ...]:
@@ -100,36 +98,19 @@ STYLE_B = AuthorStyle(
 )
 
 
-def _randbelow(getrandbits, n: int) -> int:
-    """A uniform int in ``range(n)``, 0 for ``n == 0``: exactly
-    ``random.Random._randbelow_with_getrandbits``, which draws
-    ``n.bit_length()`` bits until they fall below ``n``."""
-    if not n:
-        return 0
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def make_sentence(style: AuthorStyle, rng: random.Random) -> str:
     """One sentence in ``style``, drawn from ``rng``.
 
-    It draws exactly what ``rng.randint`` and ``rng.choice`` would: the word
-    count, then per word one ``rng.random()`` and one pick from its pool,
-    then the comma roll and cut, then the terminator.  Picks are taken
-    straight from ``rng.getrandbits`` as ``random.Random`` takes them, so
-    this holds for ``random.Random``, the only generator this package
-    creates.  ``tests/test_synthcorpus.py`` pins it against a reference
-    written with ``randint``, ``random`` and ``choice``.
+    It draws the word count, then per word one ``rng.random()`` and one
+    pick from its pool, then the comma roll and cut, then the terminator.
+    The per-word picks are ``_below``'s loop written inline, for speed.
     """
     random = rng.random
     getrandbits = rng.getrandbits
     low, high = style.min_words, style.max_words
     if high < low:
         raise ValueError(f"empty range for randint({low}, {high})")
-    count = low + _randbelow(getrandbits, high - low + 1)
+    count = low + _below(getrandbits, high - low + 1)
     # Each pool's bit count and length.  A style's empty pool draws 0 bits
     # against length 1, so its pick draws nothing and fails on the index,
     # as choice fails on an empty sequence.
@@ -163,12 +144,12 @@ def make_sentence(style: AuthorStyle, rng: random.Random) -> str:
                 r = getrandbits(k_content)
             append(content[r])
     if count >= 6 and random() < style.comma_rate:
-        cut = 2 + _randbelow(getrandbits, count - 3)
+        cut = 2 + _below(getrandbits, count - 3)
         words[cut] = words[cut] + ","
     sentence = " ".join(words)
     terminators = style.terminators
     return sentence[0].upper() + sentence[1:] + terminators[
-        _randbelow(getrandbits, len(terminators))
+        _below(getrandbits, len(terminators))
     ]
 
 
@@ -178,7 +159,7 @@ def make_text(style: AuthorStyle, seed: int, n_chars: int) -> str:
     lines = []
     current: list[str] = []
     total = 0
-    sentences_in_line = rng.randint(3, 6)
+    sentences_in_line = 3 + _below(rng.getrandbits, 4)
     while total < n_chars:
         sentence = make_sentence(style, rng)
         current.append(sentence)
@@ -186,7 +167,7 @@ def make_text(style: AuthorStyle, seed: int, n_chars: int) -> str:
         if len(current) >= sentences_in_line:
             lines.append(" ".join(current))
             current = []
-            sentences_in_line = rng.randint(3, 6)
+            sentences_in_line = 3 + _below(rng.getrandbits, 4)
     if current:
         lines.append(" ".join(current))
     return "\n".join(lines)

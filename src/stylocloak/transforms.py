@@ -28,11 +28,12 @@ from operator import itemgetter, truediv
 
 from . import DataError, StylocloakError, _bundled_text, _CheckedTuple
 from . import check_json_object
-from .styloscope import _window_counts, default_function_words
+from .styloscope import _TOKEN, _window_counts, default_function_words
 from .zwcodec import strip_zero_width
 
-# Captured, so that split() keeps the words at the odd indices.
-_WORD = re.compile(r"([A-Za-z]+(?:'[A-Za-z]+)*)")
+# The tokenizer's word, captured, so that split() keeps the words at the odd
+# indices: a stage rewrites only whole tokens, and only ASCII ones.
+_WORD = re.compile(f"({_TOKEN.pattern})")
 # The last whitespace character before a word that runs to the end.
 _PARTIAL_WORD = re.compile(r"\s\S+\Z")
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.?!])\s+")
@@ -150,20 +151,34 @@ def _substitution_candidates() -> dict[str, tuple[str, ...]]:
     }
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in ``range(n)``, 0 for ``n == 0``: exactly
+    ``random.Random._randbelow_with_getrandbits``, which draws
+    ``n.bit_length()`` bits until they fall below ``n``."""
+    if not n:
+        return 0
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _substitute(text: str, rng: random.Random, rate: float) -> str:
     """Replace content words with dictionary synonyms at the given rate."""
     if rate <= 0.0:
         return text
     table = _substitution_candidates()
+    getrandbits = rng.getrandbits
     parts = _WORD.split(text)
     for i in range(1, len(parts), 2):
         word = parts[i]
         candidates = table.get(word.lower())
-        if candidates is None:
+        if candidates is None or not word.isascii():
             continue
         if rate < 1.0 and rng.random() >= rate:
             continue
-        parts[i] = _match_case(word, rng.choice(candidates))
+        parts[i] = _match_case(word, candidates[_below(getrandbits, len(candidates))])
     return "".join(parts)
 
 
@@ -329,7 +344,7 @@ def imitate(model: StyleModel, length: int, seed: int = 0) -> str:
         raise ValueError("style model has no transitions")
     rng = random.Random(seed)
     draw = rng.random
-    context = rng.choice(sorted(tables))
+    context = sorted(tables)[_below(rng.getrandbits, len(tables))]
     out = [context]
     for _ in range(length - len(context)):
         table = tables.get(context)
@@ -363,8 +378,9 @@ def obfuscate(
     if chunks and chunks[-1].rstrip()[-1:] not in (".", "?", "!"):
         movable -= 1
     order = list(range(movable))
-    if movable > 1:
-        rng.shuffle(order)
+    for i in range(movable - 1, 0, -1):
+        j = _below(rng.getrandbits, i + 1)
+        order[i], order[j] = order[j], order[i]
     order += list(range(movable, len(chunks)))
     reordered = order != sorted(order)
 

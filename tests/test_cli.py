@@ -923,6 +923,23 @@ def test_matrix_prints_payload_overflow_to_stderr(capsys, tmp_path):
     assert err == "warning: config 8: 2 secret letter(s) exceeded the carrier line count\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_matrix_warns_once_per_aborted_config(capsys, tmp_path, fmt):
+    write_corpus(tmp_path)
+    (tmp_path / "candidate.txt").write_text("", encoding="utf-8")
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [1, 2, 3, 5],
+        "payload": "", "k": 30,
+    }), encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--config", str(run_file), "--format", fmt)
+    assert code == 0
+    failed = "stage 'imitation' failed: training text has 0 characters, need more than 3"
+    assert err == f"warning: config 1: {failed}\nwarning: config 5: {failed}\n"
+    if fmt == "csv":
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "2", "3", "3"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1132,10 +1149,12 @@ NO_FILE = "error: [Errno 2] No such file or directory: ''"
         (["matrix", "--config", "run.json"],
          {"chain": ["de"], "backends": {"translation": {"kind": "http",
                                                         "target": "notaurl"}}},
-         0, "", "unknown url type: 'notaurl'"),
+         0, "warning: config 2: stage 'translation' failed: unknown url type: "
+         "'notaurl'", "unknown url type: 'notaurl'"),
         (["matrix", "--config", "run.json"],
          {"chain": ["de"], "backends": {"translation": "cmd:foo\0bar"}},
-         0, "", "embedded null byte"),
+         0, "warning: config 2: stage 'translation' failed: embedded null byte",
+         "embedded null byte"),
         (["matrix", "--config", "run.json"], {"corpus": "a\u0000b"}, 2,
          "error: embedded null byte", None),
         (["matrix", "--config", "run.json"],

@@ -78,6 +78,40 @@ def test_translate_replaces_content_words_deterministically():
     assert out1 == random.Random(3).choice(table["big"])
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("A big\u00e9 house.", "A big\u00e9 dwelling."),
+        ("The small\u00df cat.", "The small\u00df cat."),
+        # the tokenizer splits at "_" and keeps a digit in the token
+        ("big_data big2", "huge_data big2"),
+        # a KELVIN SIGN lowers to "k", but the token is not ASCII
+        ("A \u212aind man.", "A \u212aind fellow."),
+    ],
+)
+def test_translate_rewrites_only_whole_tokens(text, expected):
+    assert round_trip_translate(text, (), None, 3) == expected
+
+
+TABLE_WORDS = sorted(transforms._substitution_candidates())
+# What joins a word into a longer token: a letter or digit outside A-Z/a-z.
+GLUE = st.one_of(
+    st.sampled_from("0123456789"), st.characters(min_codepoint=128).filter(str.isalnum)
+)
+
+
+@given(
+    st.sampled_from(TABLE_WORDS),
+    GLUE,
+    st.sampled_from(["{g}{w}", "{w}{g}", "{g}'{w}", "{w}'{g}"]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_a_table_word_inside_a_longer_token_stays(word, glue, form, seed):
+    text = f"Zorblatt {form.format(g=glue, w=word)} qixfu."
+    assert round_trip_translate(text, seed=seed) == text
+    assert obfuscate(text, seed=seed, rate=1.0) == text
+
+
 def test_translate_skips_function_words():
     out = round_trip_translate("The big", seed=1)
     assert out.startswith("The ")
@@ -369,11 +403,46 @@ def test_obfuscate_legibility(text, seed):
     assert set(out) <= allowed
 
 
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**64),
+)
+def test_obfuscate_orders_sentences_as_random_shuffle_does(movable, tail, seed):
+    sentences = [f"Sentence {i}." for i in range(movable)]
+    order = list(range(movable))
+    random.Random(seed).shuffle(order)
+    expected = [sentences[i] for i in order] + ["loose tail"] * tail
+    text = " ".join(sentences + ["loose tail"] * tail)
+    out = obfuscate(text, seed=seed, rate=0.0)
+    assert [chunk.strip() for chunk in split_sentences(out)] == expected
+
+
 def test_split_sentences_is_lossless():
     text = "One two.  Three?\nFour! Five no end"
     chunks = split_sentences(text)
     assert "".join(chunks) == text
     assert len(chunks) == 4
+
+
+# --- draws -------------------------------------------------------------------
+
+def test_below_draws_as_randrange_does():
+    # Sizes at the edges of the rejection loop, and one past 64 bits.
+    sizes = [*range(1, 301), *(2**p + d for p in range(9, 65) for d in (-1, 0, 1))]
+    for n in sizes + [2**69 + 0x123456789]:
+        for seed in range(12):
+            mine, stdlib = random.Random(seed), random.Random(seed)
+            draws = [transforms._below(mine.getrandbits, n) for _ in range(3)]
+            assert draws == [stdlib.randrange(n) for _ in range(3)], (n, seed)
+            assert mine.getstate() == stdlib.getstate()
+
+
+def test_below_zero_draws_nothing():
+    rng = random.Random(7)
+    state = rng.getstate()
+    assert transforms._below(rng.getrandbits, 0) == 0
+    assert rng.getstate() == state
 
 
 # --- external backends ---------------------------------------------------------

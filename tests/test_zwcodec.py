@@ -2,6 +2,7 @@ import html
 import json
 import re
 import string
+import textwrap
 import unicodedata
 
 import pytest
@@ -317,12 +318,16 @@ def test_file_round_trip_preserves_crlf_and_payload(tmp_path):
     assert target.read_bytes().count(b"\r\n") == 2
 
 
+#: The cover of the posting-channel tests: accents, a ligature and a CRLF line.
+POSTED_COVER = "caf\u00e9 au lait\r\nna\u00efve line\n\u00e9t\u00e9 \ufb01n\n"
+
+
 @pytest.mark.parametrize("form", ["NFC", "NFD", "NFKC", "NFKD"])
 def test_normalization_keeps_the_points_and_a_woven_payload(form):
     # The package does not normalize because strip must give back the
     # input's code points, not because a form would destroy a payload.
     assert all(unicodedata.normalize(form, point) == point for point in POINTS)
-    cover = "caf\u00e9 au lait\r\nna\u00efve line\n\u00e9t\u00e9 \ufb01n\n"
+    cover = POSTED_COVER
     woven, dropped = weaver.embed_linewise(cover, "KEY")
     assert dropped == 0
     normalized = unicodedata.normalize(form, woven)
@@ -343,6 +348,7 @@ CHANNELS = {
     "lines joined by a space": (lambda text: " ".join(text.splitlines()), "KEY"),
     "words re-joined": (lambda text: " ".join(text.split()), "KEY"),
     "casefold": (str.casefold, "KEY"),
+    "textwrap.fill": (textwrap.fill, "KEY"),
     "html.escape": (html.escape, "KEY"),
     "html escape round trip": (lambda text: html.unescape(html.escape(text)), "KEY"),
     "default ignorables deleted": (
@@ -354,9 +360,23 @@ CHANNELS = {
 @pytest.mark.parametrize("name", CHANNELS)
 def test_a_posting_channel_keeps_the_documented_letters(name):
     channel, letters = CHANNELS[name]
-    cover = "caf\u00e9 au lait\r\nna\u00efve line\n\u00e9t\u00e9 \ufb01n\n"
+    cover = POSTED_COVER
     woven, dropped = weaver.embed_linewise(cover, "KEY")
     assert dropped == 0
     posted = channel(woven)
     assert weaver.extract_from_text(posted) == letters
     assert strip_zero_width(posted)[0] == channel(cover)
+
+
+def test_textwrap_counts_the_points_toward_its_width():
+    woven, _ = weaver.embed_linewise(POSTED_COVER, "KEY")
+    wrapped = textwrap.fill(woven, width=10)
+    assert weaver.extract_from_text(wrapped) == "KEY"
+    assert strip_zero_width(wrapped)[0].startswith("caf\u00e9\nau lait\n")
+    assert textwrap.fill(POSTED_COVER, width=10).startswith("caf\u00e9 au\nlait\n")
+
+
+def test_textwrap_breaking_a_long_woven_word_is_a_malformed_stream():
+    woven, _ = weaver.embed_linewise(POSTED_COVER, "KEY")
+    with pytest.raises(MalformedStream, match="^line 1: "):
+        weaver.extract_from_text(textwrap.fill(woven, width=5))
