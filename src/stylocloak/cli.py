@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (malformed stream, bad
 corpus, bad config, unreadable or undecodable input), 3 external backend
-failure; any other error is a bug and ends in a traceback.  ``decode``
+failure, 141 stdout closed by its reader (``| head``), with no message; any
+other error is a bug and ends in a traceback.  ``decode``
 reads one stream, up to the first end marker, and warns about the rest;
 ``extract-lines`` decodes every stream of each line, in order.  Machine-readable
 output goes to stdout, diagnostics to stderr.  Raw encoded streams are
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 # pipeline, styloscope and transforms are imported by the handlers that run
@@ -431,6 +433,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        raise  # stdout's reader stopped: main's to handle
     except (StylocloakError, OSError, UnicodeError) as exc:
         # Faults in the input, and files or text that cannot be read,
         # decoded or encoded; anything else is a bug and propagates.
@@ -446,7 +450,15 @@ def main() -> None:
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8", errors="surrogateescape")
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader stopped (``| head``): exit as SIGPIPE would, with
+        # stdout on devnull so that the interpreter's flush at exit passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -29,11 +29,11 @@ walks the trie and runs each leaf; :func:`run_matrix` and
 text once, and each leaf from its parent's counts and its edits.
 
 Zero-width content is handled once, where text enters: :func:`_walk`
-strips the text it walks on entry and its imitation source when a style
-model is first trained, and an external backend's reply is stripped as it
-arrives, so neither caller strips what it walks.  ``run_matrix`` with ``strip=True`` also measures the stripped
-candidate, and stripped copies of the reference and every transformed
-text, modelling an analyst who sanitizes input first.
+strips the text it walks and its imitation source on entry, and an external
+backend's reply is stripped as it arrives, so neither caller strips what it
+walks.  ``run_matrix`` with ``strip=True`` also measures stripped copies of
+the candidate, the reference and every transformed text, modelling an
+analyst who sanitizes input first; a clean document is its own copy.
 """
 
 from __future__ import annotations
@@ -194,17 +194,17 @@ def _walk(text: str, configs, imitation_source: str | None):
     then, for a config ending in steganography, the leaf's word edits and
     the payload letters it dropped, else ``()`` and 0.  A node is keyed by
     its prefix and every config field but id and payload; each runs once
-    per walk, as does each style model, keyed by its order.  The leaf never
-    fails: no shaping node holds a point.
+    per walk, as does each style model, keyed by its order and trained on
+    the imitation source (``text`` if None), stripped on entry.  The leaf
+    never fails: no shaping node holds a point.
     """
     text = strip_zero_width(text)[0]
-    source = text if imitation_source is None else imitation_source
+    source = text if imitation_source is None else strip_zero_width(imitation_source)[0]
     memo: dict = {}
 
     def model(order: int) -> StyleModel:
         if order not in memo:
-            clean = strip_zero_width(source)[0]
-            memo[order] = transforms.train_style_model(clean, order)
+            memo[order] = transforms.train_style_model(source, order)
         return memo[order]
 
     for config in configs:
@@ -283,9 +283,9 @@ def run_matrix(
 
     The reference columns come from the untransformed candidate, so they are
     constant across configs for each author.  With ``strip`` the candidate,
-    the reference and each transformed text are measured as stripped copies;
-    without it the caller's own documents are scored, each from its cached
-    bag of words, so a reference reused across calls is counted once.
+    the reference and each transformed text are measured as stripped copies,
+    a clean document being its own; each is scored from its cached bag of
+    words, so a reference reused across calls is counted once.
     The reference is fitted once, and each style model and stage prefix
     runs at most once per call.  The walk strips the candidate on entry.
     Each distinct text is scored once, from its axis-word counts: a node
@@ -367,7 +367,8 @@ def render_table(
     """Render records as CSV or as a Markdown table.
 
     ``columns`` holds one (record key, Markdown heading, format spec) triple
-    per column; the key doubles as the CSV header.
+    per column; the key doubles as the CSV header.  A ``|`` in a Markdown
+    cell is written ``\\|``, as GFM tables escape it.
     """
     cells = [[format(r[key], spec) for key, _, spec in columns] for r in records]
     if fmt == "csv":
@@ -381,7 +382,8 @@ def render_table(
             "| " + " | ".join(heading for _, heading, _ in columns) + " |",
             "|" + "---|" * len(columns),
         ]
-        lines += ["| " + " | ".join(row) + " |" for row in cells]
+        for row in cells:
+            lines.append("| " + " | ".join(c.replace("|", r"\|") for c in row) + " |")
         return "\n".join(lines) + "\n"
     # the CLI offers only these formats, so another one is a caller's bug
     raise ValueError(f"unknown report format {fmt!r}")

@@ -23,7 +23,7 @@ import re
 import string
 from collections import Counter, namedtuple
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -54,44 +54,25 @@ def default_function_words() -> tuple[str, ...]:
     return tuple(w for w in _bundled_text("function_words.txt").splitlines() if w)
 
 
-class Document:
+class Document(namedtuple("Document", "id text author", defaults=(None,))):
     """A text unit with an optional author label and its cached bag of words.
 
-    Documents compare equal by id, text and author, and leave the bag out
-    of comparison and ``repr``.  They are mutable, so unhashable.  A class,
-    not a named tuple like the other values: the bag is counted on first
-    use, so a reference reused across grids counts each text once.
+    A named tuple, so its text cannot change, with no ``__slots__``: its
+    instance dict keeps the bag from first use, so each text is counted once.
     """
 
-    __slots__ = ("id", "text", "author", "_counted")
-
-    def __init__(self, id: str, text: str, author: str | None = None):
-        self.id = id
-        self.text = text
-        self.author = author
-        self._counted: tuple[str, Counter] | None = None
-
-    def __repr__(self) -> str:
-        return f"Document(id={self.id!r}, text={self.text!r}, author={self.author!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.text, self.author) == (other.id, other.text, other.author)
+    @cached_property
+    def _bag(self) -> Counter:
+        return Counter(tokenize(self.text))
 
     def counts(self) -> Counter:
-        """The text's bag of words: each token of :func:`tokenize` and its count.
-
-        Counted on first use, and again once ``text`` is another string than
-        the one counted.  Callers read the bag and do not change it.
-        """
-        if self._counted is None or self._counted[0] is not self.text:
-            self._counted = self.text, Counter(tokenize(self.text))
-        return self._counted[1]
+        """Each token of :func:`tokenize` in the text, with its count; read only."""
+        return self._bag
 
     def stripped(self) -> Document:
-        """A copy of this document with its zero-width content removed."""
-        return Document(self.id, strip_zero_width(self.text)[0], self.author)
+        """This document without zero-width content: itself, bag and all, if clean."""
+        clean = strip_zero_width(self.text)[0]
+        return self if len(clean) == len(self.text) else self._replace(text=clean)
 
 
 class Corpus(namedtuple("Corpus", "documents")):
@@ -99,7 +80,7 @@ class Corpus(namedtuple("Corpus", "documents")):
 
     A named tuple, as it holds nothing but its list: the tuple's ``repr``
     and equality serve, and the list keeps it unhashable and open to
-    appends (``features --candidate``).
+    appends (``features --candidate``).  Stripped, it keeps each clean document.
     """
 
     __slots__ = ()

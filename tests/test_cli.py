@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -573,6 +574,23 @@ def demo_workspace(tmp_path_factory):
     return dest
 
 
+def test_a_closed_stdout_ends_a_command_silently_with_exit_141(demo_workspace):
+    # features writes ~1.4 MB here, far past a pipe's buffer, so it is still
+    # writing when its reader stops after one byte, as ``| head -c 1`` does.
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["features", "--corpus", "corpus", "--candidate", "candidate.txt"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "stylocloak.cli", *argv], cwd=demo_workspace,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as child:
+        assert len(child.stdout.read(1)) == 1
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
 @pytest.mark.parametrize("ngrams", sorted(GOLDEN_FEATURES_SHA256))
 def test_features_output_matches_golden_hash(capsys, monkeypatch, demo_workspace, ngrams):
     monkeypatch.chdir(demo_workspace)
@@ -783,6 +801,28 @@ def test_delta_csv_quotes_author_names(capsys, tmp_path):
                        "--candidate", str(candidate), "--k", "30", "--format", "csv")
     assert code == 0
     assert {len(row) for row in csv.reader(out.splitlines())} == {3}
+
+
+@pytest.mark.parametrize("command", ["delta", "matrix"])
+def test_markdown_tables_escape_a_bar_in_an_author_label(capsys, tmp_path, command):
+    corpus_dir, candidate = write_corpus(tmp_path)
+    (corpus_dir / "ashford").rename(corpus_dir / "a|b")
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "corpus": "corpus", "candidate": "candidate.txt", "configs": [3], "k": 30,
+    }), encoding="utf-8")
+    argv = {
+        "delta": ["delta", "--corpus", str(corpus_dir), "--candidate", str(candidate)],
+        "matrix": ["matrix", "--config", str(run_file)],
+    }[command]
+    code, out, _ = run(capsys, *argv, "--format", "markdown")
+    assert code == 0
+    lines = out.splitlines()
+    assert any(line.startswith(("| a\\|b |", "| 3 | a\\|b |")) for line in lines)
+    # GFM splits a row at each bar not escaped, so every row has the
+    # heading's cell count.
+    bars = [len(re.findall(r"(?<!\\)\|", line)) for line in lines]
+    assert bars == [bars[0]] * len(lines)
 
 
 def test_delta_missing_corpus_is_data_error(capsys, tmp_path):

@@ -359,6 +359,15 @@ def test_matrix_style_model_memo_lasts_one_call(monkeypatch):
     assert len(trained) == 2
 
 
+@pytest.mark.parametrize("source", [None, DIRTY_CARRIER], ids=["text", "given"])
+def test_a_walk_strips_its_text_and_its_imitation_source_once(monkeypatch, source):
+    stripped = count_calls(monkeypatch, pipeline, "strip_zero_width")
+    configs = [PipelineConfig(id=1, seed=1, model_order=order) for order in (2, 3)]
+    walked = list(pipeline._walk(DIRTY_CARRIER, configs, source))
+    assert not any(isinstance(result, StageError) for _, result, _, _ in walked)
+    assert stripped == [(DIRTY_CARRIER,)] * (1 if source is None else 2)
+
+
 # --- the stage trie: one stage run per prefix, seeded by the prefix ------------
 
 TRANSLATION_CONFIGS = [2, 4, 6, 7, 10, 12, 14, 15]
@@ -813,9 +822,14 @@ def test_a_grid_tokenizes_each_node_once(monkeypatch, strip):
     assert sum(map(len, texts[nodes:])) < len(candidate.text)
 
 
+@pytest.mark.parametrize("strip", [False, True])
 @settings(max_examples=25, deadline=None)
 @given(cover=COVERS, seed=st.integers(min_value=0, max_value=3))
-def test_a_second_grid_over_the_same_reference_counts_no_reference_text(cover, seed):
+def test_a_second_grid_over_the_same_reference_counts_no_reference_text(
+    strip, cover, seed
+):
+    # Neither text holds a point, so stripped each is its own copy and keeps
+    # its bag of words.
     reference = two_author_corpus(seed=seed, n_docs=2, chars_per_doc=400)
     candidate = Document(id="cand", text="the cat sat on it\n" + cover)
     real = styloscope.tokenize
@@ -830,7 +844,7 @@ def test_a_second_grid_over_the_same_reference_counts_no_reference_text(cover, s
 
             patch.setattr(styloscope, "tokenize", recording)
             patch.setattr(pipeline, "tokenize", recording)
-            report = run_matrix(candidate, reference, grid_configs(), k=30)
+            report = run_matrix(candidate, reference, grid_configs(), k=30, strip=strip)
             runs.append((emit_report(report), tokenized))
     (first, once), (second, again) = runs
     assert second == first
@@ -907,6 +921,15 @@ def test_emit_json_round_trips():
 def test_emit_markdown_has_delta_column_header():
     out = emit_report(empty_report(), "markdown")
     assert "Burrows' Delta" in out.splitlines()[0]
+
+
+def test_a_markdown_cell_escapes_its_bars_and_csv_keeps_them():
+    columns = [("author", "Author", ""), ("delta", "Delta", ".1f")]
+    records = [{"author": "a|b", "delta": 0.5}]
+    assert pipeline.render_table("markdown", columns, records) == (
+        "| Author | Delta |\n|---|---|\n| a\\|b | 0.5 |\n"
+    )
+    assert pipeline.render_table("csv", columns, records) == "author,delta\na|b,0.5\n"
 
 
 def test_emit_rejects_unknown_format():
