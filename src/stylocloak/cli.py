@@ -48,11 +48,19 @@ def _read_input(path: str) -> str:
 
 
 def _write_output(args, text: str) -> None:
+    """Write ``text`` to ``--output``, or to stdout: every command's one writer.
+
+    Stdout gets pieces of at most 1024 characters, at most 4096 bytes of
+    UTF-8 (PIPE_BUF), which a pipe takes whole or refuses: an unbuffered
+    stdout (``PYTHONUNBUFFERED``) ignores a short write, so a longer piece
+    could be cut silently where it should raise :class:`BrokenPipeError`.
+    """
     output = getattr(args, "output", None)
     if output not in (None, "-"):
         zwcodec.write_text_file(output, text)
     else:
-        sys.stdout.write(text)
+        for start in range(0, len(text), 1024):
+            sys.stdout.write(text[start : start + 1024])
 
 
 def _warn(message) -> None:
@@ -93,14 +101,13 @@ def _parse_ngrams(value: str) -> tuple[int, int]:
 
 def cmd_encode(args) -> int:
     stream = _encoded_message(args)
-    sys.stdout.write(_escape(stream) if args.escaped else stream)
-    sys.stdout.write("\n")
+    _write_output(args, (_escape(stream) if args.escaped else stream) + "\n")
     return 0
 
 
 def cmd_decode(args) -> int:
     _, extracted = zwcodec.strip_zero_width(_read_input(args.input))
-    print(zwcodec.decode_stream(extracted))
+    _write_output(args, zwcodec.decode_stream(extracted) + "\n")
     # decode_stream stops at the first end marker; say what it left unread.
     rest = extracted.partition(zwcodec.END)[2]
     if rest:
@@ -125,14 +132,13 @@ def cmd_strip(args) -> int:
 
 def cmd_scan(args) -> int:
     report = zwcodec.scan_text(_read_input(args.input))
-    print(report.to_json())
+    _write_output(args, report.to_json() + "\n")
     return 0
 
 
 def cmd_weave(args) -> int:
     woven = weaver.weave_into_unigram(args.word, _encoded_message(args), args.strategy)
-    sys.stdout.write(_escape(woven) if args.escaped else woven)
-    sys.stdout.write("\n")
+    _write_output(args, (_escape(woven) if args.escaped else woven) + "\n")
     return 0
 
 
@@ -146,7 +152,7 @@ def cmd_embed_lines(args) -> int:
 
 
 def cmd_extract_lines(args) -> int:
-    print(weaver.extract_from_text(_read_input(args.input)))
+    _write_output(args, weaver.extract_from_text(_read_input(args.input)) + "\n")
     return 0
 
 
@@ -247,10 +253,10 @@ def cmd_features(args) -> int:
     corpus.documents.sort(key=lambda doc: doc.id)
     vectors = styloscope.iter_feature_vectors(corpus, *args.ngrams)
     members = itertools.starmap(_feature_json, vectors)
-    sys.stdout.write("{")
+    _write_output(args, "{")
     for i, member in enumerate(members):
-        sys.stdout.write(", " + member if i else member)
-    sys.stdout.write("}\n")
+        _write_output(args, ", " + member if i else member)
+    _write_output(args, "}\n")
     return 0
 
 
@@ -282,7 +288,7 @@ def cmd_delta(args) -> int:
         payload = {name: report._asdict() for name, report in reports.items()}
         if len(payload) == 1:
             payload = payload["candidate"]
-        print(json.dumps(payload, sort_keys=True))
+        _write_output(args, json.dumps(payload, sort_keys=True) + "\n")
         return 0
     from . import pipeline  # only the table formats need render_table
 
@@ -296,7 +302,7 @@ def cmd_delta(args) -> int:
         for record in records:
             record[f"delta_{name}"] = report.deltas[record["author"]]
             record[f"probability_{name}"] = report.probabilities[record["author"]]
-    sys.stdout.write(pipeline.render_table(args.format, columns, records))
+    _write_output(args, pipeline.render_table(args.format, columns, records))
     return 0
 
 

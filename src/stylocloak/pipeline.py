@@ -26,7 +26,7 @@ it, so it is the trie's leaf, the first-word edits of
 and the only stage that drops payload letters.  One generator, :func:`_walk`,
 walks the trie and runs each leaf; :func:`run_matrix` and
 :func:`apply_config` both read it.  ``run_matrix`` scores each distinct
-text once, and each leaf from its parent's counts and its edits.
+text once, and each leaf from its parent's bag of words and its edits.
 
 Zero-width content is handled once, where text enters: :func:`_walk`
 strips the text it walks and its imitation source on entry, and an external
@@ -48,7 +48,7 @@ from pathlib import Path
 
 from . import DataError, StylocloakError, _CheckedTuple, check_json_object
 from . import transforms, weaver
-from .styloscope import _DELTA_K, Corpus, Document, _axis_counts, _scored
+from .styloscope import _DELTA_K, Corpus, Document, _scored
 from .styloscope import fit_delta_reference, load_corpus, tokenize
 from .transforms import BackendSpec, StyleModel
 from .zwcodec import read_text_file, strip_zero_width
@@ -228,10 +228,8 @@ def _walk(text: str, configs, imitation_source: str | None):
         yield config, result, edits, dropped
 
 
-def _woven_counts(
-    fitted, parent: tuple[list[int], int], edits
-) -> tuple[list[int], int]:
-    """A steganography leaf's axis counts and token total, from its parent's.
+def _woven_bag(parent: Counter, edits) -> Counter:
+    """A steganography leaf's bag of words, from its parent's and its edits.
 
     Each edit swaps one whitespace-delimited word for its woven form, and
     no token spans whitespace (nor does lowercasing look across it, Greek
@@ -239,12 +237,10 @@ def _woven_counts(
     those of each word plus those of each woven word.  Counts are ints, so
     they equal a count of the woven text exactly.
     """
-    counts, total = parent
-    words = Counter(tokenize(" ".join(e[1] for e in edits)))
-    woven = Counter(tokenize(" ".join(e[2] for e in edits)))
-    gone, n_gone = _axis_counts(fitted, words)
-    new, n_new = _axis_counts(fitted, woven)
-    return [c - g + n for c, g, n in zip(counts, gone, new)], total - n_gone + n_new
+    bag = parent.copy()
+    bag.subtract(tokenize(" ".join(e[1] for e in edits)))
+    bag.update(tokenize(" ".join(e[2] for e in edits)))
+    return bag
 
 
 class MatrixRow(
@@ -288,11 +284,11 @@ def run_matrix(
     words, so a reference reused across calls is counted once.
     The reference is fitted once, and each style model and stage prefix
     runs at most once per call.  The walk strips the candidate on entry.
-    Each distinct text is scored once, from its axis-word counts: a node
-    whose text equals the base's, or an earlier node's, takes that score.
-    A steganography leaf is scored from its parent's counts and its woven
-    words, never tokenized whole; stripped, it is its parent, and takes its
-    parent's score.  Every score equals
+    Each distinct text is scored once, from its bag of words: a node whose
+    text equals the base's, or an earlier node's, takes that score.  A
+    steganography leaf is scored from the bag :func:`_woven_bag` derives
+    from its parent's and its edits, never tokenized whole; stripped, it is
+    its parent, and takes its parent's score.  Every score equals
     :func:`~stylocloak.styloscope.score_delta` on the config's text, float
     for float.  A config whose stage fails is recorded under ``errors``
     (status "aborted") and the rest of the grid still runs; a failed
@@ -302,10 +298,9 @@ def run_matrix(
     """
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
     base = candidate.stripped() if strip else candidate
-    base_counts = _axis_counts(fitted, base.counts())
-    base_report = _scored(fitted, *base_counts)
-    # Each measured text's axis counts and score.
-    scores = {base.text: (base_counts, base_report)}
+    base_report = _scored(fitted, base.counts())
+    # Each measured text's bag of words and score.
+    scores = {base.text: (base.counts(), base_report)}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
     overflows: list[dict] = []
@@ -322,15 +317,15 @@ def run_matrix(
             )
             continue
         if result not in scores:
-            counts = _axis_counts(fitted, Counter(tokenize(result)))
-            scores[result] = counts, _scored(fitted, *counts)
-        counts, adv_report = scores[result]
+            bag = Counter(tokenize(result))
+            scores[result] = bag, _scored(fitted, bag)
+        bag, adv_report = scores[result]
         if dropped:
             overflows.append(
                 {"config": config.id, "stage": "steganography", "dropped": dropped}
             )
         if edits and not strip:
-            adv_report = _scored(fitted, *_woven_counts(fitted, counts, edits))
+            adv_report = _scored(fitted, _woven_bag(bag, edits))
         for author in sorted(base_report.deltas):
             rows.append(
                 MatrixRow(

@@ -389,14 +389,10 @@ def fit_delta_reference(reference: Corpus, k: int = _DELTA_K) -> DeltaReference:
     )
 
 
-def _axis_counts(fitted: DeltaReference, counts: Counter) -> tuple[list[int], int]:
-    """A text's count of each fitted word, and its token total, from its bag."""
-    return list(map(counts.get, fitted.words, repeat(0))), counts.total()
-
-
-def _scored(fitted: DeltaReference, counts: list[int], total: int) -> DeltaReport:
-    """Burrows' Delta of a text given its axis counts and token total."""
-    cand_z = _z_scores(counts, total, fitted.means, fitted.stds)
+def _scored(fitted: DeltaReference, counts: Counter) -> DeltaReport:
+    """Burrows' Delta of a text given its bag of words."""
+    axis = list(map(counts.get, fitted.words, repeat(0)))
+    cand_z = _z_scores(axis, counts.total(), fitted.means, fitted.stds)
     n_words = len(fitted.words)
     deltas = {}
     for author, author_z in fitted.author_z.items():
@@ -414,11 +410,10 @@ def score_delta(fitted: DeltaReference, candidate: Document) -> DeltaReport:
 
     Delta(author) is the mean absolute difference between the author's and
     the candidate's z-scores over the fitted words.  Scoring reads only the
-    candidate's axis-word counts and token total (:func:`_axis_counts`), so
-    a caller that knows those counts scores them with :func:`_scored` and
-    gets the same floats.
+    candidate's bag of words, so a caller that holds a text's bag scores it
+    with :func:`_scored` and gets the same floats.
     """
-    return _scored(fitted, *_axis_counts(fitted, candidate.counts()))
+    return _scored(fitted, candidate.counts())
 
 
 def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:

@@ -382,7 +382,6 @@ def obfuscate(
         j = _below(rng.getrandbits, i + 1)
         order[i], order[j] = order[j], order[i]
     order += list(range(movable, len(chunks)))
-    reordered = order != sorted(order)
 
     def process(chunk: str) -> str:
         result = _substitute(chunk, rng, rate)
@@ -393,11 +392,10 @@ def obfuscate(
         return result
 
     pieces = [process(chunks[i]) for i in order]
-    if reordered:
-        # Chunks keep their own trailing whitespace; a piece that lost its
-        # trailing run by moving to the former tail slot gets a space so the
-        # following sentence still starts after whitespace.
-        for idx in range(len(pieces) - 1):
-            if not pieces[idx][-1:].isspace():
-                pieces[idx] += " "
+    # Chunks keep their own trailing whitespace; a piece that lost its
+    # trailing run by moving to the former tail slot gets a space so the
+    # following sentence still starts after whitespace.
+    for idx in range(len(pieces) - 1):
+        if not pieces[idx][-1:].isspace():
+            pieces[idx] += " "
     return "".join(pieces)

@@ -574,15 +574,29 @@ def demo_workspace(tmp_path_factory):
     return dest
 
 
-def test_a_closed_stdout_ends_a_command_silently_with_exit_141(demo_workspace):
-    # features writes ~1.4 MB here, far past a pipe's buffer, so it is still
-    # writing when its reader stops after one byte, as ``| head -c 1`` does.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["features", "strip"])
+def test_a_closed_stdout_ends_a_command_silently_with_exit_141(
+    demo_workspace, tmp_path, command, unbuffered
+):
+    # Each command writes over 1 MB here, far past a pipe's buffer: features
+    # ~1.4 MB of vectors, strip a 1.06 MB carrier in one string.  So it is
+    # still writing when its reader stops after one byte, as ``| head -c 1``
+    # does.  Unbuffered, a short write to the pipe is not retried, so only
+    # writes that a pipe takes whole make the closed pipe seen.
     src = Path(__file__).resolve().parents[1] / "src"
     argv = ["features", "--corpus", "corpus", "--candidate", "candidate.txt"]
+    if command == "strip":
+        big = tmp_path / "big.txt"
+        big.write_bytes((demo_workspace / "candidate.txt").read_bytes() * 210)
+        argv = ["strip", str(big)]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with subprocess.Popen(
         [sys.executable, "-m", "stylocloak.cli", *argv], cwd=demo_workspace,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as child:
         assert len(child.stdout.read(1)) == 1
         child.stdout.close()
