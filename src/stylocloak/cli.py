@@ -189,55 +189,6 @@ def cmd_transform(args) -> int:
     return 0
 
 
-_quote = json.encoder.encode_basestring_ascii
-_FLOAT_TYPE = frozenset({float})
-
-
-class _FloatReprs(dict):
-    """``float.__repr__`` of each distinct float, computed on first lookup.
-
-    For a finite float, ``repr`` is the text ``json.dumps`` writes.  Equal
-    floats share one repr unless they are 0.0 and -0.0, so a cache keyed by
-    value is sound only for finite floats that are not negative, which every
-    feature value is (counts, frequencies, shares, lengths and positive
-    idf weights).  A value outside that domain raises when first seen.
-    """
-
-    def __missing__(self, value):
-        text = float.__repr__(value)
-        if not text[0].isdigit():  # "nan", "inf" or a sign
-            raise ValueError(f"feature value {text} is not finite and >= 0")
-        self[value] = text
-        return text
-
-
-def _feature_json(doc_id: str, vector: dict) -> str:
-    """One ``"doc id": {vector}`` member of the ``features`` JSON object.
-
-    The bytes of ``json.dumps(doc_id) + ": " + json.dumps(vector,
-    sort_keys=True)`` for a vector whose values are floats or maps of str to
-    float, the only shape a feature vector has; any other type raises
-    ``TypeError``.  Keys are sorted with ``sorted()`` and quoted by the
-    encoder's own ``encode_basestring_ascii``; each distinct float of the
-    vector is formatted once.
-    """
-    reprs = _FloatReprs()
-    members = []
-    for name in sorted(vector):
-        value = vector[name]
-        if type(value) is float:
-            text = reprs[value]
-        elif type(value) is dict and _FLOAT_TYPE.issuperset(map(type, value.values())):
-            keys = sorted(value)
-            values = map(reprs.__getitem__, map(value.__getitem__, keys))
-            pairs = zip(map(_quote, keys), values)
-            text = "{" + ", ".join(map(": ".join, pairs)) + "}"
-        else:
-            raise TypeError(f"feature {name!r} is not a float or a str -> float map")
-        members.append(_quote(name) + ": " + text)
-    return _quote(doc_id) + ": {" + ", ".join(members) + "}"
-
-
 def cmd_features(args) -> int:
     from . import styloscope
 
@@ -252,7 +203,7 @@ def cmd_features(args) -> int:
     # once.  The sort is stable: a repeated id keeps its last document.
     corpus.documents.sort(key=lambda doc: doc.id)
     vectors = styloscope.iter_feature_vectors(corpus, *args.ngrams)
-    members = itertools.starmap(_feature_json, vectors)
+    members = itertools.starmap(styloscope._feature_json, vectors)
     _write_output(args, "{")
     for i, member in enumerate(members):
         _write_output(args, ", " + member if i else member)
@@ -290,8 +241,6 @@ def cmd_delta(args) -> int:
             payload = payload["candidate"]
         _write_output(args, json.dumps(payload, sort_keys=True) + "\n")
         return 0
-    from . import pipeline  # only the table formats need render_table
-
     columns = [("author", "Author", "")]
     records = [{"author": author} for author in sorted(reports["candidate"].deltas)]
     for name, report in reports.items():
@@ -302,7 +251,7 @@ def cmd_delta(args) -> int:
         for record in records:
             record[f"delta_{name}"] = report.deltas[record["author"]]
             record[f"probability_{name}"] = report.probabilities[record["author"]]
-    _write_output(args, pipeline.render_table(args.format, columns, records))
+    _write_output(args, styloscope.render_table(args.format, columns, records))
     return 0
 
 

@@ -38,9 +38,7 @@ analyst who sanitizes input first; a clean document is its own copy.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 from collections import Counter, namedtuple
@@ -48,7 +46,7 @@ from pathlib import Path
 
 from . import DataError, StylocloakError, _CheckedTuple, check_json_object
 from . import transforms, weaver
-from .styloscope import _DELTA_K, Corpus, Document, _scored
+from .styloscope import _DELTA_K, Corpus, Document, _scored, render_table
 from .styloscope import fit_delta_reference, load_corpus, tokenize
 from .transforms import BackendSpec, StyleModel
 from .zwcodec import read_text_file, strip_zero_width
@@ -354,34 +352,6 @@ def run_matrix(
         "candidate_hash": hashlib.sha256(candidate.text.encode("utf-8")).hexdigest(),
     }
     return MatrixReport(tuple(rows), tuple(errors), metadata, tuple(overflows))
-
-
-def render_table(
-    fmt: str, columns: list[tuple[str, str, str]], records: list[dict]
-) -> str:
-    """Render records as CSV or as a Markdown table.
-
-    ``columns`` holds one (record key, Markdown heading, format spec) triple
-    per column; the key doubles as the CSV header.  A ``|`` in a Markdown
-    cell is written ``\\|``, as GFM tables escape it.
-    """
-    cells = [[format(r[key], spec) for key, _, spec in columns] for r in records]
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(key for key, _, _ in columns)
-        writer.writerows(cells)
-        return buffer.getvalue()
-    if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(heading for _, heading, _ in columns) + " |",
-            "|" + "---|" * len(columns),
-        ]
-        for row in cells:
-            lines.append("| " + " | ".join(c.replace("|", r"\|") for c in row) + " |")
-        return "\n".join(lines) + "\n"
-    # the CLI offers only these formats, so another one is a caller's bug
-    raise ValueError(f"unknown report format {fmt!r}")
 
 
 _MATRIX_COLUMNS = [

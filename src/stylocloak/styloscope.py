@@ -7,7 +7,9 @@ token-length statistics, and a hapax/dis legomena vocabulary-richness
 ratio.  Burrows' Delta ranks candidate authorship by the mean absolute
 difference of function-word frequency z-scores; low values suggest the
 same author.  :func:`fit_delta_reference` fits a reference corpus once, and
-:func:`score_delta` scores each candidate against it.
+:func:`score_delta` scores each candidate against it.  It also writes the
+``features`` JSON (:func:`_feature_json`) and the ``csv`` and ``markdown``
+Delta tables of ``delta`` and ``matrix`` (:func:`render_table`).
 
 Every measurement reads the text it is given.  Zero-width payloads are
 therefore visible: the tokenizer treats invisible code points as token
@@ -25,6 +27,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import DataError, _bundled_text
@@ -250,6 +253,54 @@ def _feature_vector(doc: Document, ngram_vec, special_vec) -> dict:
     }
 
 
+_FLOAT_TYPE = frozenset({float})
+
+
+class _FloatReprs(dict):
+    """``float.__repr__`` of each distinct float, computed on first lookup.
+
+    For a finite float, ``repr`` is the text ``json.dumps`` writes.  Equal
+    floats share one repr unless they are 0.0 and -0.0, so a cache keyed by
+    value is sound only for finite floats that are not negative, which every
+    feature value is (counts, frequencies, shares, lengths and positive
+    idf weights).  A value outside that domain raises when first seen.
+    """
+
+    def __missing__(self, value):
+        text = float.__repr__(value)
+        if not text[0].isdigit():  # "nan", "inf" or a sign
+            raise ValueError(f"feature value {text} is not finite and >= 0")
+        self[value] = text
+        return text
+
+
+def _feature_json(doc_id: str, vector: dict) -> str:
+    """One ``"doc id": {vector}`` member of the ``features`` JSON object.
+
+    The bytes of ``json.dumps(doc_id) + ": " + json.dumps(vector,
+    sort_keys=True)`` for a vector whose values are floats or maps of str to
+    float, the only shape a feature vector has; any other type raises
+    ``TypeError``.  Keys are sorted with ``sorted()`` and quoted by the
+    encoder's own ``encode_basestring_ascii``; each distinct float of the
+    vector is formatted once.
+    """
+    reprs = _FloatReprs()
+    members = []
+    for name in sorted(vector):
+        value = vector[name]
+        if type(value) is float:
+            text = reprs[value]
+        elif type(value) is dict and _FLOAT_TYPE.issuperset(map(type, value.values())):
+            keys = sorted(value)
+            values = map(reprs.__getitem__, map(value.__getitem__, keys))
+            pairs = zip(map(_quote, keys), values)
+            text = "{" + ", ".join(map(": ".join, pairs)) + "}"
+        else:
+            raise TypeError(f"feature {name!r} is not a float or a str -> float map")
+        members.append(_quote(name) + ": " + text)
+    return _quote(doc_id) + ": {" + ", ".join(members) + "}"
+
+
 def iter_feature_vectors(
     corpus: Corpus,
     n_min: int = 2,
@@ -426,3 +477,36 @@ def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:
     weights = {a: math.exp(-d - top) for a, d in deltas.items()}
     norm = _sum_left(weights.values())
     return {a: w / norm for a, w in weights.items()}
+
+
+def render_table(
+    fmt: str, columns: list[tuple[str, str, str]], records: list[dict]
+) -> str:
+    """Render records as CSV or as a Markdown table.
+
+    ``columns`` holds one (record key, Markdown heading, format spec) triple
+    per column; the key doubles as the CSV header.  A ``|`` in a Markdown
+    cell is written ``\\|``, as GFM tables escape it, and each line break
+    (CRLF, CR or LF) ``<br>``, the only break that GFM keeps inside a cell.
+    """
+    cells = [[format(r[key], spec) for key, _, spec in columns] for r in records]
+    if fmt == "csv":
+        import csv
+        import io
+
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(key for key, _, _ in columns)
+        writer.writerows(cells)
+        return buffer.getvalue()
+    if fmt == "markdown":
+        lines = [
+            "| " + " | ".join(heading for _, heading, _ in columns) + " |",
+            "|" + "---|" * len(columns),
+        ]
+        for row in cells:
+            row = [re.sub(r"\r\n?|\n", "<br>", c.replace("|", r"\|")) for c in row]
+            lines.append("| " + " | ".join(row) + " |")
+        return "\n".join(lines) + "\n"
+    # the CLI offers only these formats, so another one is a caller's bug
+    raise ValueError(f"unknown report format {fmt!r}")

@@ -157,18 +157,14 @@ def make_text(style: AuthorStyle, seed: int, n_chars: int) -> str:
     """At least ``n_chars`` of styled text, broken into paragraph lines."""
     rng = random.Random(seed)
     lines = []
-    current: list[str] = []
     total = 0
-    sentences_in_line = 3 + _below(rng.getrandbits, 4)
     while total < n_chars:
-        sentence = make_sentence(style, rng)
-        current.append(sentence)
-        total += len(sentence) + 1
-        if len(current) >= sentences_in_line:
-            lines.append(" ".join(current))
-            current = []
-            sentences_in_line = 3 + _below(rng.getrandbits, 4)
-    if current:
+        sentences_in_line = 3 + _below(rng.getrandbits, 4)
+        current: list[str] = []
+        while len(current) < sentences_in_line and total < n_chars:
+            sentence = make_sentence(style, rng)
+            current.append(sentence)
+            total += len(sentence) + 1
         lines.append(" ".join(current))
     return "\n".join(lines)
 

@@ -128,8 +128,6 @@ def split_sentences(text: str) -> list[str]:
     Each chunk keeps its trailing whitespace, so ``"".join`` restores the
     input exactly.  Abbreviations are not special-cased.
     """
-    if not text:
-        return []
     chunks = []
     start = 0
     for boundary in _SENTENCE_BOUNDARY.finditer(text):

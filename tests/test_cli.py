@@ -3,7 +3,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import shlex
@@ -614,6 +613,28 @@ def test_features_output_matches_golden_hash(capsys, monkeypatch, demo_workspace
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_FEATURES_SHA256[ngrams]
 
 
+#: sha256 of the table formats' stdout on the same workspace, by command and
+#: format.  Any change to a Delta value or to the table layout changes these.
+GOLDEN_TABLE_SHA256 = {
+    ("delta", "csv"): "839ffba2b2fed9f07c0f8e5df994f799d0c83ee85cd8bb371f772cfe8dfc3d5b",
+    ("delta", "markdown"): "8a641a97998b06ff03181bf2453016630941e122975ca541748c6da4f896a40c",
+    ("matrix", "csv"): "7a4031e60fc086cc02d64e9b86a736cbacadc9869920b02a9d47aa02943663df",
+    ("matrix", "markdown"): "ece9f2dab972950c99c21abdb119a2ce77a48284430b2db86e6e9df7e399d52a",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(GOLDEN_TABLE_SHA256))
+def test_table_outputs_match_golden_hash(capsys, monkeypatch, demo_workspace, command, fmt):
+    monkeypatch.chdir(demo_workspace)
+    argv = {
+        "delta": ["delta", "--corpus", "corpus", "--candidate", "candidate.txt"],
+        "matrix": ["matrix", "--config", "run.json"],
+    }[command]
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_TABLE_SHA256[command, fmt]
+
+
 def test_features_writes_the_json_of_every_vector_a_repeated_id_last(
     capsys, monkeypatch, tmp_path
 ):
@@ -629,69 +650,6 @@ def test_features_writes_the_json_of_every_vector_a_repeated_id_last(
     payload = dict(styloscope.iter_feature_vectors(reference, 1, 2))
     assert len(payload) == len(reference.documents) - 1
     assert out == json.dumps(payload, sort_keys=True) + "\n"
-
-
-#: Small corpora for the writer: empty and token-free texts, non-ASCII
-#: n-grams, repeated ids and an id decoded from a non-UTF-8 file name.
-FEATURE_CORPORA = st.lists(
-    st.tuples(
-        st.sampled_from(["a/1.txt", "a/2.txt", "b\udcff/1.txt", "\u00e9/\u0436.txt"]),
-        st.text(alphabet="ab AB.,!?'\n\u00e9\u0394\u0436\u6f22\U0001F600\u200b",
-                max_size=30),
-    ),
-    min_size=1,
-    max_size=5,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(docs=FEATURE_CORPORA, n_min=st.integers(1, 3), span=st.integers(0, 2))
-def test_feature_json_is_the_bytes_of_json_dumps(docs, n_min, span):
-    corpus = styloscope.Corpus([styloscope.Document(i, text) for i, text in docs])
-    for doc_id, vector in styloscope.iter_feature_vectors(corpus, n_min, n_min + span):
-        expected = json.dumps(doc_id) + ": " + json.dumps(vector, sort_keys=True)
-        assert cli._feature_json(doc_id, vector) == expected
-
-
-# Two distinct values in a small corpus's vector almost never agree to six
-# decimals, so a repr cache keyed too coarsely can pass the test above:
-# vectors of the same shape are also drawn directly.
-FEATURE_FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
-FEATURE_KEYS = st.text(
-    alphabet=st.characters() | st.sampled_from(["\udc80", "\udcff"]), max_size=4
-)
-
-
-@given(
-    doc_id=FEATURE_KEYS,
-    vector=st.dictionaries(
-        FEATURE_KEYS,
-        FEATURE_FLOATS | st.dictionaries(FEATURE_KEYS, FEATURE_FLOATS, max_size=8),
-        max_size=6,
-    ),
-)
-def test_feature_json_writes_any_vector_of_the_feature_shape(doc_id, vector):
-    expected = json.dumps(doc_id) + ": " + json.dumps(vector, sort_keys=True)
-    assert cli._feature_json(doc_id, vector) == expected
-
-
-@pytest.mark.parametrize(
-    "vector, error",
-    [
-        ({"x": 1}, TypeError),
-        ({"x": True}, TypeError),
-        ({"x": [1.0]}, TypeError),
-        ({"x": 1.0, "y": {"a": 1}}, TypeError),
-        ({"x": {1: 0.5}}, TypeError),
-        ({"x": math.nan}, ValueError),
-        ({"x": {"a": math.inf}}, ValueError),
-        ({"x": {"a": -1.5}}, ValueError),
-        ({"x": -0.0}, ValueError),
-    ],
-)
-def test_feature_json_refuses_a_value_no_feature_has(vector, error):
-    with pytest.raises(error):
-        cli._feature_json("d", vector)
 
 
 def test_delta_json_output(capsys, tmp_path):
@@ -1930,9 +1888,12 @@ def test_codec_commands_load_no_command_module(tmp_path, argv):
     "argv",
     [
         ["features", "--corpus", "corpus", "--candidate", "candidate.txt"],
-        ["delta", "--corpus", "corpus", "--candidate", "candidate.txt", "--format", "json"],
+        *(
+            ["delta", "--corpus", "corpus", "--candidate", "candidate.txt", "--format", fmt]
+            for fmt in ("json", "csv", "markdown")
+        ),
     ],
-    ids=lambda argv: argv[0],
+    ids=["features", "delta", "delta-csv", "delta-markdown"],
 )
 def test_scoring_commands_load_neither_pipeline_nor_hashlib(tmp_path, argv):
     write_corpus(tmp_path)

@@ -921,15 +921,6 @@ def test_emit_markdown_has_delta_column_header():
     assert "Burrows' Delta" in out.splitlines()[0]
 
 
-def test_a_markdown_cell_escapes_its_bars_and_csv_keeps_them():
-    columns = [("author", "Author", ""), ("delta", "Delta", ".1f")]
-    records = [{"author": "a|b", "delta": 0.5}]
-    assert pipeline.render_table("markdown", columns, records) == (
-        "| Author | Delta |\n|---|---|\n| a\\|b | 0.5 |\n"
-    )
-    assert pipeline.render_table("csv", columns, records) == "author,delta\na|b,0.5\n"
-
-
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError, match="^unknown report format 'xml'$") as exc:
         emit_report(empty_report(), "xml")

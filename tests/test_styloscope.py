@@ -1,11 +1,12 @@
 import hashlib
+import json
 import math
 import random
 import string
 from collections import Counter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_delta import oracle_burrows_delta
@@ -16,6 +17,7 @@ from stylocloak.styloscope import (
     Document,
     InsufficientCorpus,
     _char_ngram_counts,
+    _feature_json,
     _sum_left,
     author_probabilities,
     default_function_words,
@@ -23,6 +25,7 @@ from stylocloak.styloscope import (
     function_word_frequencies,
     iter_feature_vectors,
     load_corpus,
+    render_table,
     score_delta,
     token_length_stats,
     tokenize,
@@ -664,6 +667,85 @@ def test_delta_strip_toggle_restores_original_scores():
     baseline = delta(ref, original, k=10)
     assert stripped.deltas == baseline.deltas
     assert raw.deltas != baseline.deltas
+
+
+# --- writers -----------------------------------------------------------------
+
+#: Small corpora for the writer: empty and token-free texts, non-ASCII
+#: n-grams, repeated ids and an id decoded from a non-UTF-8 file name.
+FEATURE_CORPORA = st.lists(
+    st.tuples(
+        st.sampled_from(["a/1.txt", "a/2.txt", "b\udcff/1.txt", "\u00e9/\u0436.txt"]),
+        st.text(alphabet="ab AB.,!?'\n\u00e9\u0394\u0436\u6f22\U0001F600\u200b",
+                max_size=30),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=FEATURE_CORPORA, n_min=st.integers(1, 3), span=st.integers(0, 2))
+def test_feature_json_is_the_bytes_of_json_dumps(docs, n_min, span):
+    corpus = Corpus([Document(i, text) for i, text in docs])
+    for doc_id, vector in iter_feature_vectors(corpus, n_min, n_min + span):
+        expected = json.dumps(doc_id) + ": " + json.dumps(vector, sort_keys=True)
+        assert _feature_json(doc_id, vector) == expected
+
+
+# Two distinct values in a small corpus's vector almost never agree to six
+# decimals, so a repr cache keyed too coarsely can pass the test above:
+# vectors of the same shape are also drawn directly.
+FEATURE_FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+FEATURE_KEYS = st.text(
+    alphabet=st.characters() | st.sampled_from(["\udc80", "\udcff"]), max_size=4
+)
+
+
+@given(
+    doc_id=FEATURE_KEYS,
+    vector=st.dictionaries(
+        FEATURE_KEYS,
+        FEATURE_FLOATS | st.dictionaries(FEATURE_KEYS, FEATURE_FLOATS, max_size=8),
+        max_size=6,
+    ),
+)
+def test_feature_json_writes_any_vector_of_the_feature_shape(doc_id, vector):
+    expected = json.dumps(doc_id) + ": " + json.dumps(vector, sort_keys=True)
+    assert _feature_json(doc_id, vector) == expected
+
+
+@pytest.mark.parametrize(
+    "vector, error",
+    [
+        ({"x": 1}, TypeError),
+        ({"x": True}, TypeError),
+        ({"x": [1.0]}, TypeError),
+        ({"x": 1.0, "y": {"a": 1}}, TypeError),
+        ({"x": {1: 0.5}}, TypeError),
+        ({"x": math.nan}, ValueError),
+        ({"x": {"a": math.inf}}, ValueError),
+        ({"x": {"a": -1.5}}, ValueError),
+        ({"x": -0.0}, ValueError),
+    ],
+)
+def test_feature_json_refuses_a_value_no_feature_has(vector, error):
+    with pytest.raises(error):
+        _feature_json("d", vector)
+
+
+def test_a_markdown_cell_escapes_its_bars_and_csv_keeps_them():
+    columns = [("author", "Author", ""), ("delta", "Delta", ".1f")]
+    records = [{"author": a, "delta": 0.5} for a in ("a|b", "a\nb", "c\r\nd", "e\rf")]
+    assert render_table("markdown", columns, records) == (
+        "| Author | Delta |\n|---|---|\n| a\\|b | 0.5 |\n"
+        "| a<br>b | 0.5 |\n| c<br>d | 0.5 |\n| e<br>f | 0.5 |\n"
+    )
+    # csv quotes a field for the characters of its "\n" line terminator, and
+    # so leaves a lone CR bare, which a csv reader then takes as a row's end.
+    assert render_table("csv", columns, records[:3]) == (
+        'author,delta\na|b,0.5\n"a\nb",0.5\n"c\r\nd",0.5\n'
+    )
 
 
 # --- corpus loading ----------------------------------------------------------

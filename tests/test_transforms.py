@@ -419,10 +419,10 @@ def test_obfuscate_orders_sentences_as_random_shuffle_does(movable, tail, seed):
 
 
 def test_split_sentences_is_lossless():
-    text = "One two.  Three?\nFour! Five no end"
-    chunks = split_sentences(text)
-    assert "".join(chunks) == text
-    assert len(chunks) == 4
+    for text, n_chunks in [("One two.  Three?\nFour! Five no end", 4), ("", 0)]:
+        chunks = split_sentences(text)
+        assert "".join(chunks) == text
+        assert len(chunks) == n_chunks
 
 
 # --- draws -------------------------------------------------------------------
