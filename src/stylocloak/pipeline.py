@@ -19,14 +19,17 @@ steganography.  A stage is seeded by the stages run so far
 (:func:`stage_seed`), so the configs are the 15 nodes of a trie of stage
 prefixes: stripped, config x + 8 is config x, and config 8 the candidate.
 
-A node is its text: translation, imitation and obfuscation share one
+A node is its text, its parent and its record, what its bag of words
+needs from its parent's: translation, imitation and obfuscation share one
 function, :func:`_shaped`.  Steganography runs last and no config extends
 it, so it is the trie's leaf, the first-word edits of
 :func:`~stylocloak.weaver.embed_linewise` (the weaver alone cuts lines),
 and the only stage that drops payload letters.  One generator, :func:`_walk`,
 walks the trie and runs each leaf; :func:`run_matrix` and
 :func:`apply_config` both read it.  ``run_matrix`` scores each distinct
-text once, and each leaf from its parent's bag of words and its edits.
+text once, and counts every node from its parent's bag of words and its
+record or edits: of a grid's texts it tokenizes whole only the candidate,
+each generated text and each backend reply, and of each leaf its words.
 
 Zero-width content is handled once, where text enters: :func:`_walk`
 strips the text it walks and its imitation source on entry, and an external
@@ -161,36 +164,42 @@ def apply_config(
     that fails on its input raises :class:`StageError`; any other exception
     is a bug and propagates as is.
     """
-    [(_, result, edits, dropped)] = _walk(text, [config], imitation_source)
-    if isinstance(result, StageError):
-        raise result from result.cause
-    return weaver._spliced(result, edits), dropped
+    [(_, node, edits, dropped)] = _walk(text, [config], imitation_source)
+    if isinstance(node, StageError):
+        raise node from node.cause
+    return weaver._spliced(node.text, edits), dropped
 
 
-def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model) -> str:
-    """The text after the shaping stage ``stage``, run with ``seed``.
+#: A trie node: its text, its parent node and its record, which is what
+#: :func:`_bag_of` needs, or None for the root and a backend's reply.
+_Node = namedtuple("_Node", "text parent record")
+
+
+def _shaped(stage: str, text: str, config: PipelineConfig, seed: int, model):
+    """The text after the shaping stage ``stage``, run with ``seed``, and its record.
 
     ``model(order)`` gives the imitation stage its style model.
     """
     if stage == "translation":
         backend = config.translation_backend
-        return transforms.round_trip_translate(text, config.chain, backend, seed)
+        return transforms._translated(text, config.chain, backend, seed)
     if stage == "imitation":
         generated = transforms.imitate(
             model(config.model_order), round(len(text) * config.imitation_ratio), seed
         )
-        return " ".join(filter(None, (text, generated)))
+        return " ".join(filter(None, (text, generated))), generated
     rate, jitter = config.substitution_rate, config.punctuation_jitter
-    return transforms.obfuscate(text, seed, rate, jitter)
+    return transforms._obfuscated(text, seed, rate, jitter)
 
 
 def _walk(text: str, configs, imitation_source: str | None):
     """Walk the configs' trie from ``text``, stripped: one tuple per config.
 
-    Each is ``(config, result, edits, dropped)``: the text of the config's
-    last shaping node, or the :class:`StageError` of the stage that failed;
-    then, for a config ending in steganography, the leaf's word edits and
-    the payload letters it dropped, else ``()`` and 0.  A node is keyed by
+    Each is ``(config, node, edits, dropped)``: the config's last shaping
+    :class:`_Node` (the root, of the stripped text, if it has none), or the
+    :class:`StageError` of the stage that failed; then, for a config ending
+    in steganography, the leaf's word edits and the payload letters it
+    dropped, else ``()`` and 0.  A node is keyed by
     its prefix and every config field but id and payload; each runs once
     per walk, as does each style model, keyed by its order and trained on
     the imitation source (``text`` if None), stripped on entry.  The leaf
@@ -205,40 +214,74 @@ def _walk(text: str, configs, imitation_source: str | None):
             memo[order] = transforms.train_style_model(source, order)
         return memo[order]
 
+    root = _Node(text, None, None)
     for config in configs:
         stages = config.stages
         leaf = stages[-1] == "steganography"
-        result = text
+        node = root
         for depth, stage in enumerate(stages[:-1] if leaf else stages, 1):
-            node = (stages[:depth], (config.seed, *config[3:]))
-            if node not in memo:
-                seed = stage_seed(config.seed, node[0])
+            key = (stages[:depth], (config.seed, *config[3:]))
+            if key not in memo:
+                seed = stage_seed(config.seed, key[0])
                 try:
-                    memo[node] = _shaped(stage, result, config, seed, model)
+                    shaped, record = _shaped(stage, node.text, config, seed, model)
+                    memo[key] = _Node(shaped, node, record)
                 except StylocloakError as exc:
-                    memo[node] = StageError(stage, exc)
-            result = memo[node]
-            if isinstance(result, StageError):
+                    memo[key] = StageError(stage, exc)
+            node = memo[key]
+            if isinstance(node, StageError):
                 break
         edits, dropped = (), 0
-        if leaf and not isinstance(result, StageError):
-            edits, dropped = weaver._woven_words(result, config.payload)
-        yield config, result, edits, dropped
+        if leaf and not isinstance(node, StageError):
+            edits, dropped = weaver._woven_words(node.text, config.payload)
+        yield config, node, edits, dropped
+
+
+def _swapped(parent: Counter, removed, added) -> Counter:
+    """A copy of ``parent`` less the tokens ``removed``, plus those ``added``."""
+    bag = parent.copy()
+    # Counter.subtract loops in Python over its argument: count it in C first.
+    bag.subtract(Counter(removed))
+    bag.update(added)
+    return bag
+
+
+def _bag_of(node: _Node, bags: dict) -> Counter:
+    """The node's bag of words, kept in ``bags`` by text.
+
+    A node with no record is counted whole; any other from its parent's bag,
+    found the same way.  No token spans whitespace, nor does lowercasing
+    look across it, Greek final sigma included.  So imitation, which
+    appends its generated text after one space, adds that text's tokens.  A
+    substitution swaps an ASCII token for a table entry, lowercase ASCII
+    words in the token's case: it removes the lowered word and adds the
+    entry's words.  Both begin and end with a cased letter, and only U+0130,
+    a word character, lowers to a non-word one, so no neighbouring token
+    changes.  Moves, pads and jitter touch only whitespace.  Counts are
+    ints, so they equal a count of the node's text exactly.
+    """
+    text, parent, record = node
+    if text not in bags:
+        if record is None:
+            bags[text] = Counter(tokenize(text))
+        elif isinstance(record, str):
+            bags[text] = _swapped(_bag_of(parent, bags), (), tokenize(record))
+        else:
+            removed = [word.lower() for word, _ in record]
+            added = " ".join(entry for _, entry in record).split()
+            bags[text] = _swapped(_bag_of(parent, bags), removed, added)
+    return bags[text]
 
 
 def _woven_bag(parent: Counter, edits) -> Counter:
     """A steganography leaf's bag of words, from its parent's and its edits.
 
-    Each edit swaps one whitespace-delimited word for its woven form, and
-    no token spans whitespace (nor does lowercasing look across it, Greek
-    final sigma included), so the leaf's tokens are its parent's minus
-    those of each word plus those of each woven word.  Counts are ints, so
-    they equal a count of the woven text exactly.
+    Each edit swaps one whitespace-delimited word for its woven form, so,
+    as in :func:`_bag_of`, the leaf's tokens are its parent's minus those
+    of each word plus those of each woven word.
     """
-    bag = parent.copy()
-    bag.subtract(tokenize(" ".join(e[1] for e in edits)))
-    bag.update(tokenize(" ".join(e[2] for e in edits)))
-    return bag
+    removed = tokenize(" ".join(e[1] for e in edits))
+    return _swapped(parent, removed, tokenize(" ".join(e[2] for e in edits)))
 
 
 class MatrixRow(
@@ -282,8 +325,11 @@ def run_matrix(
     words, so a reference reused across calls is counted once.
     The reference is fitted once, and each style model and stage prefix
     runs at most once per call.  The walk strips the candidate on entry.
-    Each distinct text is scored once, from its bag of words: a node whose
-    text equals the base's, or an earlier node's, takes that score.  A
+    Every node is counted once, by :func:`_bag_of` from its parent's bag
+    of words and its record; the root (the stripped candidate) takes the
+    base's cached bag when the two are one text.  Each distinct text is
+    scored once, from its bag: a node whose text equals the base's, or an
+    earlier node's, takes that score.  A
     steganography leaf is scored from the bag :func:`_woven_bag` derives
     from its parent's and its edits, never tokenized whole; stripped, it is
     its parent, and takes its parent's score.  Every score equals
@@ -297,33 +343,33 @@ def run_matrix(
     fitted = fit_delta_reference(reference.stripped() if strip else reference, k)
     base = candidate.stripped() if strip else candidate
     base_report = _scored(fitted, base.counts())
-    # Each measured text's bag of words and score.
-    scores = {base.text: (base.counts(), base_report)}
+    # Each node text's bag of words and each measured text's score.
+    bags = {base.text: base.counts()}
+    scores = {base.text: base_report}
     rows: list[MatrixRow] = []
     errors: list[dict] = []
     overflows: list[dict] = []
     walk = _walk(candidate.text, configs, imitation_source)
-    for config, result, edits, dropped in walk:
-        if isinstance(result, StageError):
+    for config, node, edits, dropped in walk:
+        if isinstance(node, StageError):
             errors.append(
                 {
                     "config": config.id,
-                    "stage": result.stage,
+                    "stage": node.stage,
                     "status": "aborted",
-                    "error": str(result.cause),
+                    "error": str(node.cause),
                 }
             )
             continue
-        if result not in scores:
-            bag = Counter(tokenize(result))
-            scores[result] = bag, _scored(fitted, bag)
-        bag, adv_report = scores[result]
+        if node.text not in scores:
+            scores[node.text] = _scored(fitted, _bag_of(node, bags))
+        adv_report = scores[node.text]
         if dropped:
             overflows.append(
                 {"config": config.id, "stage": "steganography", "dropped": dropped}
             )
         if edits and not strip:
-            adv_report = _scored(fitted, _woven_bag(bag, edits))
+            adv_report = _scored(fitted, _woven_bag(_bag_of(node, bags), edits))
         for author in sorted(base_report.deltas):
             rows.append(
                 MatrixRow(

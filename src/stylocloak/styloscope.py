@@ -479,26 +479,31 @@ def author_probabilities(deltas: dict[str, float]) -> dict[str, float]:
     return {a: w / norm for a, w in weights.items()}
 
 
+def _csv_cell(cell: str) -> str:
+    """A CSV field: quoted, its quotes doubled, if it holds CR, LF, ``,`` or ``"``."""
+    if re.search(r'[\r\n,"]', cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def render_table(
     fmt: str, columns: list[tuple[str, str, str]], records: list[dict]
 ) -> str:
     """Render records as CSV or as a Markdown table.
 
     ``columns`` holds one (record key, Markdown heading, format spec) triple
-    per column; the key doubles as the CSV header.  A ``|`` in a Markdown
-    cell is written ``\\|``, as GFM tables escape it, and each line break
-    (CRLF, CR or LF) ``<br>``, the only break that GFM keeps inside a cell.
+    per column; the key doubles as the CSV header.  A CSV cell is written
+    as ``csv.writer`` with an LF line terminator writes it on 3.13: quoted,
+    its quotes doubled, if it holds a CR, an LF, a comma or a quote (before
+    3.13 the writer leaves a lone CR bare, which a reader takes as a row's
+    end).  A ``|`` in a Markdown cell is written ``\\|``, as GFM tables
+    escape it, and each line break (CRLF, CR or LF) ``<br>``, the only break
+    that GFM keeps inside a cell.
     """
     cells = [[format(r[key], spec) for key, _, spec in columns] for r in records]
     if fmt == "csv":
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(key for key, _, _ in columns)
-        writer.writerows(cells)
-        return buffer.getvalue()
+        rows = [[key for key, _, _ in columns], *cells]
+        return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
     if fmt == "markdown":
         lines = [
             "| " + " | ".join(heading for _, heading, _ in columns) + " |",

@@ -36,7 +36,7 @@ from .zwcodec import strip_zero_width
 _WORD = re.compile(f"({_TOKEN.pattern})")
 # The last whitespace character before a word that runs to the end.
 _PARTIAL_WORD = re.compile(r"\s\S+\Z")
-_SENTENCE_BOUNDARY = re.compile(r"(?<=[.?!])\s+")
+_SENTENCE_BOUNDARY = re.compile(r"[.?!]\s+")
 _JITTER_TARGET = re.compile(r"([,;:]) ")
 
 BACKEND_KINDS = ("external-command", "http")
@@ -162,8 +162,11 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _substitute(text: str, rng: random.Random, rate: float) -> str:
-    """Replace content words with dictionary synonyms at the given rate."""
+def _substitute(text: str, rng: random.Random, rate: float, subs: list) -> str:
+    """Replace content words with dictionary synonyms at the given rate.
+
+    Appends each substitution's ``(word, table entry)`` to ``subs``.
+    """
     if rate <= 0.0:
         return text
     table = _substitution_candidates()
@@ -176,7 +179,9 @@ def _substitute(text: str, rng: random.Random, rate: float) -> str:
             continue
         if rate < 1.0 and rng.random() >= rate:
             continue
-        parts[i] = _match_case(word, candidates[_below(getrandbits, len(candidates))])
+        entry = candidates[_below(getrandbits, len(candidates))]
+        parts[i] = _match_case(word, entry)
+        subs.append((word, entry))
     return "".join(parts)
 
 
@@ -194,11 +199,20 @@ def round_trip_translate(
     is replaced, which approximates the lexical churn of a real round trip
     without any claim of meaning preservation.
     """
+    return _translated(text, chain, backend, seed)[0]
+
+
+def _translated(
+    text: str, chain: tuple[str, ...], backend: BackendSpec | None, seed: int
+) -> tuple[str, list | None]:
+    """:func:`round_trip_translate`'s text, with the ``(word, table entry)``
+    pair of each substitution, or None for a backend's reply."""
     if backend is not None:
         if not chain:
             raise DataError("external translation requires a pivot chain")
-        return call_backend(backend, text, chain, seed)
-    return _substitute(text, random.Random(seed), rate=1.0)
+        return call_backend(backend, text, chain, seed), None
+    subs: list = []
+    return _substitute(text, random.Random(seed), 1.0, subs), subs
 
 
 def call_backend(
@@ -368,7 +382,14 @@ def obfuscate(
     preserved except for substituted synonyms, and the sentence count never
     changes.  Returns the input unchanged when nothing fired.
     """
+    return _obfuscated(text, seed, rate, jitter)[0]
+
+
+def _obfuscated(text: str, seed: int, rate: float, jitter: bool) -> tuple[str, list]:
+    """:func:`obfuscate`'s text, with the ``(word, table entry)`` pair of each
+    substitution."""
     rng = random.Random(seed)
+    subs: list = []
     chunks = split_sentences(text)
     # A final fragment without a terminator stays pinned at the end: moving
     # it inward would merge it into the next sentence and change the count.
@@ -382,7 +403,7 @@ def obfuscate(
     order += list(range(movable, len(chunks)))
 
     def process(chunk: str) -> str:
-        result = _substitute(chunk, rng, rate)
+        result = _substitute(chunk, rng, rate, subs)
         if jitter:
             result = _JITTER_TARGET.sub(
                 lambda m: f" {m.group(1)} " if rng.random() < 0.5 else m.group(), result
@@ -396,4 +417,4 @@ def obfuscate(
     for idx in range(len(pieces) - 1):
         if not pieces[idx][-1:].isspace():
             pieces[idx] += " "
-    return "".join(pieces)
+    return "".join(pieces), subs

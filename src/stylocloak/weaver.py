@@ -15,16 +15,12 @@ round-trip and is rejected.
 from __future__ import annotations
 
 import operator
-import re
 import warnings
 from bisect import bisect_left, bisect_right
 from functools import cache
 
 from . import DataError, zwcodec
 from .zwcodec import END, POINTS, MalformedStream, _point_starts
-
-_FIRST_WORD = re.compile(r"\S+")
-_LINE = re.compile(r".*\n|.+")  # without DOTALL, "." is anything but LF
 
 STRATEGIES = ("round_robin", "after_first")
 
@@ -111,31 +107,44 @@ def _line_ends(text: str) -> list[int]:
 
     So CRLF is one ending, and lone CR, VT, FF, ``\x1c``-``\x1e``, U+0085,
     U+2028 and U+2029 are characters inside a line.  Text after the last LF
-    is one more line.
+    is one more line.  The LFs are found by ``str.find``, not a pattern, and
+    no line is copied.
     """
-    return [line.end() for line in _LINE.finditer(text)]
+    ends = []
+    end = text.find("\n") + 1
+    while end:
+        ends.append(end)
+        end = text.find("\n", end) + 1
+    if text and not text.endswith("\n"):
+        ends.append(len(text))
+    return ends
 
 
 def _woven_words(
     text: str, secret: str, strategy: str = "round_robin"
 ) -> tuple[list[tuple[int, str, str]], int]:
-    """Where :func:`embed_linewise` weaves, and the number of letters dropped.
+    r"""Where :func:`embed_linewise` weaves, and the number of letters dropped.
 
-    One edit per carrying line, ``(offset, first word, woven word)``: the
-    first word is a maximal run of non-whitespace, so the edits change
-    whole whitespace-delimited words and nothing else.
+    One edit per carrying line of :func:`_line_ends`, ``(offset, first
+    word, woven word)``: the first word is a maximal run of non-whitespace
+    (``str.isspace``, as ``\s``), so the edits change whole
+    whitespace-delimited words and nothing else.  Each distinct word and
+    letter is woven once.
     """
     units = secret_units(secret)
     edits = []
+    woven: dict[tuple[str, str], str] = {}
     start = 0
     for end in _line_ends(text):
         if len(edits) == len(units):
             break
-        match = _FIRST_WORD.search(text, start, end)
-        if match:
-            word = match.group()
-            woven = weave_into_unigram(word, units[len(edits)], strategy)
-            edits.append((match.start(), word, woven))
+        rest = text[start:end].lstrip()
+        if rest:
+            word = rest.split(None, 1)[0]
+            key = word, units[len(edits)]
+            if key not in woven:
+                woven[key] = weave_into_unigram(word, key[1], strategy)
+            edits.append((end - len(rest), word, woven[key]))
         start = end
     return edits, len(units) - len(edits)
 

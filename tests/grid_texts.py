@@ -1,8 +1,8 @@
 """Each config's text as :func:`run_matrix` scores it, read from its walk.
 
-The grid scores what ``pipeline._walk`` yields: a shaping node's text, and
-a steganography leaf's parent text with its word edits; it never builds
-the leaf's text.  :func:`grid_texts` splices those edits as
+The grid scores what ``pipeline._walk`` yields: a shaping node, and a
+steganography leaf's parent node with its word edits; it never builds the
+leaf's text.  :func:`grid_texts` splices those edits as
 ``apply_config`` does, so that the grid tests can compare each config's
 text with ``apply_config`` and each row with ``score_delta`` on that text.
 """
@@ -15,9 +15,9 @@ def grid_texts(candidate, configs, source=None):
     """``(config, text)`` for each config of the grid that runs, in grid order."""
     walk = pipeline._walk(candidate.text, configs, source)
     return [
-        (config, weaver._spliced(result, edits))
-        for config, result, edits, _ in walk
-        if not isinstance(result, pipeline.StageError)
+        (config, weaver._spliced(node.text, edits))
+        for config, node, edits, _ in walk
+        if not isinstance(node, pipeline.StageError)
     ]
 
 

@@ -1555,7 +1555,7 @@ def test_a_bug_in_a_stage_propagates(capsys, tmp_path, monkeypatch, command):
     (tmp_path / "run.json").write_text(json.dumps({
         "corpus": "corpus", "candidate": "candidate.txt", "configs": [3], "k": 30,
     }), encoding="utf-8")
-    monkeypatch.setattr(transforms, "obfuscate", broken)
+    monkeypatch.setattr(transforms, "_obfuscated", broken)
     argv = {
         "matrix": ["matrix", "--config", str(tmp_path / "run.json")],
         "transform": ["transform", str(tmp_path / "candidate.txt"),

@@ -130,7 +130,7 @@ def test_config_15_runs_all_stages_in_canonical_order(monkeypatch):
 
     def fake_translate(text, chain, backend, seed):
         calls.append("translation")
-        return text + " t"
+        return text + " t", None
 
     def fake_imitate(model, length, seed):
         calls.append("imitation")
@@ -138,11 +138,11 @@ def test_config_15_runs_all_stages_in_canonical_order(monkeypatch):
 
     def fake_obfuscate(text, seed, rate, jitter):
         calls.append("obfuscation")
-        return text + " o"
+        return text + " o", None
 
-    monkeypatch.setattr(transforms, "round_trip_translate", fake_translate)
+    monkeypatch.setattr(transforms, "_translated", fake_translate)
     monkeypatch.setattr(transforms, "imitate", fake_imitate)
-    monkeypatch.setattr(transforms, "obfuscate", fake_obfuscate)
+    monkeypatch.setattr(transforms, "_obfuscated", fake_obfuscate)
     config = PipelineConfig(id=15, seed=1, payload="A")
     out, _ = apply_config(SAMPLE, config)
     assert calls == ["translation", "imitation", "obfuscation"]
@@ -164,7 +164,7 @@ def test_a_bug_in_a_stage_is_not_a_stage_error(monkeypatch):
     def broken(*args):
         raise TypeError("a bug in a stage")
 
-    monkeypatch.setattr(transforms, "obfuscate", broken)
+    monkeypatch.setattr(transforms, "_obfuscated", broken)
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     with pytest.raises(TypeError, match="a bug"):
         apply_config(SAMPLE, PipelineConfig(id=3))
@@ -432,9 +432,9 @@ def test_matrix_runs_each_stage_prefix_once(monkeypatch):
     runs = {
         name: count_calls(monkeypatch, module, name)
         for module, name in [
-            (transforms, "round_trip_translate"),
+            (transforms, "_translated"),
             (transforms, "imitate"),
-            (transforms, "obfuscate"),
+            (transforms, "_obfuscated"),
             (weaver, "_woven_words"),
         ]
     }
@@ -444,7 +444,7 @@ def test_matrix_runs_each_stage_prefix_once(monkeypatch):
     # one run per trie node: 1 translation, 2 imitation, 4 obfuscation and
     # 8 steganography nodes, where seeding by config id took 32 runs
     assert {name: len(calls) for name, calls in runs.items()} == {
-        "round_trip_translate": 1, "imitate": 2, "obfuscate": 4, "_woven_words": 8,
+        "_translated": 1, "imitate": 2, "_obfuscated": 4, "_woven_words": 8,
     }
 
 
@@ -456,9 +456,10 @@ def test_matrix_runs_each_stage_prefix_once(monkeypatch):
 )
 def test_each_leaf_edit_weaves_the_word_it_replaces(text, seed, payload):
     configs = [PipelineConfig(i, seed, payload) for i in sorted(CONFIG_STAGES)]
-    for config, result, edits, dropped in pipeline._walk(text, configs, None):
-        if isinstance(result, StageError):
+    for config, node, edits, dropped in pipeline._walk(text, configs, None):
+        if isinstance(node, StageError):
             continue  # a text too short to train on aborts imitation
+        result = node.text
         for start, word, woven in edits:
             assert result[start : start + len(word)] == word
             assert strip_zero_width(woven)[0] == word
@@ -557,8 +558,8 @@ def test_configs_that_differ_only_in_payload_share_their_shaping_runs(monkeypatc
     runs = {
         name: count_calls(monkeypatch, module, name)
         for module, name in [
-            (transforms, "round_trip_translate"),
-            (transforms, "obfuscate"),
+            (transforms, "_translated"),
+            (transforms, "_obfuscated"),
             (weaver, "_woven_words"),
         ]
     }
@@ -567,7 +568,7 @@ def test_configs_that_differ_only_in_payload_share_their_shaping_runs(monkeypatc
     report = run_matrix(candidate, small_reference(), configs, k=30)
     assert not report.errors
     assert {name: len(calls) for name, calls in runs.items()} == {
-        "round_trip_translate": 1, "obfuscate": 1, "_woven_words": 2,
+        "_translated": 1, "_obfuscated": 1, "_woven_words": 2,
     }
     assert [args[1] for args in runs["_woven_words"]] == ["A", "KEY"]
 
@@ -715,13 +716,13 @@ def test_apply_config_returns_payload_overflow():
 
 
 def test_matrix_passes_other_warnings_through(monkeypatch):
-    real_obfuscate = transforms.obfuscate
+    real_obfuscate = transforms._obfuscated
 
     def noisy(*args):
         warnings.warn("obfuscation note", UserWarning)
         return real_obfuscate(*args)
 
-    monkeypatch.setattr(transforms, "obfuscate", noisy)
+    monkeypatch.setattr(transforms, "_obfuscated", noisy)
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     with pytest.warns(UserWarning, match="obfuscation note"):
         report = run_matrix(
@@ -794,30 +795,95 @@ def test_a_leafs_derived_counts_equal_a_count_of_its_woven_text(cover, payload):
     assert derived.total() == expected.total()
 
 
+#: Table words, and beside them final sigmas, a dotted capital I,
+#: apostrophes, underscores and non-ASCII words, in both orders.
+BAG_WORDS = [
+    "big", "Big", "BIG", "house", "quiet", "river", "walked", "old", "road",
+    "the", "of", "x1", "\u0391\u03a3.", "\u039f\u0394\u039f\u03a3,", "\u0130",
+    "\u0130big", "big\u0130", "\u03a3big", "big\u03a3", "don't", "'big", "big'",
+    "big's", "O'BIG", "snake_case", "_big", "big_", "caf\u00e9", "big\u00e9",
+    "na\u00efve",
+]
+#: Separators: sentence ends, jitter targets and whitespace of every kind.
+BAG_SEPARATORS = [
+    " ", " ", ". ", ", ", "; ", ": ", "! ", "? ", ".\n", "\n", "'", "-", "\xa0",
+    " , ", ".\r\n", "\u2028",
+]
+BAG_TEXTS = st.lists(
+    st.tuples(st.sampled_from(BAG_WORDS), st.sampled_from(BAG_SEPARATORS)),
+    max_size=40,
+).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=BAG_TEXTS,
+    source=st.none() | BAG_TEXTS,
+    seed=st.integers(0, 2**64),
+    rate=st.sampled_from([0.0, 0.3, 1.0]),
+    jitter=st.booleans(),
+    ratio=st.sampled_from([0.0, 1.0]),
+    order=st.sampled_from([1, 2, 3]),
+)
+def test_every_nodes_derived_bag_equals_a_count_of_its_text(
+    text, source, seed, rate, jitter, ratio, order
+):
+    given_options = {
+        "seed": seed, "substitution_rate": rate, "punctuation_jitter": jitter,
+        "imitation_ratio": ratio, "model_order": order,
+    }
+    configs = pipeline.make_configs(range(1, 8), given_options)
+    bags = {}
+    # Configs 1-7 end at the 7 shaping nodes, each derived from its parent's
+    # bag as the walk reaches it.
+    for _, node, _, _ in pipeline._walk(text, configs, source):
+        if isinstance(node, StageError):  # a short source aborts imitation
+            continue
+        # Every builtin stage reports a record, so no node is counted whole.
+        assert node.record is not None
+        bag = pipeline._bag_of(node, bags)
+        expected = Counter(tokenize(node.text))
+        assert bag == expected
+        assert bag.total() == expected.total()
+        assert min(bag.values(), default=0) >= 0
+
+
 @pytest.mark.parametrize("strip", [False, True])
 def test_a_grid_tokenizes_each_node_once(monkeypatch, strip):
+    reference = small_reference()
+    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
+    configs = grid_configs()
+    shaping = {text for _, text in grid_texts(candidate, configs[:7])}
     tokenized = []
+    generated = []
     real = styloscope.tokenize
+    real_imitate = transforms.imitate
 
     def recording(text):
         tokenized.append(text)
         return real(text)
 
+    def imitating(*args):
+        generated.append(real_imitate(*args))
+        return generated[-1]
+
     monkeypatch.setattr(styloscope, "tokenize", recording)
     monkeypatch.setattr(pipeline, "tokenize", recording)
-    reference = small_reference()
-    candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
-    report = run_matrix(candidate, reference, grid_configs(), k=30, strip=strip)
+    monkeypatch.setattr(transforms, "imitate", imitating)
+    report = run_matrix(candidate, reference, configs, k=30, strip=strip)
     assert not report.errors
     fitted_texts = {doc.text for doc in reference.documents}
     texts = [text for text in tokenized if text not in fitted_texts]
-    # The candidate, which is also config 8's parent, and the nodes of
-    # configs 1-7.  Without strip each leaf tokenizes its payload's words
-    # and their woven forms, and no more.
-    nodes = 1 + 7
-    assert len(texts) == nodes + (0 if strip else 2 * 8)
-    assert len(set(texts[:nodes])) == nodes
-    assert sum(map(len, texts[nodes:])) < len(candidate.text)
+    # The candidate, which is also config 8's parent, then the text that
+    # each of the two imitation nodes generated; every other shaping node
+    # is counted from its parent's bag and never tokenized.  Without strip
+    # each leaf tokenizes its payload's words and their woven forms, and no
+    # more.
+    assert len(generated) == 2 and all(generated)
+    assert texts[:3] == [candidate.text, *generated]
+    assert len(shaping) == 7 and shaping.isdisjoint(texts)
+    assert len(texts) == 3 + (0 if strip else 2 * 8)
+    assert sum(map(len, texts[3:])) < len(candidate.text)
 
 
 @pytest.mark.parametrize("strip", [False, True])

@@ -741,11 +741,24 @@ def test_a_markdown_cell_escapes_its_bars_and_csv_keeps_them():
         "| Author | Delta |\n|---|---|\n| a\\|b | 0.5 |\n"
         "| a<br>b | 0.5 |\n| c<br>d | 0.5 |\n| e<br>f | 0.5 |\n"
     )
-    # csv quotes a field for the characters of its "\n" line terminator, and
-    # so leaves a lone CR bare, which a csv reader then takes as a row's end.
-    assert render_table("csv", columns, records[:3]) == (
-        'author,delta\na|b,0.5\n"a\nb",0.5\n"c\r\nd",0.5\n'
+    # csv quotes a field that holds a line break, a lone CR included.
+    assert render_table("csv", columns, records) == (
+        'author,delta\na|b,0.5\n"a\nb",0.5\n"c\r\nd",0.5\n"e\rf",0.5\n'
     )
+
+
+def test_a_csv_table_reads_back_through_csv_reader():
+    import csv
+    import io
+
+    labels = ["e\rf", "a\nb", "c\r\nd", "x,y", 'q"r', "plain", "a|b", ""]
+    columns = [("author", "Author", ""), ("delta", "Delta", ".4f")]
+    records = [{"author": label, "delta": 0.5} for label in labels]
+    text = render_table("csv", columns, records)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows == [["author", "delta"], *([label, "0.5000"] for label in labels)]
+    # A cell with none of CR, LF, "," or a quote is written as is.
+    assert "\nplain,0.5000\na|b,0.5000\n,0.5000\n" in text
 
 
 # --- corpus loading ----------------------------------------------------------

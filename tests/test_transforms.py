@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -53,6 +54,15 @@ def test_synonym_table_size_and_hygiene():
         for alt in alts:
             assert not set(".?!") & set(alt), (word, alt)
             assert len(alt.split()) <= 2
+
+
+def test_every_synonym_entry_is_lowercase_ascii_words():
+    # A substitution's bag of words removes the word and adds the entry's
+    # words (pipeline._bag_of): exact while every entry is lowercase ASCII
+    # words, which begin and end with a cased letter as the word does.
+    for word, alts in load_synonyms().items():
+        for entry in (word, *alts):
+            assert re.fullmatch(r"[a-z]+( [a-z]+)*", entry), (word, entry)
 
 
 def test_synonym_groups_are_symmetric_for_single_words():
@@ -416,6 +426,24 @@ def test_obfuscate_orders_sentences_as_random_shuffle_does(movable, tail, seed):
     text = " ".join(sentences + ["loose tail"] * tail)
     out = obfuscate(text, seed=seed, rate=0.0)
     assert [chunk.strip() for chunk in split_sentences(out)] == expected
+
+
+#: The boundary split_sentences used before it matched the terminator itself.
+LOOKBEHIND_BOUNDARY = re.compile(r"(?<=[.?!])\s+")
+
+
+def lookbehind_sentences(text):
+    """Reference split: each chunk ends after a run of whitespace that
+    follows a terminator."""
+    ends = [m.end() for m in LOOKBEHIND_BOUNDARY.finditer(text)]
+    if not ends or ends[-1] < len(text):
+        ends.append(len(text))
+    return [text[a:b] for a, b in zip([0, *ends], ends) if b > a]
+
+
+@given(st.text(st.sampled_from("ab .?!\n\t,;:'\u2028\xa0"), max_size=40))
+def test_split_sentences_matches_the_lookbehind_split(text):
+    assert split_sentences(text) == lookbehind_sentences(text)
 
 
 def test_split_sentences_is_lossless():

@@ -1,3 +1,4 @@
+import re
 import string
 
 import pytest
@@ -361,6 +362,63 @@ def test_extraction_matches_per_line_reference(text):
     except MalformedStream as exc:
         got = "error", str(exc)
     assert got == extract_per_line(text)
+
+
+#: Texts of words (a first word may repeat, or hold a point) cut by every
+#: line boundary, whitespace that is not one, and blank lines.
+line_pieces = st.lists(
+    st.sampled_from(
+        ["ab", "ab", "\u00e9", "\u6f22", "x" + BIT0 + "y", " ", "\t", "\xa0",
+         "\u3000", "\x1f", *LINE_BOUNDARIES]
+    ),
+    max_size=24,
+).map("".join)
+
+
+def reference_woven_words(text, secret, strategy):
+    """Line ends from :func:`carrier_lines`, and each carrying line's first
+    ``\\S+`` woven with the next letter, or the first error raised."""
+    lines = carrier_lines(text)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line) + 1)
+    ends = [min(end, len(text)) for end in starts[1:]]
+    edits = []
+    units = secret_units(secret)
+    for start, line in zip(starts, lines):
+        word = re.search(r"\S+", line)
+        if word and len(edits) < len(units):
+            try:
+                woven = weave_into_unigram(word.group(), units[len(edits)], strategy)
+            except DataError as exc:
+                return ends, ("error", str(exc))
+            edits.append((start + word.start(), word.group(), woven))
+    return ends, (edits, len(units) - len(edits))
+
+
+@given(line_pieces, secrets, st.sampled_from([*weaver.STRATEGIES, "bogus"]))
+def test_line_cuts_and_first_words_match_the_line_oracle(text, secret, strategy):
+    ends, expected = reference_woven_words(text, secret, strategy)
+    assert weaver._line_ends(text) == ends
+    try:
+        got = weaver._woven_words(text, secret, strategy)
+    except DataError as exc:
+        got = "error", str(exc)
+    assert got == expected
+
+
+def test_embedding_weaves_each_distinct_word_and_letter_once(monkeypatch):
+    calls = []
+    weave = weaver.weave_into_unigram
+    monkeypatch.setattr(
+        weaver, "weave_into_unigram", lambda *args: calls.append(args) or weave(*args)
+    )
+    out, dropped = embed_linewise("ab x\nab y\ncd\nab\n", "AAAB")
+    assert dropped == 0
+    assert extract_from_text(out) == "AAAB"
+    assert calls == [("ab", zwcodec.encode_message("A"), "round_robin"),
+                     ("cd", zwcodec.encode_message("A"), "round_robin"),
+                     ("ab", zwcodec.encode_message("B"), "round_robin")]
 
 
 def test_secret_units_encode_each_distinct_letter_once(monkeypatch):
