@@ -28,7 +28,7 @@ and the only stage that drops payload letters.  One generator, :func:`_walk`,
 walks the trie and runs each leaf; :func:`run_matrix` and
 :func:`apply_config` both read it.  ``run_matrix`` scores each distinct
 text once, and counts every node from its parent's bag of words and its
-record or edits: of a grid's texts it tokenizes whole only the candidate,
+record or edits: of a grid's texts it counts whole only the candidate,
 each generated text and each backend reply, and of each leaf its words.
 
 Zero-width content is handled once, where text enters: :func:`_walk`
@@ -49,8 +49,8 @@ from pathlib import Path
 
 from . import DataError, StylocloakError, _CheckedTuple, check_json_object
 from . import transforms, weaver
-from .styloscope import _DELTA_K, Corpus, Document, _scored, render_table
-from .styloscope import fit_delta_reference, load_corpus, tokenize
+from .styloscope import _DELTA_K, Corpus, Document, _count_words, _scored
+from .styloscope import fit_delta_reference, load_corpus, render_table, tokenize
 from .transforms import BackendSpec, StyleModel
 from .zwcodec import read_text_file, strip_zero_width
 
@@ -238,7 +238,10 @@ def _walk(text: str, configs, imitation_source: str | None):
 
 
 def _swapped(parent: Counter, removed, added) -> Counter:
-    """A copy of ``parent`` less the tokens ``removed``, plus those ``added``."""
+    """A copy of ``parent`` less the tokens ``removed``, plus those ``added``.
+
+    Each is a list of tokens or a Counter of them.
+    """
     bag = parent.copy()
     # Counter.subtract loops in Python over its argument: count it in C first.
     bag.subtract(Counter(removed))
@@ -263,9 +266,9 @@ def _bag_of(node: _Node, bags: dict) -> Counter:
     text, parent, record = node
     if text not in bags:
         if record is None:
-            bags[text] = Counter(tokenize(text))
+            bags[text] = _count_words(text)
         elif isinstance(record, str):
-            bags[text] = _swapped(_bag_of(parent, bags), (), tokenize(record))
+            bags[text] = _swapped(_bag_of(parent, bags), (), _count_words(record))
         else:
             removed = [word.lower() for word, _ in record]
             added = " ".join(entry for _, entry in record).split()
@@ -278,7 +281,10 @@ def _woven_bag(parent: Counter, edits) -> Counter:
 
     Each edit swaps one whitespace-delimited word for its woven form, so,
     as in :func:`_bag_of`, the leaf's tokens are its parent's minus those
-    of each word plus those of each woven word.
+    of each word plus those of each woven word.  These few words are
+    tokenized, not counted by :func:`~stylocloak.styloscope._count_words`:
+    a woven word holds points, so it is never a whole token, and on a
+    grid's 8 leaves counting took over a third longer.
     """
     removed = tokenize(" ".join(e[1] for e in edits))
     return _swapped(parent, removed, tokenize(" ".join(e[2] for e in edits)))
@@ -331,7 +337,7 @@ def run_matrix(
     scored once, from its bag: a node whose text equals the base's, or an
     earlier node's, takes that score.  A
     steganography leaf is scored from the bag :func:`_woven_bag` derives
-    from its parent's and its edits, never tokenized whole; stripped, it is
+    from its parent's and its edits, never counted whole; stripped, it is
     its parent, and takes its parent's score.  Every score equals
     :func:`~stylocloak.styloscope.score_delta` on the config's text, float
     for float.  A config whose stage fails is recorded under ``errors``

@@ -26,7 +26,7 @@ import string
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -51,6 +51,22 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def _count_words(text: str) -> Counter:
+    """``Counter(tokenize(text))``, counted from the text's whitespace pieces.
+
+    The token pattern's ``[^\\W_]`` is :meth:`str.isalnum`, char for char,
+    and no token holds a :meth:`str.isspace` character, so a piece of the
+    lowered text that is all alphanumeric is one token, and any other piece
+    yields what ``findall`` finds in it alone.  Those other pieces go
+    through one ``findall``, joined by spaces, each repeated by its count.
+    """
+    bag = Counter(text.lower().split())
+    odd = [piece for piece in bag if not piece.isalnum()]
+    pieces = chain.from_iterable(map(repeat, odd, map(bag.pop, odd)))
+    bag.update(_TOKEN.findall(" ".join(pieces)))
+    return bag
+
+
 @lru_cache(maxsize=1)
 def default_function_words() -> tuple[str, ...]:
     """The bundled 175-word English function-word list, in file order."""
@@ -66,10 +82,10 @@ class Document(namedtuple("Document", "id text author", defaults=(None,))):
 
     @cached_property
     def _bag(self) -> Counter:
-        return Counter(tokenize(self.text))
+        return _count_words(self.text)
 
     def counts(self) -> Counter:
-        """Each token of :func:`tokenize` in the text, with its count; read only."""
+        """The text's bag of words, ``Counter(tokenize(text))``; read only."""
         return self._bag
 
     def stripped(self) -> Document:

@@ -775,6 +775,24 @@ def test_delta_csv_quotes_author_names(capsys, tmp_path):
     assert {len(row) for row in csv.reader(out.splitlines())} == {3}
 
 
+def test_delta_csv_reads_back_with_a_lone_cr_in_an_author_label(tmp_path):
+    # Before 3.13 csv.writer left a lone CR bare, which a reader takes as a
+    # row's end; the table is checked as written to a real stdout.
+    corpus_dir, candidate = write_corpus(tmp_path)
+    (corpus_dir / "ashford").rename(corpus_dir / "e\rf")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "stylocloak.cli", "delta", "--corpus", str(corpus_dir),
+         "--candidate", str(candidate), "--k", "30", "--format", "csv"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    out = done.stdout.decode("utf-8")
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert [row[0] for row in rows] == ["author", *sorted(os.listdir(corpus_dir))]
+    assert {len(row) for row in rows} == {3}
+
+
 @pytest.mark.parametrize("command", ["delta", "matrix"])
 def test_markdown_tables_escape_a_bar_in_an_author_label(capsys, tmp_path, command):
     corpus_dir, candidate = write_corpus(tmp_path)
@@ -1806,6 +1824,55 @@ def test_other_commands_exit_with_a_documented_code_on_any_input(
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2, 3), argv
+
+
+#: Document texts whose bags of words are empty or made only of pieces that
+#: are not all alphanumeric, and one ordinary sentence.
+ODD_DOCUMENTS = st.sampled_from([
+    "", " ", "\n\n", "\t\u2028\u3000\x85 ", "...", "?! -- ;", "'' _ '",
+    "\u00bd\u0301", "The cat sat on the mat, and it was the one.",
+])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    authors=st.lists(st.lists(ODD_DOCUMENTS, max_size=3), min_size=1, max_size=3),
+    candidate=ODD_DOCUMENTS,
+    fmt=st.sampled_from(["json", "csv", "markdown"]),
+)
+def test_scoring_commands_on_odd_corpus_layouts_exit_0_or_name_one_error(
+    tmp_path_factory, authors, candidate, fmt
+):
+    # An author directory with no document holds a file that is not one.
+    root = tmp_path_factory.mktemp("odd")
+    for n, texts in enumerate(authors):
+        author_dir = root / "corpus" / f"author{n}"
+        author_dir.mkdir(parents=True)
+        (author_dir / "notes.md").write_text("the cat", encoding="utf-8")
+        for i, text in enumerate(texts):
+            (author_dir / f"doc{i}.txt").write_text(text, encoding="utf-8")
+    (root / "candidate.txt").write_text(candidate, encoding="utf-8")
+    (root / "run.json").write_text(
+        '{"corpus": "corpus", "candidate": "candidate.txt", "k": 30}', "utf-8"
+    )
+    paths = ["--corpus", str(root / "corpus"),
+             "--candidate", str(root / "candidate.txt")]
+    for argv in (
+        ["delta", *paths, "--format", fmt],
+        ["features", *paths],
+        ["matrix", "--config", str(root / "run.json"), "--format", fmt],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv)
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 2:
+            [line] = err.getvalue().splitlines()
+            assert line.startswith("error: "), argv
+        else:
+            assert code == 0, argv
+            assert out.getvalue(), argv
+
 
 # --- import budget: a command loads only the modules it runs -----------------
 

@@ -848,35 +848,41 @@ def test_every_nodes_derived_bag_equals_a_count_of_its_text(
         assert min(bag.values(), default=0) >= 0
 
 
+def record_counted_texts(patch, seen):
+    """Append to ``seen`` each text that the package counts or tokenizes."""
+    for module, name in ((styloscope, "_count_words"), (styloscope, "tokenize"),
+                         (pipeline, "_count_words"), (pipeline, "tokenize")):
+
+        def recording(text, real=getattr(module, name)):
+            seen.append(text)
+            return real(text)
+
+        patch.setattr(module, name, recording)
+
+
 @pytest.mark.parametrize("strip", [False, True])
 def test_a_grid_tokenizes_each_node_once(monkeypatch, strip):
     reference = small_reference()
     candidate = candidate_for(STYLE_A, seed=3, n_chars=1200)
     configs = grid_configs()
     shaping = {text for _, text in grid_texts(candidate, configs[:7])}
-    tokenized = []
+    counted = []
     generated = []
-    real = styloscope.tokenize
     real_imitate = transforms.imitate
-
-    def recording(text):
-        tokenized.append(text)
-        return real(text)
 
     def imitating(*args):
         generated.append(real_imitate(*args))
         return generated[-1]
 
-    monkeypatch.setattr(styloscope, "tokenize", recording)
-    monkeypatch.setattr(pipeline, "tokenize", recording)
+    record_counted_texts(monkeypatch, counted)
     monkeypatch.setattr(transforms, "imitate", imitating)
     report = run_matrix(candidate, reference, configs, k=30, strip=strip)
     assert not report.errors
     fitted_texts = {doc.text for doc in reference.documents}
-    texts = [text for text in tokenized if text not in fitted_texts]
+    texts = [text for text in counted if text not in fitted_texts]
     # The candidate, which is also config 8's parent, then the text that
     # each of the two imitation nodes generated; every other shaping node
-    # is counted from its parent's bag and never tokenized.  Without strip
+    # is counted from its parent's bag, never whole.  Without strip
     # each leaf tokenizes its payload's words and their woven forms, and no
     # more.
     assert len(generated) == 2 and all(generated)
@@ -896,20 +902,13 @@ def test_a_second_grid_over_the_same_reference_counts_no_reference_text(
     # its bag of words.
     reference = two_author_corpus(seed=seed, n_docs=2, chars_per_doc=400)
     candidate = Document(id="cand", text="the cat sat on it\n" + cover)
-    real = styloscope.tokenize
     runs = []
-    with pytest.MonkeyPatch.context() as patch:
-        for _ in range(2):
-            tokenized = []
-
-            def recording(text, seen=tokenized):
-                seen.append(text)
-                return real(text)
-
-            patch.setattr(styloscope, "tokenize", recording)
-            patch.setattr(pipeline, "tokenize", recording)
+    for _ in range(2):
+        counted = []
+        with pytest.MonkeyPatch.context() as patch:
+            record_counted_texts(patch, counted)
             report = run_matrix(candidate, reference, grid_configs(), k=30, strip=strip)
-            runs.append((emit_report(report), tokenized))
+            runs.append((emit_report(report), counted))
     (first, once), (second, again) = runs
     assert second == first
     for doc in reference.documents:
@@ -922,21 +921,14 @@ def test_a_second_grid_over_the_same_reference_counts_no_reference_text(
 def test_a_node_that_changes_nothing_takes_the_base_score(monkeypatch):
     # Obfuscating one sentence with no substitutions gives the candidate's
     # own text, so config 3 and config 11's parent are scored as the base.
-    tokenized = []
-    real = styloscope.tokenize
-
-    def recording(text):
-        tokenized.append(text)
-        return real(text)
-
-    monkeypatch.setattr(styloscope, "tokenize", recording)
-    monkeypatch.setattr(pipeline, "tokenize", recording)
+    counted = []
+    record_counted_texts(monkeypatch, counted)
     reference = two_author_corpus(seed=0, n_docs=2, chars_per_doc=400)
     candidate = Document(id="cand", text="The cat sat on the mat.\n")
     configs = pipeline.make_configs([3, 11], {"substitution_rate": 0, "payload": "A"})
     report = run_matrix(candidate, reference, configs, k=30)
     assert not report.errors
-    assert tokenized.count(candidate.text) == 1
+    assert counted.count(candidate.text) == 1
     texts = grid_texts(candidate, configs)
     assert texts[0] == (configs[0], candidate.text)
     assert_rows_score_the_texts(report, fit_delta_reference(reference, 30), texts)

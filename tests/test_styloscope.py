@@ -17,6 +17,7 @@ from stylocloak.styloscope import (
     Document,
     InsufficientCorpus,
     _char_ngram_counts,
+    _count_words,
     _feature_json,
     _sum_left,
     author_probabilities,
@@ -299,22 +300,32 @@ def test_token_length_histogram_sums_to_one(text):
     assert all(v >= 0 for v in hist.values())
 
 
-#: Words for the bag properties: apostrophes, underscores, digits, Greek
-#: with a final capital sigma, Deseret, a combining accent, a dotted capital
-#: I (two code points lowered), CJK, a point inside a word, and a function
-#: word or two.
+#: Words for the bag properties: apostrophes, leading, trailing and doubled,
+#: underscores, digits (superscript, fraction and Arabic-Indic among them),
+#: Greek with a final capital sigma, Deseret, a combining accent, a dotted
+#: capital I (two code points lowered), a ligature, CJK, a point inside a
+#: word, and a function word or two.
 BAG_WORDS = [
     "the", "The", "of", "AND", "a", "don't", "'tis", "O'NEIL's", "it's'",
-    "snake_case", "_init_", "x1", "2024", "cafe\u0301", "caf\u00e9",
-    "\u039f\u0394\u039f\u03a3", "\u03bb\u03cc\u03b3\u03bf\u03c2",
+    "rock''n", "''", "_", "snake_case", "_init_", "x1", "2024", "x\u00b2",
+    "\u00bd", "\u0661\u0662\u0663", "cafe\u0301", "caf\u00e9", "\u0301",
+    "\u039f\u0394\u039f\u03a3", "\u03bb\u03cc\u03b3\u03bf\u03c2", "\ufb01ne",
     "\U00010400\U00010401", "\u0130stanbul", "\u6f22\u5b57", "wo\u200brd", "--",
+]
+#: Where a split on whitespace and the token pattern could part: Python's
+#: separators and U+180E, which is not one, apostrophes, ``_`` and each
+#: payload point.
+BAG_SEPARATORS = [
+    " ", "\n", "'", "''", "_", ", ", "\xa0", "\x85", "\u1680", "\u2028",
+    "\u3000", "\u180e", *sorted(zwcodec.POINTS),
 ]
 bag_texts = st.one_of(
     st.lists(
-        st.tuples(st.sampled_from([" ", "\n", "'", "_", ", ", "\xa0"]),
-                  st.sampled_from(BAG_WORDS)),
+        st.tuples(st.sampled_from(BAG_SEPARATORS), st.sampled_from(BAG_WORDS)),
         max_size=40,
     ).map(lambda pairs: "".join(sep + word for sep, word in pairs)),
+    st.text(st.sampled_from(sorted(set("".join(BAG_WORDS + BAG_SEPARATORS)))),
+            max_size=60),
     st.text(max_size=80),
 )
 
@@ -340,7 +351,7 @@ def token_list_features(tokens):
 def test_a_documents_bag_counts_its_tokens_once(text):
     document = doc(text)
     bag = document.counts()
-    assert bag == Counter(tokenize(text))
+    assert bag == _count_words(text) == Counter(tokenize(text))
     assert document.counts() is bag
 
 
